@@ -1,20 +1,22 @@
-"""Anchoring: map instance tags onto tree leaves and build activation vectors.
+"""Anchoring: map instance tags onto tree leaves.
 
 Every tag of an instance is matched to its nearest leaf by cosine
 similarity (an exact string match to a leaf name short-circuits with
 similarity 1.0). Matches below the similarity threshold are dropped and
-recorded. The surviving leaves give a binary leaf activation; multiplying
-by the ancestry matrix lifts it to integer path counts over all nodes.
+recorded. The surviving leaves are the record the sampler consumes;
+:func:`anchor_instance` additionally lifts them, through the ancestry
+matrix, to integer path counts over all nodes.
 """
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import EmbeddingTable, Instance, dumps_canonical, fallback_embedding
+from .io import EmbeddingTable, Instance, _unit_rows, dumps_canonical, fallback_embedding
 from .matrices import AncestryMatrix, build_ancestry_matrix
 from .tree import TagTree
 
@@ -72,12 +74,6 @@ class AnchorReport:
     anchored: int = 0
     unanchorable_ids: list[str] = field(default_factory=list)
     dropped_tags: Counter = field(default_factory=Counter)
-
-
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return mat / safe
 
 
 def _leaf_vectors(tree: TagTree, embeddings: EmbeddingTable | None) -> np.ndarray:
@@ -139,68 +135,25 @@ def _profile_from_leaves(
     )
 
 
-def anchor_instance(
-    instance: Instance,
-    tree: TagTree,
-    embeddings: EmbeddingTable | None,
-    min_similarity: float = DEFAULT_MIN_SIMILARITY,
-    *,
-    ancestry: AncestryMatrix | None = None,
-    leaf_matrix: np.ndarray | None = None,
-) -> ActivationProfile:
-    """Anchor a single instance.
-
-    ``ancestry`` and ``leaf_matrix`` can be passed to reuse work across a
-    pool; :func:`anchor_pool` does exactly that.
-    """
-    if ancestry is None:
-        ancestry = build_ancestry_matrix(tree)
-    if leaf_matrix is None:
-        leaf_matrix = _leaf_vectors(tree, embeddings)
-    leaf_ids = ancestry.leaf_ids
-    name_to_leaf: dict[str, int] = {}
-    for nid in leaf_ids:  # ascending ids: first writer wins on name collision
-        name = tree.node(int(nid)).name
-        name_to_leaf.setdefault(name, int(nid))
-
-    kept: dict[str, tuple[int, float]] = {}
-    dropped: list[str] = []
-    for tag in dict.fromkeys(instance.tags):  # de-dup, keep order
-        if tag in name_to_leaf:
-            kept[tag] = (name_to_leaf[tag], 1.0)
-            continue
-        vec = _tag_vector(tag, embeddings, leaf_matrix.shape[1])
-        sims = leaf_matrix @ vec
-        best = int(np.argmax(sims))  # ties: first occurrence = lowest leaf id
-        sim = float(sims[best])
-        if sim < min_similarity:
-            dropped.append(tag)
-        else:
-            kept[tag] = (int(leaf_ids[best]), sim)
-    leaf_pos = {int(nid): j for j, nid in enumerate(leaf_ids)}
-    return _profile_from_leaves(instance.id, kept, dropped, ancestry, leaf_pos)
-
-
-def anchor_pool(
+def _resolve_tags(
     pool: list[Instance],
     tree: TagTree,
     embeddings: EmbeddingTable | None,
-    min_similarity: float = DEFAULT_MIN_SIMILARITY,
-) -> tuple[list[ActivationProfile], AnchorReport]:
-    """Anchor every instance, batching tag lookups across the pool.
+    min_similarity: float,
+):
+    """Yield (kept, dropped) for each instance, in pool order.
 
-    Output order follows the input pool. Instances whose tags all drop are
-    flagged unanchorable and listed in the report.
+    ``kept`` maps each kept tag to its (leaf id, similarity); ``dropped``
+    lists tags below ``min_similarity`` in first-seen order. Each distinct
+    tag without an exact leaf-name match is resolved once for the whole
+    pool, in chunks to bound memory.
     """
-    ancestry = build_ancestry_matrix(tree)
+    leaf_ids = tree.leaf_ids
     leaf_matrix = _leaf_vectors(tree, embeddings)
-    leaf_ids = ancestry.leaf_ids
-    leaf_pos = {int(nid): j for j, nid in enumerate(leaf_ids)}
     name_to_leaf: dict[str, int] = {}
-    for nid in leaf_ids:
+    for nid in leaf_ids:  # ascending ids: first writer wins on name collision
         name_to_leaf.setdefault(tree.node(int(nid)).name, int(nid))
 
-    # Resolve each distinct non-exact tag once, in chunks to bound memory.
     unique_tags: list[str] = []
     seen: set[str] = set()
     for inst in pool:
@@ -215,7 +168,7 @@ def anchor_pool(
         batch = unique_tags[start : start + chunk]
         mat = np.vstack([_tag_vector(t, embeddings, dim) for t in batch])
         sims = mat @ leaf_matrix.T
-        best = np.argmax(sims, axis=1)
+        best = np.argmax(sims, axis=1)  # ties: first occurrence = lowest leaf id
         for row, tag in enumerate(batch):
             sim = float(sims[row, best[row]])
             if sim < min_similarity:
@@ -223,53 +176,93 @@ def anchor_pool(
             else:
                 resolution[tag] = (int(leaf_ids[best[row]]), sim)
 
-    report = AnchorReport()
-    profiles: list[ActivationProfile] = []
     for inst in pool:
         kept: dict[str, tuple[int, float]] = {}
         dropped: list[str] = []
-        for tag in dict.fromkeys(inst.tags):
+        for tag in dict.fromkeys(inst.tags):  # de-dup, keep order
             if tag in name_to_leaf:
                 kept[tag] = (name_to_leaf[tag], 1.0)
                 continue
             hit = resolution[tag]
             if hit is None:
                 dropped.append(tag)
-                report.dropped_tags[tag] += 1
             else:
                 kept[tag] = hit
-        profile = _profile_from_leaves(inst.id, kept, dropped, ancestry, leaf_pos)
-        if profile.unanchorable:
-            report.unanchorable_ids.append(inst.id)
-        else:
+        yield kept, dropped
+
+
+def anchor_instance(
+    instance: Instance,
+    tree: TagTree,
+    embeddings: EmbeddingTable | None,
+    min_similarity: float = DEFAULT_MIN_SIMILARITY,
+    *,
+    ancestry: AncestryMatrix | None = None,
+) -> ActivationProfile:
+    """Anchor a single instance and lift its leaves to path counts.
+
+    Tags resolve exactly as in :func:`anchor_pool`. ``ancestry`` can be
+    passed to reuse the matrix across calls.
+    """
+    if ancestry is None:
+        ancestry = build_ancestry_matrix(tree)
+    [(kept, dropped)] = _resolve_tags([instance], tree, embeddings, min_similarity)
+    return _profile_from_leaves(instance.id, kept, dropped, ancestry, tree.leaf_pos)
+
+
+def anchor_pool(
+    pool: list[Instance],
+    tree: TagTree,
+    embeddings: EmbeddingTable | None,
+    min_similarity: float = DEFAULT_MIN_SIMILARITY,
+) -> tuple[list[AnchoredRecord], AnchorReport]:
+    """Anchor every instance, batching tag lookups across the pool.
+
+    Output order follows the input pool. Instances whose tags all drop get
+    an empty leaf tuple and are listed in the report as unanchorable.
+    """
+    report = AnchorReport()
+    records: list[AnchoredRecord] = []
+    resolved = _resolve_tags(pool, tree, embeddings, min_similarity)
+    for inst, (kept, dropped) in zip(pool, resolved):
+        leaves = tuple(sorted({leaf for leaf, _ in kept.values()}))
+        report.dropped_tags.update(dropped)
+        if leaves:
             report.anchored += 1
-        profiles.append(profile)
-    return profiles, report
+        else:
+            report.unanchorable_ids.append(inst.id)
+        records.append(
+            AnchoredRecord(
+                id=inst.id,
+                leaves=leaves,
+                dropped=tuple(dropped),
+                quality=inst.quality,
+                complexity=inst.complexity,
+            )
+        )
+    return records, report
 
 
-def write_anchored(
-    profiles: list[ActivationProfile], pool: list[Instance], path
-) -> None:
+def write_anchored(records: list[AnchoredRecord], path) -> None:
     """Write anchored rows (id, leaves, dropped, quality, complexity)."""
-    by_id = {inst.id: inst for inst in pool}
     with open(path, "w", encoding="utf-8") as f:
-        for profile in profiles:
-            inst = by_id.get(profile.instance_id)
-            if inst is None:
-                raise ValueError(f"profile id '{profile.instance_id}' not in pool")
+        for record in records:
             row = {
-                "id": profile.instance_id,
-                "leaves": list(profile.leaf_ids),
-                "dropped": list(profile.dropped),
-                "quality": inst.quality,
-                "complexity": inst.complexity,
+                "id": record.id,
+                "leaves": list(record.leaves),
+                "dropped": list(record.dropped),
+                "quality": record.quality,
+                "complexity": record.complexity,
             }
             f.write(dumps_canonical(row))
             f.write("\n")
 
 
 def load_anchored(path) -> list[AnchoredRecord]:
-    """Read anchored rows; raises with the line number on malformed input."""
+    """Read anchored rows; raises with the line number on malformed input.
+
+    Scores must be finite and in [0, 1], as ``anchor`` writes them.
+    """
     records: list[AnchoredRecord] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
@@ -284,6 +277,17 @@ def load_anchored(path) -> list[AnchoredRecord]:
             for key in ("id", "leaves", "dropped", "quality", "complexity"):
                 if key not in obj:
                     raise ValueError(f"line {lineno}: missing key '{key}'")
+            scores = {}
+            for key in ("quality", "complexity"):
+                try:
+                    scores[key] = float(obj[key])
+                except (TypeError, ValueError):
+                    scores[key] = math.nan
+                if not 0.0 <= scores[key] <= 1.0:  # False for NaN as well
+                    raise ValueError(
+                        f"line {lineno}: '{key}' must be a finite number in "
+                        f"[0, 1], got {obj[key]!r}"
+                    )
             if obj["id"] in seen:
                 raise ValueError(f"line {lineno}: duplicate id '{obj['id']}'")
             seen.add(obj["id"])
@@ -292,8 +296,8 @@ def load_anchored(path) -> list[AnchoredRecord]:
                     id=obj["id"],
                     leaves=tuple(int(x) for x in obj["leaves"]),
                     dropped=tuple(obj["dropped"]),
-                    quality=float(obj["quality"]),
-                    complexity=float(obj["complexity"]),
+                    quality=scores["quality"],
+                    complexity=scores["complexity"],
                 )
             )
     return records

@@ -49,24 +49,8 @@ from .sampler import (
 from .tree import InvalidTreeError, ValidationReport
 from .treebuild import TreeBuildConfig, build_tree
 
-ENV_THREAD_CAP = "TAGFOREST_THREADS"
-
-
 class UserError(Exception):
     """Invalid input or arguments; maps to exit code 2."""
-
-
-def _resolve_workers(requested: int) -> int:
-    cap = os.environ.get(ENV_THREAD_CAP)
-    if cap is None:
-        return max(1, requested)
-    try:
-        cap_val = int(cap)
-    except ValueError:
-        raise UserError(f"{ENV_THREAD_CAP} must be an integer, got {cap!r}") from None
-    if cap_val < 1:
-        raise UserError(f"{ENV_THREAD_CAP} must be >= 1, got {cap_val}")
-    return max(1, min(requested, cap_val))
 
 
 def _require_file(path: str, what: str) -> str:
@@ -164,8 +148,8 @@ def cmd_anchor(args) -> int:
     if args.embeddings:
         table = load_embeddings(_require_file(args.embeddings, "embeddings file"))
         inputs["embeddings"] = args.embeddings
-    profiles, anchor_report = anchor_pool(pool, tree, table, args.min_sim)
-    write_anchored(profiles, pool, args.output)
+    records, anchor_report = anchor_pool(pool, tree, table, args.min_sim)
+    write_anchored(records, args.output)
     params = {
         "tree": args.tree,
         "pool": args.pool,
@@ -220,13 +204,11 @@ def cmd_sample(args) -> int:
         kl_weight=args.kl_weight,
         epsilon=args.epsilon,
     )
-    workers = _resolve_workers(args.workers)
     config = SamplerConfig(
         budget=args.budget,
         objective=objective,
         mode=mode,
-        seed=args.seed,
-        workers=workers,
+        workers=args.workers,
     )
     if args.budget > len(records):
         print(
@@ -254,7 +236,7 @@ def cmd_sample(args) -> int:
         "epsilon": args.epsilon,
         "target": args.target,
         "pool": args.pool,
-        "workers": workers,
+        "workers": args.workers,
         "mode": mode,
         "output": args.output,
         "trace": args.trace,
@@ -394,7 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-9)
     p.add_argument("--target", default=None, help="target.json enabling aligned mode")
     p.add_argument("--pool", default=None, help="original pool for full-record export")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="recorded in the manifest (must be >= 1); scoring is single-threaded",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="subset.jsonl")
     p.add_argument("--trace", default="trace.json")

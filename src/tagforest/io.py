@@ -236,6 +236,12 @@ class EmbeddingTable:
         return len(self.entries)
 
 
+def _unit_rows(mat: np.ndarray) -> np.ndarray:
+    """Scale each row to unit length; all-zero rows stay zero."""
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    return mat / np.where(norms == 0.0, 1.0, norms)
+
+
 def fallback_embedding(key: str, dimension: int) -> np.ndarray:
     """Deterministic unit vector for keys missing from an embedding table.
 

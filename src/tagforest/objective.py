@@ -75,15 +75,16 @@ class ObjectiveConfig:
 def composite_score(quality, complexity, alpha: float = 0.8):
     """Blend normalized quality and complexity: alpha*q + (1-alpha)*c.
 
-    Accepts scalars or aligned arrays; inputs must already be in [0, 1].
+    Accepts scalars or aligned arrays; inputs must already be in [0, 1]
+    (NaN is rejected too: every comparison with it is False).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     q = np.asarray(quality, dtype=np.float64)
     c = np.asarray(complexity, dtype=np.float64)
-    if np.any(q < 0.0) or np.any(q > 1.0):
+    if not (np.all(q >= 0.0) and np.all(q <= 1.0)):
         raise ValueError("quality outside [0, 1]; normalize scores first")
-    if np.any(c < 0.0) or np.any(c > 1.0):
+    if not (np.all(c >= 0.0) and np.all(c <= 1.0)):
         raise ValueError("complexity outside [0, 1]; normalize scores first")
     out = alpha * q + (1.0 - alpha) * c
     return float(out) if out.ndim == 0 else out

@@ -4,15 +4,11 @@ Each iteration refreshes the gradient of the information functional from
 the current state, scores every remaining candidate with its first-order
 gain (minus a weighted KL alignment penalty in aligned mode), and picks
 the argmax under a fixed total order: joint score descending, composite
-score descending, instance id ascending. Candidate scoring can be chunked
-across worker threads; chunking never changes per-candidate arithmetic
-and the reduction uses the same total order, so results are identical for
-any worker count.
+score descending, instance id ascending. Scoring is one sparse
+matrix-vector product over all candidates per iteration, on one thread.
 """
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,14 +44,14 @@ class SamplerConfig:
 
     ``mode`` is "general" (pure information gain) or "aligned" (gain minus
     kl_weight * KL against a target); aligned mode requires a target and
-    general mode requires kl_weight == 0. ``workers`` chunks candidate
-    scoring; output is worker-count independent.
+    general mode requires kl_weight == 0. ``workers`` is validated and
+    recorded but does not change how scoring runs: it is single-threaded,
+    so output is the same for any worker count.
     """
 
     budget: int
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     mode: str = "general"
-    seed: int = 0
     workers: int = 1
 
     def __post_init__(self):
@@ -91,14 +87,13 @@ class SelectionTrace:
     mode: str
 
 
-def _chunk_bounds(n: int, chunks: int) -> list[tuple[int, int]]:
-    size = math.ceil(n / chunks) if chunks else n
-    bounds = []
-    start = 0
-    while start < n:
-        bounds.append((start, min(start + size, n)))
-        start += size
-    return bounds or [(0, 0)]
+def _distinct_leaves(record: AnchoredRecord, leaf_pos: dict[int, int]) -> set[int]:
+    """A record's leaf ids without duplicates; each must be a tree leaf."""
+    leaves = set(record.leaves)
+    for leaf in leaves:
+        if leaf not in leaf_pos:
+            raise ValueError(f"record '{record.id}' references non-leaf node {leaf}")
+    return leaves
 
 
 def sample(
@@ -145,7 +140,10 @@ def sample(
     s = np.array([scores_by_rec[i] for i in order], dtype=np.float64)
     ids = [r.id for r in cand]
     leaf_lists = [
-        np.array(sorted(leaf_pos[leaf] for leaf in set(r.leaves)), dtype=np.int64)
+        np.array(
+            sorted(leaf_pos[leaf] for leaf in _distinct_leaves(r, leaf_pos)),
+            dtype=np.int64,
+        )
         for r in cand
     ]
 
@@ -175,99 +173,50 @@ def sample(
     picks: list[Pick] = []
     chosen: list[AnchoredRecord] = []
 
-    workers = max(1, config.workers)
-    bounds = _chunk_bounds(n, workers)
-    h_chunks = [h_matrix[a:b] for a, b in bounds]
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def score_chunk(ci: int, g_leaf: np.ndarray, kl_shared):
-        a, b = bounds[ci]
-        if a == b:
-            return None
-        gains = s[a:b] * (h_chunks[ci] @ g_leaf)
+    for iteration in range(1, budget + 1):
+        gradient = gradient_vector(state, prop, obj.gamma)
+        g_leaf = np.asarray(ancestry.matrix.T @ gradient)
+        gains = s * (h_matrix @ g_leaf)
         if aligned:
-            base, w_vec, log_args = kl_shared
+            counts_supp = state.leaf_counts[q_support].astype(np.float64)
+            base = float(np.sum(q_vals * np.log(counts_supp + obj.epsilon)))
+            w_vec = np.zeros(n_leaves, dtype=np.float64)
+            w_vec[q_support] = q_vals * (
+                np.log(counts_supp + 1.0 + obj.epsilon)
+                - np.log(counts_supp + obj.epsilon)
+            )
+            log_args = float(state.total_leaf_mass) + eps_total
             kl = (
                 q_entropy_term
                 - base
-                - (h_chunks[ci] @ w_vec)
-                + np.log(log_args + t_d[a:b])
+                - (h_matrix @ w_vec)
+                + np.log(log_args + t_d)
             )
             joint = gains - obj.kl_weight * kl
         else:
             kl = None
             joint = gains
-        joint = np.where(selected[a:b], -np.inf, joint)
-        local = int(np.argmax(joint))
-        if not np.isfinite(joint[local]):
-            return None
-        return (
-            float(joint[local]),
-            a + local,
-            float(gains[local]),
-            None if kl is None else float(kl[local]),
+        joint = np.where(selected, -np.inf, joint)
+        idx = int(np.argmax(joint))  # ties: first occurrence in candidate order
+        if not np.isfinite(joint[idx]):
+            break
+
+        selected[idx] = True
+        chosen.append(cand[idx])
+        picks.append(
+            Pick(
+                iteration=iteration,
+                instance_id=ids[idx],
+                gain=float(gains[idx]),
+                kl=None if kl is None else float(kl[idx]),
+                joint=float(joint[idx]),
+            )
         )
 
-    try:
-        for iteration in range(1, budget + 1):
-            gradient = gradient_vector(state, prop, obj.gamma)
-            g_leaf = np.asarray(ancestry.matrix.T @ gradient)
-
-            kl_shared = None
-            if aligned:
-                counts_supp = state.leaf_counts[q_support].astype(np.float64)
-                base = float(
-                    np.sum(q_vals * np.log(counts_supp + obj.epsilon))
-                )
-                w_vec = np.zeros(n_leaves, dtype=np.float64)
-                w_vec[q_support] = q_vals * (
-                    np.log(counts_supp + 1.0 + obj.epsilon)
-                    - np.log(counts_supp + obj.epsilon)
-                )
-                log_args = float(state.total_leaf_mass) + eps_total
-                kl_shared = (base, w_vec, log_args)
-
-            if executor is None:
-                results = [score_chunk(ci, g_leaf, kl_shared) for ci in range(len(bounds))]
-            else:
-                results = list(
-                    executor.map(
-                        score_chunk,
-                        range(len(bounds)),
-                        [g_leaf] * len(bounds),
-                        [kl_shared] * len(bounds),
-                    )
-                )
-
-            winner = None
-            for res in results:  # chunk order preserves the global total order
-                if res is None:
-                    continue
-                if winner is None or res[0] > winner[0]:
-                    winner = res
-            if winner is None:
-                break
-            joint_val, idx, gain_val, kl_val = winner
-
-            selected[idx] = True
-            chosen.append(cand[idx])
-            picks.append(
-                Pick(
-                    iteration=iteration,
-                    instance_id=ids[idx],
-                    gain=gain_val,
-                    kl=kl_val,
-                    joint=joint_val,
-                )
-            )
-
-            leaf_vec = np.zeros(n_leaves, dtype=np.float64)
-            leaf_vec[leaf_lists[idx]] = 1.0
-            info_vec = s[idx] * np.asarray(ancestry.matrix @ leaf_vec)
-            state.add_contribution(prop, info_vec, leaf_lists[idx])
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        leaf_vec = np.zeros(n_leaves, dtype=np.float64)
+        leaf_vec[leaf_lists[idx]] = 1.0
+        info_vec = s[idx] * np.asarray(ancestry.matrix @ leaf_vec)
+        state.add_contribution(prop, info_vec, leaf_lists[idx])
 
     final_info = state_information(state, obj.gamma)
     final_kl = (
@@ -291,13 +240,8 @@ def derive_target(records: list[AnchoredRecord], tree: TagTree) -> TargetDistrib
     """Empirical leaf distribution of a reference set: counts, normalized."""
     counts: dict[int, int] = {}
     total = 0
-    leaf_set = {int(x) for x in tree.leaf_ids}
     for record in records:
-        for leaf in set(record.leaves):
-            if leaf not in leaf_set:
-                raise ValueError(
-                    f"record '{record.id}' references non-leaf node {leaf}"
-                )
+        for leaf in _distinct_leaves(record, tree.leaf_pos):
             counts[leaf] = counts.get(leaf, 0) + 1
             total += 1
     if total == 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import EmbeddingTable, fallback_embedding
+from .io import EmbeddingTable, _unit_rows, fallback_embedding
 from .tree import TagTree, TreeNode, ValidationReport
 
 __all__ = [
@@ -70,11 +70,6 @@ class ClusterLevel:
     members: list[list[int]]
     centroids: np.ndarray
     names: list[str]
-
-
-def _unit_rows(mat: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    return mat / np.where(norms == 0.0, 1.0, norms)
 
 
 def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

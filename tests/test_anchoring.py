@@ -105,11 +105,10 @@ class TestAnchorPool:
             _inst("b", ["t1"]),
             _inst("c", ["t2", "t0"]),
         ]
-        profiles, report = anchor_pool(pool, tiny_tree, table, 0.0)
-        for inst, pooled in zip(pool, profiles):
+        records, report = anchor_pool(pool, tiny_tree, table, 0.0)
+        for inst, pooled in zip(pool, records):
             single = anchor_instance(inst, tiny_tree, table, 0.0)
-            assert pooled.leaf_ids == single.leaf_ids
-            assert pooled.matched == single.matched
+            assert pooled.leaves == single.leaf_ids
             assert pooled.dropped == single.dropped
 
     def test_report_counts(self, tiny_tree):
@@ -118,16 +117,22 @@ class TestAnchorPool:
         table.entries["l2"] = np.array([0.0, 1.0])
         table.entries["bad"] = np.array([-1.0, -1.0])
         pool = [_inst("a", ["l1"]), _inst("b", ["bad"]), _inst("c", ["l2", "bad"])]
-        profiles, report = anchor_pool(pool, tiny_tree, table, 0.3)
+        records, report = anchor_pool(pool, tiny_tree, table, 0.3)
         assert report.anchored == 2
         assert report.unanchorable_ids == ["b"]
         assert report.dropped_tags["bad"] == 2
-        assert len(profiles) == len(pool)  # output order preserved
+        assert len(records) == len(pool)  # output order preserved
+        assert records[1].leaves == () and records[1].dropped == ("bad",)
 
     def test_pool_order_preserved(self, tiny_tree):
         pool = [_inst(f"i{k}", ["l1"]) for k in range(7)]
-        profiles, _ = anchor_pool(pool, tiny_tree, None)
-        assert [p.instance_id for p in profiles] == [i.id for i in pool]
+        records, _ = anchor_pool(pool, tiny_tree, None)
+        assert [r.id for r in records] == [i.id for i in pool]
+
+    def test_records_carry_pool_scores(self, tiny_tree):
+        pool = [_inst("a", ["l1"], 0.25, 0.75), _inst("b", ["l2"], 1.0, 0.0)]
+        records, _ = anchor_pool(pool, tiny_tree, None)
+        assert [(r.quality, r.complexity) for r in records] == [(0.25, 0.75), (1.0, 0.0)]
 
 
 class TestAnchoredFile:
@@ -137,9 +142,9 @@ class TestAnchoredFile:
         table.entries["l1"] = np.array([1.0, 0.0])
         table.entries["l2"] = np.array([0.0, 1.0])
         table.entries["zzz_none"] = np.array([-1.0, 0.0])
-        profiles, _ = anchor_pool(pool, tiny_tree, table, 0.3)
+        records, _ = anchor_pool(pool, tiny_tree, table, 0.3)
         path = tmp_path / "anchored.jsonl"
-        write_anchored(profiles, pool, path)
+        write_anchored(records, path)
         records = load_anchored(path)
         assert records[0].id == "a" and records[0].leaves == (1,)
         assert records[0].quality == 0.25 and records[0].complexity == 0.75
@@ -158,7 +163,13 @@ class TestAnchoredFile:
         with pytest.raises(ValueError, match="duplicate"):
             load_anchored(p)
 
-    def test_write_requires_matching_pool(self, tmp_path, tiny_tree):
-        profiles, _ = anchor_pool([_inst("a", ["l1"])], tiny_tree, None)
-        with pytest.raises(ValueError, match="'a'"):
-            write_anchored(profiles, [], tmp_path / "x.jsonl")
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-0.5", "1.01", '"high"', "null"])
+    def test_load_rejects_bad_scores(self, tmp_path, bad):
+        good = '{"id":"a","leaves":[1],"dropped":[],"quality":1,"complexity":0}'
+        p = tmp_path / "a.jsonl"
+        p.write_text(
+            good + "\n"
+            + '{"id":"b","leaves":[1],"dropped":[],"quality":0.5,"complexity":' + bad + "}\n"
+        )
+        with pytest.raises(ValueError, match="line 2: 'complexity'"):
+            load_anchored(p)

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tagforest
 from tagforest import __version__, load_anchored, load_instances, load_target, load_tree
 from tagforest.cli import main
 
@@ -97,10 +99,17 @@ class TestParser:
         assert capsys.readouterr().out.strip() == __version__
 
     def test_module_entry_point(self):
+        # The child imports the same package as this process, installed or not.
+        src = os.path.dirname(os.path.dirname(tagforest.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "tagforest", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
@@ -347,27 +356,7 @@ class TestSample:
 
 
 class TestWorkerResolution:
-    def test_invalid_thread_cap(self, ws, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TAGFOREST_THREADS", "lots")
-        rc = main([
-            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],
-            "--budget", "2", "-o", str(tmp_path / "s.jsonl"),
-            "--trace", str(tmp_path / "t.json"),
-        ])
-        assert rc == 2
-        assert "TAGFOREST_THREADS" in capsys.readouterr().err
-
-    def test_zero_thread_cap(self, ws, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TAGFOREST_THREADS", "0")
-        rc = main([
-            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],
-            "--budget", "2", "-o", str(tmp_path / "s.jsonl"),
-            "--trace", str(tmp_path / "t.json"),
-        ])
-        assert rc == 2
-
-    def test_cap_limits_workers_in_manifest(self, ws, tmp_path, monkeypatch):
-        monkeypatch.setenv("TAGFOREST_THREADS", "2")
+    def test_workers_recorded_in_manifest(self, ws, tmp_path):
         out = tmp_path / "s.jsonl"
         rc = main([
             "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],
@@ -377,7 +366,16 @@ class TestWorkerResolution:
         assert rc == 0
         with open(str(out) + ".manifest.json", encoding="utf-8") as f:
             manifest = json.load(f)
-        assert manifest["parameters"]["workers"] == 2
+        assert manifest["parameters"]["workers"] == 8
+
+    def test_zero_workers_rejected(self, ws, tmp_path, capsys):
+        rc = main([
+            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],
+            "--budget", "2", "--workers", "0",
+            "-o", str(tmp_path / "s.jsonl"), "--trace", str(tmp_path / "t.json"),
+        ])
+        assert rc == 2
+        assert "workers" in capsys.readouterr().err
 
     def test_worker_count_does_not_change_output(self, ws, tmp_path):
         outs = []
@@ -392,6 +390,47 @@ class TestWorkerResolution:
             assert rc == 0
             outs.append((d / "s.jsonl").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestBadAnchoredInput:
+    """Anchored rows that would corrupt a selection exit 2 with a location."""
+
+    def _sample(self, ws, tmp_path, rows):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        return main([
+            "sample", "--anchored", str(bad), "--tree", ws["tree"],
+            "--budget", "2", "-o", str(tmp_path / "s.jsonl"),
+            "--trace", str(tmp_path / "t.json"),
+        ])
+
+    def _leaf(self, ws):
+        return int(load_tree(ws["tree"]).leaf_ids[0])
+
+    @pytest.mark.parametrize("value", [float("nan"), 1.5])
+    def test_bad_quality(self, ws, tmp_path, capsys, value):
+        leaf = self._leaf(ws)
+        rows = [
+            {"id": "a", "leaves": [leaf], "dropped": [], "quality": value, "complexity": 0.5},
+            {"id": "b", "leaves": [leaf], "dropped": [], "quality": 0.5, "complexity": 0.5},
+        ]
+        rc = self._sample(ws, tmp_path, rows)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "quality" in err
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_unknown_leaf(self, ws, tmp_path, capsys):
+        root = load_tree(ws["tree"]).root_id
+        rows = [
+            {"id": "a", "leaves": [self._leaf(ws)], "dropped": [], "quality": 0.5, "complexity": 0.5},
+            {"id": "b", "leaves": [root], "dropped": [], "quality": 0.5, "complexity": 0.5},
+        ]
+        rc = self._sample(ws, tmp_path, rows)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"record 'b' references non-leaf node {root}" in err
+        assert "Traceback" not in err
 
 
 class TestStats:

@@ -57,6 +57,10 @@ class TestCompositeScore:
             composite_score(0.5, -0.1)
         with pytest.raises(ValueError):
             composite_score(0.5, 0.5, alpha=2.0)
+        with pytest.raises(ValueError, match="quality"):
+            composite_score(float("nan"), 0.5)
+        with pytest.raises(ValueError, match="complexity"):
+            composite_score(np.array([0.5, 0.5]), np.array([0.5, np.nan]))
 
 
 class TestObjectiveConfig:
