@@ -62,7 +62,7 @@ from .sampler import (
     write_trace,
 )
 from .tree import InvalidTreeError, TagTree, TreeNode, ValidationReport, validate_tree
-from .treebuild import MedoidRefiner, TreeBuildConfig, build_tree, kmeans
+from .treebuild import TreeBuildConfig, build_tree, kmeans
 
 __all__ = [
     "__version__",
@@ -76,7 +76,6 @@ __all__ = [
     "InfoState",
     "Instance",
     "InvalidTreeError",
-    "MedoidRefiner",
     "ObjectiveConfig",
     "Pick",
     "PropagationMatrix",

@@ -150,6 +150,11 @@ def _resolve_tags(
     """
     leaf_ids = tree.leaf_ids
     leaf_matrix = _leaf_vectors(tree, embeddings)
+    if embeddings is not None and embeddings.dimension != leaf_matrix.shape[1]:
+        raise ValueError(
+            f"embedding table has dimension {embeddings.dimension} but the "
+            f"tree's leaf embeddings have dimension {leaf_matrix.shape[1]}"
+        )
     name_to_leaf: dict[str, int] = {}
     for nid in leaf_ids:  # ascending ids: first writer wins on name collision
         name_to_leaf.setdefault(tree.node(int(nid)).name, int(nid))

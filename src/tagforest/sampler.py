@@ -130,9 +130,11 @@ def sample(
     # Fixed candidate order realizes the documented tie-break: composite
     # score descending, then id ascending. First-occurrence argmax over
     # arrays in this order picks the right winner on exact joint ties.
-    scores_by_rec = [
-        composite_score(r.quality, r.complexity, obj.alpha) for r in usable
-    ]
+    scores_by_rec = composite_score(
+        np.array([r.quality for r in usable], dtype=np.float64),
+        np.array([r.complexity for r in usable], dtype=np.float64),
+        obj.alpha,
+    ).tolist()
     order = sorted(
         range(len(usable)), key=lambda i: (-scores_by_rec[i], usable[i].id)
     )

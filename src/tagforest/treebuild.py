@@ -2,11 +2,12 @@
 
 Leaves are the input tags. Each level clusters the current nodes'
 embeddings with seeded K-Means (unit-normalized vectors, so Euclidean
-ordering matches cosine), refines the clustering in four steps —
-summarize each cluster into a name, merge duplicate names, reassign
-members to their nearest surviving centroid, finalize names — and the
-clusters become the next level's nodes. A synthetic root caps whatever
-remains when the depth limit stops the recursion.
+ordering matches cosine) and names each cluster after its medoid member.
+One refinement pass then merges clusters whose names collide
+(case/whitespace-folded), reassigns every node to its nearest merged
+centroid and drops clusters left empty; the clusters become the next
+level's nodes. A synthetic root caps whatever remains when the depth
+limit stops the recursion.
 
 Everything is deterministic given (tags, embeddings, config): K-Means
 draws from a generator seeded by (seed, level), assignment ties take the
@@ -25,7 +26,6 @@ from .tree import TagTree, TreeNode, ValidationReport
 __all__ = [
     "TreeBuildConfig",
     "ClusterLevel",
-    "MedoidRefiner",
     "kmeans",
     "cluster_level",
     "refine_clusters",
@@ -41,8 +41,7 @@ class TreeBuildConfig:
 
     ``branching`` is the per-level contraction ratio: level k+1 gets
     ceil(n_k / branching) clusters. ``depth_limit`` bounds the depth of
-    the finished tree (root depth 0). ``refiner`` defaults to
-    :class:`MedoidRefiner` with all steps enabled.
+    the finished tree (root depth 0).
     """
 
     depth_limit: int = 10
@@ -50,7 +49,6 @@ class TreeBuildConfig:
     seed: int = 0
     kmeans_iters: int = 50
     kmeans_restarts: int = 8
-    refiner: "MedoidRefiner | None" = None
 
     def __post_init__(self):
         if self.depth_limit < 1:
@@ -78,6 +76,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     n = len(points)
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
     chosen: list[int] = [int(rng.integers(n))]
+    taken = set(chosen)
     centers[0] = points[chosen[0]]
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
     for i in range(1, k):
@@ -86,8 +85,9 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             probs = d2 / total
             idx = int(rng.choice(n, p=probs))
         else:
-            idx = next(j for j in range(n) if j not in set(chosen))
+            idx = next(j for j in range(n) if j not in taken)
         chosen.append(idx)
+        taken.add(idx)
         centers[i] = points[idx]
         d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
     return centers
@@ -187,7 +187,8 @@ def cluster_level(
     ``names`` and ``embeddings`` describe the nodes in index order.
     Clusters with no members (possible only with duplicate inputs) are
     dropped, so the result has between 1 and k non-empty clusters.
-    Provisional names are the medoid member's name until a refiner runs.
+    Each cluster is named after its medoid member (nearest the centroid,
+    lowest index on ties).
     """
     if len(names) != len(embeddings):
         raise ValueError("names and embeddings must align")
@@ -225,88 +226,45 @@ def _medoid_name(
     return names[member_idx[int(np.argmin(d2))]]
 
 
-class MedoidRefiner:
-    """Offline four-step refiner.
-
-    summarize: name a cluster after its medoid member. deduplicate: merge
-    clusters whose canonicalized names (case/whitespace-folded) collide.
-    reassign: move each member to its nearest surviving centroid.
-    rename: keep the summarized name. The merge and reassign steps can be
-    switched off to get an identity ("no-op") refiner.
-    """
-
-    def __init__(self, merge_duplicates: bool = True, move_members: bool = True):
-        self.merge_duplicates = merge_duplicates
-        self.move_members = move_members
-
-    def summarize(self, member_names, member_vectors, centroid) -> str:
-        d2 = np.sum((member_vectors - centroid) ** 2, axis=1)
-        return member_names[int(np.argmin(d2))]
-
-    @staticmethod
-    def _canonical(name: str) -> str:
-        return " ".join(name.lower().split())
-
-    def deduplicate(self, names: list[str]) -> list[int]:
-        """Merge map: cluster i folds into merge[i] (first same-name cluster)."""
-        if not self.merge_duplicates:
-            return list(range(len(names)))
-        first: dict[str, int] = {}
-        merge = []
-        for i, name in enumerate(names):
-            key = self._canonical(name)
-            merge.append(first.setdefault(key, i))
-        return merge
-
-    def reassign(self, member_vector: np.ndarray, centroids: np.ndarray) -> int:
-        d2 = np.sum((centroids - member_vector) ** 2, axis=1)
-        return int(np.argmin(d2))
-
-    def rename(self, name: str, member_names: list[str]) -> str:
-        return name
+def _canonical(name: str) -> str:
+    return " ".join(name.lower().split())
 
 
 def refine_clusters(
-    level: ClusterLevel,
-    names: list[str],
-    embeddings: np.ndarray,
-    refiner: MedoidRefiner,
+    level: ClusterLevel, names: list[str], embeddings: np.ndarray
 ) -> ClusterLevel:
-    """Run the four refinement steps over one clustered level.
+    """Merge same-named clusters, then reassign every node once.
 
-    The result is still a partition of the same node indices; clusters
-    emptied by reassignment are dropped.
+    Clusters whose names in ``level.names`` canonicalize (case- and
+    whitespace-folded) to the same key fold into the first of them. Every
+    node then moves to its nearest merged centroid (lowest index on
+    ties) and clusters left empty are dropped. The result is still a
+    partition of the same node indices; each kept cluster keeps its name
+    and the centroid its members were assigned to. ``names`` are the
+    node names, used only to check alignment.
     """
+    if len(names) != len(embeddings):
+        raise ValueError("names and embeddings must align")
     unit = _unit_rows(np.asarray(embeddings, dtype=np.float64))
 
-    cluster_names = [
-        refiner.summarize([names[i] for i in m], unit[m], level.centroids[ci])
-        for ci, m in enumerate(level.members)
-    ]
+    first: dict[str, int] = {}
+    merged: dict[int, list[int]] = {}
+    for ci, (name, m) in enumerate(zip(level.names, level.members)):
+        target = first.setdefault(_canonical(name), ci)
+        merged.setdefault(target, []).extend(m)
+    order = list(merged)  # ascending: first-seen key order is cluster order
+    centroids = np.vstack([np.mean(unit[sorted(merged[ci])], axis=0) for ci in order])
 
-    merge = refiner.deduplicate(cluster_names)
-    merged_members: dict[int, list[int]] = {}
-    for ci, m in enumerate(level.members):
-        merged_members.setdefault(merge[ci], []).extend(m)
-    order = sorted(merged_members)
-    members = [sorted(merged_members[ci]) for ci in order]
-    kept_names = [cluster_names[ci] for ci in order]
-    centroids = np.vstack([np.mean(unit[m], axis=0) for m in members])
-
-    if refiner.move_members:
-        moved: list[list[int]] = [[] for _ in members]
-        for idx in range(len(names)):
-            moved[refiner.reassign(unit[idx], centroids)].append(idx)
-        keep = [ci for ci, m in enumerate(moved) if m]
-        members = [moved[ci] for ci in keep]
-        kept_names = [kept_names[ci] for ci in keep]
-        centroids = np.vstack([np.mean(unit[m], axis=0) for m in members])
-
-    final_names = [
-        refiner.rename(kept_names[ci], [names[i] for i in m])
-        for ci, m in enumerate(members)
-    ]
-    return ClusterLevel(members=members, centroids=centroids, names=final_names)
+    # Direct (c - x)^2 sums, not _assign's expanded form: the two round
+    # differently and tie-heavy inputs would change which centroid wins.
+    d2 = np.column_stack([np.sum((unit - c) ** 2, axis=1) for c in centroids])
+    labels = np.argmin(d2, axis=1)
+    keep = np.unique(labels)
+    return ClusterLevel(
+        members=[np.nonzero(labels == c)[0].tolist() for c in keep],
+        centroids=centroids[keep],
+        names=[level.names[order[c]] for c in keep],
+    )
 
 
 @dataclass
@@ -333,7 +291,6 @@ def build_tree(
     breadth-first order on the finished shape.
     """
     config = config or TreeBuildConfig()
-    refiner = config.refiner or MedoidRefiner()
     tags = list(dict.fromkeys(tags))
     if not tags:
         raise ValueError("cannot build a tree from an empty tag list")
@@ -354,17 +311,17 @@ def build_tree(
     while len(current) > 1 and levels_built + 1 < config.depth_limit:
         k = max(1, math.ceil(len(current) / config.branching))
         k = min(k, len(current) - 1)
+        names = [d.name for d in current]
+        vectors = np.vstack([d.vector for d in current])
         level = cluster_level(
-            [d.name for d in current],
-            np.vstack([d.vector for d in current]),
+            names,
+            vectors,
             k,
             seed=[config.seed, levels_built],
             iters=config.kmeans_iters,
             restarts=config.kmeans_restarts,
         )
-        level = refine_clusters(
-            level, [d.name for d in current], np.vstack([d.vector for d in current]), refiner
-        )
+        level = refine_clusters(level, names, vectors)
         next_level: list[_Draft] = []
         for ci, member_idx in enumerate(level.members):
             children = [current[i] for i in member_idx]
@@ -386,27 +343,24 @@ def build_tree(
     else:
         root = current[0]
 
-    # Breadth-first id assignment over the finished shape.
+    # Breadth-first ids over the finished shape: a child's id is the
+    # queue length when it is enqueued, so children are wired in one pass.
     nodes: list[TreeNode] = []
     queue: list[tuple[_Draft, int | None, int]] = [(root, None, 0)]
-    drafts_in_order: list[tuple[_Draft, TreeNode]] = []
-    while queue:
-        draft, parent_id, depth = queue.pop(0)
-        node = TreeNode(
-            id=len(nodes),
-            name=draft.name,
-            parent=parent_id,
-            children=[],
-            depth=depth,
-            embedding=draft.embedding.copy(),
+    node_id = 0
+    while node_id < len(queue):
+        draft, parent_id, depth = queue[node_id]
+        children = list(range(len(queue), len(queue) + len(draft.children)))
+        queue.extend((child, node_id, depth + 1) for child in draft.children)
+        nodes.append(
+            TreeNode(
+                id=node_id,
+                name=draft.name,
+                parent=parent_id,
+                children=children,
+                depth=depth,
+                embedding=draft.embedding.copy(),
+            )
         )
-        nodes.append(node)
-        drafts_in_order.append((draft, node))
-        for child in draft.children:
-            queue.append((child, node.id, depth + 1))
-
-    # Wire children ids; BFS order guarantees children got larger ids.
-    node_of_draft = {id(d): n for d, n in drafts_in_order}
-    for draft, node in drafts_in_order:
-        node.children = [node_of_draft[id(c)].id for c in draft.children]
+        node_id += 1
     return TagTree(nodes=nodes)

@@ -195,6 +195,28 @@ class TestAnchor:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_embedding_dimension_mismatch(self, ws, tmp_path, capsys):
+        # the tree was built from 4-d embeddings; a 3-d table must be
+        # rejected up front, not fail inside the similarity product
+        emb = tmp_path / "emb3.tsv"
+        emb.write_text("dim=3 count=1\nnumber-theory\t1.0 0.0 0.0\n", encoding="utf-8")
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(
+            json.dumps({"id": "q0", "query": "q", "response": "r",
+                        "tags": ["number-theory"], "quality": 0.5,
+                        "complexity": 0.5}) + "\n",
+            encoding="utf-8",
+        )
+        rc = main([
+            "anchor", "--tree", ws["tree"], "--pool", str(pool),
+            "--embeddings", str(emb), "-o", str(tmp_path / "a.jsonl"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dimension 3" in err and "dimension 4" in err
+        assert "matmul" not in err
+        assert "Traceback" not in err
+
     def test_junk_pool_lines_reported_but_tolerated(self, ws, tmp_path, capsys):
         pool = tmp_path / "pool.jsonl"
         pool.write_text(
