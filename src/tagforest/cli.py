@@ -66,6 +66,7 @@ def _write_manifest(
     inputs: dict[str, str],
     seed: int,
     started: float,
+    counters: dict[str, int] | None = None,
 ) -> None:
     manifest = {
         "command": command,
@@ -76,6 +77,8 @@ def _write_manifest(
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "wall_clock_seconds": time.time() - started,
     }
+    if counters is not None:
+        manifest["counters"] = counters
     with open(f"{output_path}.manifest.json", "w", encoding="utf-8") as f:
         f.write(dumps_canonical(manifest))
         f.write("\n")
@@ -241,8 +244,9 @@ def cmd_sample(args) -> int:
         "output": args.output,
         "trace": args.trace,
     }
-    _write_manifest(args.output, "sample", params, inputs, args.seed, started)
-    _write_manifest(args.trace, "sample", params, inputs, args.seed, started)
+    counters = {"full_rescores": trace.full_rescores, "rescored": trace.rescored}
+    for path in (args.output, args.trace):
+        _write_manifest(path, "sample", params, inputs, args.seed, started, counters)
     kl_text = "n/a" if trace.final_kl is None else format(trace.final_kl, ".6g")
     print(
         f"selected {len(selected)} of {len(records)} "

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _write_canonical(value, out: list[str]) -> None:
     elif isinstance(value, (float, np.floating)):
         out.append(_fmt_number(float(value)))
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(encode_basestring(value))
     elif isinstance(value, dict):
         out.append("{")
         for i, (k, v) in enumerate(value.items()):
@@ -70,7 +71,7 @@ def _write_canonical(value, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {type(k)}")
             if i:
                 out.append(",")
-            out.append(json.dumps(k, ensure_ascii=False))
+            out.append(encode_basestring(k))
             out.append(":")
             _write_canonical(v, out)
         out.append("}")

@@ -1,14 +1,26 @@
 """Greedy budget-constrained selection over a tag tree.
 
 Each iteration refreshes the gradient of the information functional from
-the current state, scores every remaining candidate with its first-order
-gain (minus a weighted KL alignment penalty in aligned mode), and picks
-the argmax under a fixed total order: joint score descending, composite
-score descending, instance id ascending. Scoring is one sparse
-matrix-vector product over all candidates per iteration, on one thread.
+the current state, takes every remaining candidate's first-order gain
+(minus a weighted KL alignment penalty in aligned mode), and picks the
+argmax under a fixed total order: joint score descending, composite score
+descending, instance id ascending.
+
+Aligned mode scores every candidate with one sparse matrix-vector product
+per iteration. General mode does that at iterations 1 and 2 only; after
+that it runs Minoux's accelerated ("lazy") greedy, which is exact here:
+phi is concave and the accumulated mass only grows, so a candidate's gain
+can only fall. A heap keyed on (last gain, candidate position) is re-scored
+at the top until the top entry is fresh, and that entry is the argmax. An
+iteration where some node's mass lies strictly between 0 and
+GRADIENT_FLOOR, where phi' is not monotone, scores every candidate
+instead. Everything runs on one thread.
 """
 from __future__ import annotations
 
+import heapq
+import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +30,7 @@ from .anchoring import AnchoredRecord
 from .io import Instance, TargetDistribution, dumps_canonical
 from .matrices import build_ancestry_matrix, build_propagation_matrix
 from .objective import (
+    GRADIENT_FLOOR,
     InfoState,
     ObjectiveConfig,
     composite_score,
@@ -76,7 +89,12 @@ class Pick:
 
 @dataclass
 class SelectionTrace:
-    """Pick-by-pick record of a run plus final objective values."""
+    """Pick-by-pick record of a run plus final objective values.
+
+    ``full_rescores`` counts iterations that scored every candidate and
+    ``rescored`` the single-candidate re-scores of lazy iterations. They
+    describe the work done, not the result, so the trace file omits them.
+    """
 
     picks: list[Pick]
     final_information: float
@@ -85,6 +103,8 @@ class SelectionTrace:
     pool_size: int
     unanchorable: int
     mode: str
+    full_rescores: int = 0
+    rescored: int = 0
 
 
 def _distinct_leaves(record: AnchoredRecord, leaf_pos: dict[int, int]) -> set[int]:
@@ -94,6 +114,45 @@ def _distinct_leaves(record: AnchoredRecord, leaf_pos: dict[int, int]) -> set[in
         if leaf not in leaf_pos:
             raise ValueError(f"record '{record.id}' references non-leaf node {leaf}")
     return leaves
+
+
+def _rank_candidates(
+    usable: list[AnchoredRecord], alpha: float
+) -> tuple[list[AnchoredRecord], np.ndarray]:
+    """Candidates in tie-break order plus their composite scores.
+
+    The order is composite score descending, then id ascending, so a
+    first-occurrence argmax (or the smallest position on a heap) picks
+    the documented winner on exact joint ties.
+    """
+    scores = composite_score(
+        np.array([r.quality for r in usable], dtype=np.float64),
+        np.array([r.complexity for r in usable], dtype=np.float64),
+        alpha,
+    )
+    by_rec = scores.tolist()
+    order = sorted(range(len(usable)), key=lambda i: (-by_rec[i], usable[i].id))
+    return [usable[i] for i in order], scores[order]
+
+
+def _leaf_matrix(
+    cand: list[AnchoredRecord], leaf_pos: dict[int, int], n_leaves: int
+) -> sp.csr_matrix:
+    """Candidate x leaf indicator matrix; each row's positions ascend."""
+    indptr = array("q", [0])
+    indices = array("q")
+    for record in cand:
+        leaves = _distinct_leaves(record, leaf_pos)
+        indices.extend(sorted(leaf_pos[leaf] for leaf in leaves))
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (
+            np.ones(len(indices), dtype=np.float64),
+            np.frombuffer(indices, dtype=np.int64),
+            np.frombuffer(indptr, dtype=np.int64),
+        ),
+        shape=(len(cand), n_leaves),
+    )
 
 
 def sample(
@@ -107,6 +166,13 @@ def sample(
     Unanchorable records (no leaves) are excluded up front and counted in
     the trace. A budget larger than the usable pool selects everything.
     Returns the picked records in pick order plus the full trace.
+
+    Aligned mode, and general mode at iterations 1 and 2 or while some
+    node's accumulated mass lies strictly between 0 and GRADIENT_FLOOR,
+    score every candidate. Other general-mode iterations are lazy: a heap
+    holds each unselected candidate's last gain, an upper bound on its
+    gain now, and only the top is re-scored until it is fresh. Both paths
+    give the same picks, gains and joints bit for bit.
     """
     obj = config.objective
     if config.mode == "aligned":
@@ -125,42 +191,13 @@ def sample(
     ancestry = build_ancestry_matrix(tree)
     prop = build_propagation_matrix(tree)
     n_nodes, n_leaves = ancestry.shape
-    leaf_pos = tree.leaf_pos
+    to_leaves = ancestry.matrix.T
 
-    # Fixed candidate order realizes the documented tie-break: composite
-    # score descending, then id ascending. First-occurrence argmax over
-    # arrays in this order picks the right winner on exact joint ties.
-    scores_by_rec = composite_score(
-        np.array([r.quality for r in usable], dtype=np.float64),
-        np.array([r.complexity for r in usable], dtype=np.float64),
-        obj.alpha,
-    ).tolist()
-    order = sorted(
-        range(len(usable)), key=lambda i: (-scores_by_rec[i], usable[i].id)
-    )
-    cand = [usable[i] for i in order]
-    s = np.array([scores_by_rec[i] for i in order], dtype=np.float64)
-    ids = [r.id for r in cand]
-    leaf_lists = [
-        np.array(
-            sorted(leaf_pos[leaf] for leaf in _distinct_leaves(r, leaf_pos)),
-            dtype=np.int64,
-        )
-        for r in cand
-    ]
-
-    n = len(cand)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for i, ll in enumerate(leaf_lists):
-        indptr[i + 1] = indptr[i] + len(ll)
-    indices = (
-        np.concatenate(leaf_lists) if n else np.zeros(0, dtype=np.int64)
-    )
-    h_matrix = sp.csr_matrix(
-        (np.ones(len(indices), dtype=np.float64), indices, indptr),
-        shape=(n, n_leaves),
-    )
+    cand, s = _rank_candidates(usable, obj.alpha)
+    h_matrix = _leaf_matrix(cand, tree.leaf_pos, n_leaves)
+    indptr, indices = h_matrix.indptr, h_matrix.indices
     t_d = np.diff(indptr).astype(np.float64)
+    n = len(cand)
 
     q_dense = target.dense(ancestry.leaf_ids) if target is not None else None
     aligned = config.mode == "aligned"
@@ -174,33 +211,68 @@ def sample(
     selected = np.zeros(n, dtype=bool)
     picks: list[Pick] = []
     chosen: list[AnchoredRecord] = []
+    # Lazy general mode: (-gain, position) entries, built from the gains of
+    # the last full scoring when first needed; scored_at[p] is the
+    # iteration at which p's entry was last re-scored. The memoryviews
+    # index to Python numbers, far cheaper than numpy scalars per row.
+    heap: list[tuple[float, int]] | None = None
+    scored_at = [0] * n
+    row_start, row_leaves, s_of = memoryview(indptr), memoryview(indices), memoryview(s)
+    full_rescores = rescored = 0
 
     for iteration in range(1, budget + 1):
         gradient = gradient_vector(state, prop, obj.gamma)
-        g_leaf = np.asarray(ancestry.matrix.T @ gradient)
-        gains = s * (h_matrix @ g_leaf)
-        if aligned:
-            counts_supp = state.leaf_counts[q_support].astype(np.float64)
-            base = float(np.sum(q_vals * np.log(counts_supp + obj.epsilon)))
-            w_vec = np.zeros(n_leaves, dtype=np.float64)
-            w_vec[q_support] = q_vals * (
-                np.log(counts_supp + 1.0 + obj.epsilon)
-                - np.log(counts_supp + obj.epsilon)
-            )
-            log_args = float(state.total_leaf_mass) + eps_total
-            kl = (
-                q_entropy_term
-                - base
-                - (h_matrix @ w_vec)
-                + np.log(log_args + t_d)
-            )
-            joint = gains - obj.kl_weight * kl
+        g_leaf = np.asarray(to_leaves @ gradient)
+        acc = state.accumulated
+        # phi' falls as mass grows, so gains never rise after iteration 2,
+        # except where a node leaves 0 for a value under the floor.
+        if aligned or iteration <= 2 or np.any((acc > 0.0) & (acc < GRADIENT_FLOOR)):
+            full_rescores += 1
+            heap = None
+            gains = s * (h_matrix @ g_leaf)
+            if aligned:
+                counts_supp = state.leaf_counts[q_support].astype(np.float64)
+                base = float(np.sum(q_vals * np.log(counts_supp + obj.epsilon)))
+                w_vec = np.zeros(n_leaves, dtype=np.float64)
+                w_vec[q_support] = q_vals * (
+                    np.log(counts_supp + 1.0 + obj.epsilon)
+                    - np.log(counts_supp + obj.epsilon)
+                )
+                log_args = float(state.total_leaf_mass) + eps_total
+                kl = (
+                    q_entropy_term
+                    - base
+                    - (h_matrix @ w_vec)
+                    + np.log(log_args + t_d)
+                )
+                joint = gains - obj.kl_weight * kl
+            else:
+                kl = None
+                joint = gains
+            joint = np.where(selected, -np.inf, joint)
+            idx = int(np.argmax(joint))  # ties: first occurrence in candidate order
+            gain = float(gains[idx])
+            pick_kl = None if kl is None else float(kl[idx])
+            pick_joint = float(joint[idx])
         else:
-            kl = None
-            joint = gains
-        joint = np.where(selected, -np.inf, joint)
-        idx = int(np.argmax(joint))  # ties: first occurrence in candidate order
-        if not np.isfinite(joint[idx]):
+            if heap is None:  # gains still holds the last full scoring
+                free = np.flatnonzero(~selected)
+                heap = list(zip((-gains[free]).tolist(), free.tolist()))
+                heapq.heapify(heap)
+            g = g_leaf.tolist()
+            while scored_at[heap[0][1]] != iteration:
+                p = heap[0][1]
+                # csr_matvec's order and start value, so gains match bitwise
+                total = 0.0
+                for j in row_leaves[row_start[p] : row_start[p + 1]]:
+                    total += g[j]
+                heapq.heapreplace(heap, (-(s_of[p] * total), p))
+                scored_at[p] = iteration
+                rescored += 1
+            neg_gain, idx = heapq.heappop(heap)
+            gain = pick_joint = -neg_gain
+            pick_kl = None
+        if not math.isfinite(pick_joint):
             break
 
         selected[idx] = True
@@ -208,17 +280,18 @@ def sample(
         picks.append(
             Pick(
                 iteration=iteration,
-                instance_id=ids[idx],
-                gain=float(gains[idx]),
-                kl=None if kl is None else float(kl[idx]),
-                joint=float(joint[idx]),
+                instance_id=cand[idx].id,
+                gain=gain,
+                kl=pick_kl,
+                joint=pick_joint,
             )
         )
 
+        positions = indices[indptr[idx] : indptr[idx + 1]]
         leaf_vec = np.zeros(n_leaves, dtype=np.float64)
-        leaf_vec[leaf_lists[idx]] = 1.0
+        leaf_vec[positions] = 1.0
         info_vec = s[idx] * np.asarray(ancestry.matrix @ leaf_vec)
-        state.add_contribution(prop, info_vec, leaf_lists[idx])
+        state.add_contribution(prop, info_vec, positions)
 
     final_info = state_information(state, obj.gamma)
     final_kl = (
@@ -234,6 +307,8 @@ def sample(
         pool_size=len(records),
         unanchorable=n_unanchorable,
         mode=config.mode,
+        full_rescores=full_rescores,
+        rescored=rescored,
     )
     return chosen, trace
 

@@ -306,6 +306,29 @@ class TestSample:
         assert manifest["parameters"]["lambda"] == 5.0
         assert ws["target"] in manifest["inputs"]
 
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_counters_in_both_manifests(self, ws, tmp_path, aligned):
+        out = tmp_path / "subset.jsonl"
+        trace_path = tmp_path / "trace.json"
+        extra = ["--lambda", "5", "--target", ws["target"]] if aligned else []
+        rc = main([
+            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],
+            "--budget", "8", "-o", str(out), "--trace", str(trace_path), *extra,
+        ])
+        assert rc == 0
+        trace = json.loads(trace_path.read_text())
+        assert "counters" not in trace and "full_rescores" not in trace
+        picks = trace["selected"]
+        candidates = trace["pool_size"] - trace["unanchorable"]
+        for path in (out, trace_path):
+            with open(str(path) + ".manifest.json", encoding="utf-8") as f:
+                counters = json.load(f)["counters"]
+            if aligned:
+                assert counters == {"full_rescores": picks, "rescored": 0}
+            else:
+                assert counters["full_rescores"] == 2
+                assert 0 < counters["rescored"] < (picks - 2) * candidates
+
     def test_lambda_without_target(self, ws, tmp_path, capsys):
         rc = main([
             "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],

@@ -64,6 +64,22 @@ class TestCanonicalJson:
         payload = {"a": [0.1, 2, None, "s"], "b": {"c": 1e-300}}
         assert dumps_canonical(payload) == dumps_canonical(payload)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'say "hi"',
+            "back\\slash",
+            "ctl\x00\x01\x1f\t\n\r\x7f",
+            "naïve 日本   😀",
+            "lone \ud800 surrogate",
+            "",
+        ],
+    )
+    def test_strings_and_keys_match_json_dumps(self, text):
+        expected = json.dumps(text, ensure_ascii=False)
+        assert dumps_canonical(text) == expected
+        assert dumps_canonical({text: [text]}) == f"{{{expected}:[{expected}]}}"
+
 
 class TestLoadInstances:
     def test_parse_totality(self, tmp_path):

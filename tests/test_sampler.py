@@ -1,6 +1,8 @@
 """Sampler tests: greedy selection, aligned mode, exports, invariances."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,114 @@ class TestAlignedMode:
             )
             kls.append(trace.final_kl)
         assert kls[2] <= kls[0] + 1e-12
+
+
+def _scaled_scores(pool, factor):
+    return [
+        replace(r, quality=r.quality * factor, complexity=r.complexity * factor)
+        for r in pool
+    ]
+
+
+def _quantised_scores(rng, pool):
+    # three levels per score: many exact composite-score and gain ties
+    return [
+        replace(
+            r,
+            quality=float(rng.integers(0, 3)) / 2,
+            complexity=float(rng.integers(0, 3)) / 2,
+        )
+        for r in pool
+    ]
+
+
+class TestLazyGreedy:
+    """General mode's lazy heap against full rescoring at every step.
+
+    Aligned mode at kl_weight 0 scores every candidate in every iteration
+    and gives the same joint as general mode, so it is the reference.
+    """
+
+    def _assert_matches_full_rescoring(self, pool, tree, budget):
+        _, lazy = sample(pool, tree, SamplerConfig(budget=budget))
+        target = TargetDistribution(weights={int(tree.leaf_ids[0]): 1.0})
+        _, full = sample(
+            pool,
+            tree,
+            SamplerConfig(
+                budget=budget, mode="aligned", objective=ObjectiveConfig(kl_weight=0.0)
+            ),
+            target,
+        )
+        assert [(p.instance_id, p.gain, p.joint) for p in lazy.picks] == [
+            (p.instance_id, p.gain, p.joint) for p in full.picks
+        ]
+        assert lazy.final_information == full.final_information
+        assert full.full_rescores == len(full.picks) and full.rescored == 0
+        return lazy
+
+    def test_random_trees(self):
+        rng = np.random.default_rng(91)
+        for _ in range(40):
+            tree = random_tree(rng, max_nodes=40)
+            pool = random_pool(rng, tree, size=int(rng.integers(5, 60)))
+            budget = int(rng.integers(1, len(pool) + 3))
+            lazy = self._assert_matches_full_rescoring(pool, tree, budget)
+            assert lazy.full_rescores == min(2, len(lazy.picks))
+
+    def test_quantised_scores_with_exact_ties(self):
+        rng = np.random.default_rng(92)
+        for _ in range(40):
+            if rng.uniform() < 0.5:
+                tree = star_tree(int(rng.integers(2, 6)))
+            else:
+                tree = random_tree(rng, max_nodes=15)
+            pool = _quantised_scores(
+                rng, random_pool(rng, tree, size=int(rng.integers(5, 50)))
+            )
+            budget = int(rng.integers(1, len(pool) + 1))
+            lazy = self._assert_matches_full_rescoring(pool, tree, budget)
+            assert lazy.full_rescores == min(2, len(lazy.picks))
+
+    @pytest.mark.parametrize("factor", [1e-5, 1e-6, 1e-7, 1e-8])
+    def test_gradient_floor_scale_scores_fall_back(self, factor):
+        # accumulated mass between 0 and GRADIENT_FLOOR makes phi' rise as
+        # mass grows there, so those iterations must score every candidate
+        rng = np.random.default_rng(93)
+        fell_back = 0
+        for _ in range(20):
+            tree = random_tree(rng, max_nodes=40)
+            pool = random_pool(rng, tree, size=int(rng.integers(10, 50)))
+            pool = _scaled_scores(pool, factor)
+            lazy = self._assert_matches_full_rescoring(pool, tree, budget=8)
+            fell_back += lazy.full_rescores > 2
+        assert fell_back > 0
+
+    def test_repeated_leaf_counts_once(self, tiny_tree):
+        def pool(leaves):
+            return [
+                AnchoredRecord(id="dup", leaves=leaves, dropped=(), quality=0.9, complexity=0.9),
+                AnchoredRecord(id="one", leaves=(1,), dropped=(), quality=0.6, complexity=0.6),
+                AnchoredRecord(id="two", leaves=(2,), dropped=(), quality=0.5, complexity=0.5),
+            ]
+
+        target = TargetDistribution(weights={1: 0.5, 2: 0.5})
+        aligned = SamplerConfig(
+            budget=3, mode="aligned", objective=ObjectiveConfig(kl_weight=5.0)
+        )
+        for config, tgt in ((SamplerConfig(budget=3), None), (aligned, target)):
+            _, repeated = sample(pool((1, 1, 2)), tiny_tree, config, tgt)
+            _, distinct = sample(pool((1, 2)), tiny_tree, config, tgt)
+            assert repeated.picks == distinct.picks
+            assert repeated.final_information == distinct.final_information
+            assert repeated.final_kl == distinct.final_kl
+        # t_d is 2: "dup" is scored with two leaves, not three
+        first = repeated.picks[0]
+        assert first.instance_id == "dup"
+        q = target.dense(tiny_tree.leaf_ids)
+        empty = InfoState.empty(3, 2)
+        expected = kl_penalty(q, empty, np.array([0, 1], dtype=np.int64))
+        np.testing.assert_allclose(first.kl, expected, rtol=0, atol=1e-12)
 
 
 class TestDeriveTarget:
