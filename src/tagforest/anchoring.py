@@ -10,7 +10,6 @@ matrix, to integer path counts over all nodes.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -28,6 +27,7 @@ __all__ = [
     "anchor_pool",
     "write_anchored",
     "load_anchored",
+    "read_rows",
 ]
 
 DEFAULT_MIN_SIMILARITY = 0.3
@@ -263,46 +263,76 @@ def write_anchored(records: list[AnchoredRecord], path) -> None:
             f.write("\n")
 
 
-def load_anchored(path) -> list[AnchoredRecord]:
-    """Read anchored rows; raises with the line number on malformed input.
+def _row_problem(row, required: tuple[str, ...]) -> str | None:
+    if not isinstance(row, dict):
+        return "row is not a JSON object"
+    for key in required:
+        if key not in row:
+            return f"no '{key}' field"
+    if "id" in row and not (isinstance(row["id"], str) and row["id"]):
+        return f"'id' must be a non-empty string, got {row['id']!r}"
+    leaves = row.get("leaves", [])
+    # exact types: a JSON true is a bool, and bool subclasses int
+    if not isinstance(leaves, list) or not {int}.issuperset(map(type, leaves)):
+        return f"'leaves' must be a list of integers, got {leaves!r}"
+    dropped = row.get("dropped", [])
+    if not isinstance(dropped, list) or not {str}.issuperset(map(type, dropped)):
+        return f"'dropped' must be a list of strings, got {dropped!r}"
+    return None
 
-    Scores must be finite and in [0, 1], as ``anchor`` writes them.
+
+def read_rows(path, required: tuple[str, ...]):
+    """Yield (line number, row) for each non-blank line of a JSONL file.
+
+    A row must be a JSON object holding every ``required`` key. Where
+    present, ``id`` must be a non-empty string, ``leaves`` a list of
+    integers (booleans are not integers) and ``dropped`` a list of strings.
+    Anything else raises ``ValueError`` naming the line. Anchored and
+    exported subset files both follow this.
     """
-    records: list[AnchoredRecord] = []
-    seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             text = line.strip()
             if not text:
                 continue
             try:
-                obj = json.loads(text)
+                row = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from None
-            for key in ("id", "leaves", "dropped", "quality", "complexity"):
-                if key not in obj:
-                    raise ValueError(f"line {lineno}: missing key '{key}'")
-            scores = {}
-            for key in ("quality", "complexity"):
-                try:
-                    scores[key] = float(obj[key])
-                except (TypeError, ValueError):
-                    scores[key] = math.nan
-                if not 0.0 <= scores[key] <= 1.0:  # False for NaN as well
-                    raise ValueError(
-                        f"line {lineno}: '{key}' must be a finite number in "
-                        f"[0, 1], got {obj[key]!r}"
-                    )
-            if obj["id"] in seen:
-                raise ValueError(f"line {lineno}: duplicate id '{obj['id']}'")
-            seen.add(obj["id"])
-            records.append(
-                AnchoredRecord(
-                    id=obj["id"],
-                    leaves=tuple(int(x) for x in obj["leaves"]),
-                    dropped=tuple(obj["dropped"]),
-                    quality=scores["quality"],
-                    complexity=scores["complexity"],
+            problem = _row_problem(row, required)
+            if problem is not None:
+                raise ValueError(f"line {lineno}: {problem}")
+            yield lineno, row
+
+
+def load_anchored(path) -> list[AnchoredRecord]:
+    """Read anchored rows; raises with the line number on malformed input.
+
+    Rows follow :func:`read_rows` and carry all five keys. Scores must be
+    finite and in [0, 1], as ``anchor`` writes them.
+    """
+    records: list[AnchoredRecord] = []
+    seen: set[str] = set()
+    keys = ("id", "leaves", "dropped", "quality", "complexity")
+    for lineno, obj in read_rows(path, keys):
+        for key in ("quality", "complexity"):
+            value = obj[key]
+            # False for NaN as well; a bool is not a number here
+            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
+                raise ValueError(
+                    f"line {lineno}: '{key}' must be a finite number in "
+                    f"[0, 1], got {value!r}"
                 )
+        if obj["id"] in seen:
+            raise ValueError(f"line {lineno}: duplicate id '{obj['id']}'")
+        seen.add(obj["id"])
+        records.append(
+            AnchoredRecord(
+                id=obj["id"],
+                leaves=tuple(obj["leaves"]),
+                dropped=tuple(obj["dropped"]),
+                quality=float(obj["quality"]),
+                complexity=float(obj["complexity"]),
             )
+        )
     return records

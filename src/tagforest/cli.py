@@ -9,13 +9,13 @@ Subcommands cover the full pipeline:
     tagforest stats         --input subset.jsonl --tree tree.json [--target q.json]
 
 Every output file gets a ``<name>.manifest.json`` sidecar recording the
-command, resolved parameters, input digests, seed, version, and wall
-clock. Exit codes: 0 success, 2 usage/input error, 1 unexpected failure.
+command, resolved parameters, input digests, version, and wall clock;
+build-tree, the one command that draws random numbers, adds its seed.
+Exit codes: 0 success, 2 usage/input error, 1 unexpected failure.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -24,9 +24,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .anchoring import anchor_pool, load_anchored, write_anchored
+from .anchoring import (
+    DEFAULT_MIN_SIMILARITY,
+    anchor_pool,
+    load_anchored,
+    read_rows,
+    write_anchored,
+)
 from .io import (
-    DuplicateIdError,
     dumps_canonical,
     load_embeddings,
     load_instances,
@@ -37,7 +42,6 @@ from .io import (
     save_tree,
     sha256_file,
 )
-from .matrices import build_ancestry_matrix
 from .objective import InfoState, ObjectiveConfig, kl_penalty
 from .sampler import (
     SamplerConfig,
@@ -46,10 +50,11 @@ from .sampler import (
     sample,
     write_trace,
 )
-from .tree import InvalidTreeError, ValidationReport
+from .tree import ValidationReport
 from .treebuild import TreeBuildConfig, build_tree
 
-class UserError(Exception):
+
+class UserError(ValueError):
     """Invalid input or arguments; maps to exit code 2."""
 
 
@@ -64,21 +69,19 @@ def _write_manifest(
     command: str,
     parameters: dict,
     inputs: dict[str, str],
-    seed: int,
     started: float,
-    counters: dict[str, int] | None = None,
+    **extra,
 ) -> None:
+    """Write the sidecar; ``extra`` adds top-level keys (a seed, counters)."""
     manifest = {
         "command": command,
         "parameters": parameters,
         "inputs": {path: sha256_file(path) for path in inputs.values()},
-        "seed": seed,
         "version": __version__,
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "wall_clock_seconds": time.time() - started,
     }
-    if counters is not None:
-        manifest["counters"] = counters
+    manifest.update(extra)
     with open(f"{output_path}.manifest.json", "w", encoding="utf-8") as f:
         f.write(dumps_canonical(manifest))
         f.write("\n")
@@ -129,7 +132,7 @@ def cmd_build_tree(args) -> int:
         "kmeans_restarts": args.kmeans_restarts,
         "output": args.output,
     }
-    _write_manifest(args.output, "build-tree", params, inputs, args.seed, started)
+    _write_manifest(args.output, "build-tree", params, inputs, started, seed=args.seed)
     n_leaves = len(tree.leaf_ids)
     print(
         f"built tree: {tree.n_nodes} nodes, {n_leaves} leaves, "
@@ -160,7 +163,7 @@ def cmd_anchor(args) -> int:
         "min_sim": args.min_sim,
         "output": args.output,
     }
-    _write_manifest(args.output, "anchor", params, inputs, args.seed, started)
+    _write_manifest(args.output, "anchor", params, inputs, started)
     print(
         f"anchored {anchor_report.anchored}/{len(pool)} instances "
         f"({len(anchor_report.unanchorable_ids)} unanchorable, "
@@ -182,7 +185,7 @@ def cmd_derive_target(args) -> int:
     save_target(target, tree, args.output)
     params = {"anchored": args.anchored, "tree": args.tree, "output": args.output}
     inputs = {"anchored": args.anchored, "tree": args.tree}
-    _write_manifest(args.output, "derive-target", params, inputs, args.seed, started)
+    _write_manifest(args.output, "derive-target", params, inputs, started)
     print(f"derived target over {len(target.weights)} leaves -> {args.output}")
     return 0
 
@@ -200,7 +203,6 @@ def cmd_sample(args) -> int:
     if args.kl_weight > 0.0 and target is None:
         raise UserError("--lambda > 0 requires --target")
 
-    mode = "aligned" if target is not None else "general"
     objective = ObjectiveConfig(
         alpha=args.alpha,
         gamma=args.gamma,
@@ -210,7 +212,6 @@ def cmd_sample(args) -> int:
     config = SamplerConfig(
         budget=args.budget,
         objective=objective,
-        mode=mode,
         workers=args.workers,
     )
     if args.budget > len(records):
@@ -240,13 +241,13 @@ def cmd_sample(args) -> int:
         "target": args.target,
         "pool": args.pool,
         "workers": args.workers,
-        "mode": mode,
+        "mode": trace.mode,
         "output": args.output,
         "trace": args.trace,
     }
     counters = {"full_rescores": trace.full_rescores, "rescored": trace.rescored}
     for path in (args.output, args.trace):
-        _write_manifest(path, "sample", params, inputs, args.seed, started, counters)
+        _write_manifest(path, "sample", params, inputs, started, counters=counters)
     kl_text = "n/a" if trace.final_kl is None else format(trace.final_kl, ".6g")
     print(
         f"selected {len(selected)} of {len(records)} "
@@ -256,38 +257,22 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _load_leaf_rows(path: str) -> list[dict]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise UserError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-            if "leaves" not in obj:
-                raise UserError(
-                    f"{path}:{lineno}: no 'leaves' field; pass an anchored or "
-                    "exported subset file"
-                )
-            rows.append(obj)
-    return rows
-
-
 def cmd_stats(args) -> int:
     started = time.time()
     tree = load_tree(_require_file(args.tree, "tree file"))
-    rows = _load_leaf_rows(_require_file(args.input, "input file"))
-    ancestry = build_ancestry_matrix(tree)
-    n_leaves = len(ancestry.leaf_ids)
+    path = _require_file(args.input, "input file")
+    try:  # anchored or exported subset rows
+        rows = [row for _, row in read_rows(path, ("leaves",))]
+    except ValueError as exc:
+        raise UserError(f"{path}: {exc}") from None
+    leaf_ids = tree.leaf_ids
+    n_leaves = len(leaf_ids)
     leaf_pos = tree.leaf_pos
 
     counts = np.zeros(n_leaves, dtype=np.int64)
     activated_nodes: set[int] = set()
     for row in rows:
-        for leaf in set(int(x) for x in row["leaves"]):
+        for leaf in set(row["leaves"]):
             if leaf not in leaf_pos:
                 raise UserError(f"row '{row.get('id')}': {leaf} is not a leaf id")
             counts[leaf_pos[leaf]] += 1
@@ -295,7 +280,7 @@ def cmd_stats(args) -> int:
 
     print(f"rows: {len(rows)}")
     print("leaf histogram (leaf id, name, count):")
-    for j, nid in enumerate(ancestry.leaf_ids):
+    for j, nid in enumerate(leaf_ids):
         if counts[j] or args.all_leaves:
             print(f"  {int(nid)}\t{tree.node(int(nid)).name}\t{int(counts[j])}")
 
@@ -325,7 +310,7 @@ def cmd_stats(args) -> int:
         state.total_leaf_mass = int(counts.sum())
         state.size = len(rows)
         kl = kl_penalty(
-            target.dense(ancestry.leaf_ids),
+            target.dense(leaf_ids),
             state,
             np.zeros(0, dtype=np.int64),
             args.epsilon,
@@ -342,15 +327,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # option defaults are the config dataclasses' field defaults
+    build, objective = TreeBuildConfig, ObjectiveConfig
 
     p = sub.add_parser("build-tree", help="cluster tags into a taxonomy")
     p.add_argument("--tags", required=True, help="text file, one tag per line")
     p.add_argument("--embeddings", default=None, help="TSV embedding table")
-    p.add_argument("--depth", type=int, default=10, help="max tree depth (root=0)")
-    p.add_argument("--branching", type=float, default=10.0, help="contraction ratio")
-    p.add_argument("--kmeans-iters", type=int, default=50)
-    p.add_argument("--kmeans-restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--depth", type=int, default=build.depth_limit, help="max tree depth (root=0)"
+    )
+    p.add_argument(
+        "--branching", type=float, default=build.branching, help="contraction ratio"
+    )
+    p.add_argument("--kmeans-iters", type=int, default=build.kmeans_iters)
+    p.add_argument("--kmeans-restarts", type=int, default=build.kmeans_restarts)
+    p.add_argument("--seed", type=int, default=build.seed)
     p.add_argument("-o", "--output", default="tree.json")
     p.set_defaults(func=cmd_build_tree)
 
@@ -358,15 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree", required=True)
     p.add_argument("--pool", required=True, help="JSONL instance pool")
     p.add_argument("--embeddings", default=None, help="TSV embedding table for tags")
-    p.add_argument("--min-sim", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-sim", type=float, default=DEFAULT_MIN_SIMILARITY)
     p.add_argument("-o", "--output", default="anchored.jsonl")
     p.set_defaults(func=cmd_anchor)
 
     p = sub.add_parser("derive-target", help="empirical leaf target from a reference")
     p.add_argument("--anchored", required=True)
     p.add_argument("--tree", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="target.json")
     p.set_defaults(func=cmd_derive_target)
 
@@ -374,19 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchored", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--alpha", type=float, default=0.8)
-    p.add_argument("--gamma", type=float, default=0.85)
-    p.add_argument("--lambda", dest="kl_weight", type=float, default=0.0)
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--alpha", type=float, default=objective.alpha)
+    p.add_argument("--gamma", type=float, default=objective.gamma)
+    p.add_argument("--lambda", dest="kl_weight", type=float, default=objective.kl_weight)
+    p.add_argument("--epsilon", type=float, default=objective.epsilon)
     p.add_argument("--target", default=None, help="target.json enabling aligned mode")
     p.add_argument("--pool", default=None, help="original pool for full-record export")
     p.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=SamplerConfig.workers,
         help="recorded in the manifest (must be >= 1); scoring is single-threaded",
     )
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default="subset.jsonl")
     p.add_argument("--trace", default="trace.json")
     p.set_defaults(func=cmd_sample)
@@ -395,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="anchored or exported subset JSONL")
     p.add_argument("--tree", required=True)
     p.add_argument("--target", default=None)
-    p.add_argument("--epsilon", type=float, default=1e-9)
+    p.add_argument("--epsilon", type=float, default=objective.epsilon)
     p.add_argument("--all-leaves", action="store_true", help="include zero-count leaves")
     p.set_defaults(func=cmd_stats)
 
@@ -407,13 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UserError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DuplicateIdError, InvalidTreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # pragma: no cover - unexpected failure path

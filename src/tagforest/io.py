@@ -185,7 +185,7 @@ def load_instances(path) -> tuple[list[Instance], ValidationReport]:
     return instances, report
 
 
-def normalize_scores(pool: list[Instance], method: str = "min-max") -> list[Instance]:
+def normalize_scores(pool: list[Instance]) -> list[Instance]:
     """Rescale quality and complexity independently onto [0, 1].
 
     Min-max per field; a constant field maps to 0.5 everywhere. Non-finite
@@ -193,8 +193,6 @@ def normalize_scores(pool: list[Instance], method: str = "min-max") -> list[Inst
     to its own output changes nothing (already-spanning fields keep their
     endpoints, constants stay at 0.5).
     """
-    if method != "min-max":
-        raise ValueError(f"unknown normalization method: {method!r}")
     if not pool:
         raise ValueError("cannot normalize an empty pool")
     for inst in pool:
@@ -229,9 +227,6 @@ class EmbeddingTable:
 
     def get(self, key: str) -> np.ndarray | None:
         return self.entries.get(key)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.entries
 
     def __len__(self) -> int:
         return len(self.entries)

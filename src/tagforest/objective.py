@@ -72,7 +72,7 @@ class ObjectiveConfig:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
-def composite_score(quality, complexity, alpha: float = 0.8):
+def composite_score(quality, complexity, alpha: float = ObjectiveConfig.alpha):
     """Blend normalized quality and complexity: alpha*q + (1-alpha)*c.
 
     Accepts scalars or aligned arrays; inputs must already be in [0, 1]
@@ -173,19 +173,14 @@ def state_information(state: InfoState, gamma: float) -> float:
     return float(np.sum(np.power(state.accumulated, gamma)))
 
 
-def gradient_vector(
-    state: InfoState,
-    prop: PropagationMatrix,
-    gamma: float,
-    floor: float = GRADIENT_FLOOR,
-) -> np.ndarray:
+def gradient_vector(state: InfoState, prop: PropagationMatrix, gamma: float) -> np.ndarray:
     """Gradient row vector G = phi'(accumulated)^T A.
 
     The empty state returns the zero vector: iteration 1 carries no
     curvature information, so all first-order gains tie at 0 and the
     selection falls back to its documented score/id tie-break. For a
     non-empty state, coordinates with exactly zero accumulated mass use
-    phi'(floor) — a large finite pull toward untouched regions.
+    phi'(GRADIENT_FLOOR) — a large finite pull toward untouched regions.
     """
     if state.size == 0:
         return np.zeros(prop.shape[0], dtype=np.float64)
@@ -194,7 +189,7 @@ def gradient_vector(
     zero = v == 0.0
     nonzero = ~zero
     phi_prime[nonzero] = gamma * np.power(v[nonzero], gamma - 1.0)
-    phi_prime[zero] = gamma * floor ** (gamma - 1.0)
+    phi_prime[zero] = gamma * GRADIENT_FLOOR ** (gamma - 1.0)
     return np.asarray(phi_prime @ prop.matrix)
 
 
@@ -207,7 +202,7 @@ def kl_penalty(
     target: np.ndarray,
     state: InfoState,
     candidate_leaf_positions,
-    epsilon: float = 1e-9,
+    epsilon: float = ObjectiveConfig.epsilon,
 ) -> float:
     """KL(Q || P) with the candidate folded into the selection counts.
 

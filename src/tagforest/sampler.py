@@ -4,7 +4,8 @@ Each iteration refreshes the gradient of the information functional from
 the current state, takes every remaining candidate's first-order gain
 (minus a weighted KL alignment penalty in aligned mode), and picks the
 argmax under a fixed total order: joint score descending, composite score
-descending, instance id ascending.
+descending, instance id ascending. The run is aligned exactly when a target
+leaf distribution is given, and general otherwise.
 
 Aligned mode scores every candidate with one sparse matrix-vector product
 per iteration. General mode does that at iterations 1 and 2 only; after
@@ -55,23 +56,20 @@ __all__ = [
 class SamplerConfig:
     """How much to select and under which objective.
 
-    ``mode`` is "general" (pure information gain) or "aligned" (gain minus
-    kl_weight * KL against a target); aligned mode requires a target and
-    general mode requires kl_weight == 0. ``workers`` is validated and
+    The mode is not set here: :func:`sample` runs aligned (gain minus
+    kl_weight * KL against a target) exactly when it is given a target,
+    and kl_weight > 0 without one is an error. ``workers`` is validated and
     recorded but does not change how scoring runs: it is single-threaded,
     so output is the same for any worker count.
     """
 
     budget: int
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    mode: str = "general"
     workers: int = 1
 
     def __post_init__(self):
         if self.budget < 0:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
-        if self.mode not in ("general", "aligned"):
-            raise ValueError(f"mode must be 'general' or 'aligned', got {self.mode!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -163,9 +161,11 @@ def sample(
 ) -> tuple[list[AnchoredRecord], SelectionTrace]:
     """Select up to ``config.budget`` records greedily.
 
-    Unanchorable records (no leaves) are excluded up front and counted in
-    the trace. A budget larger than the usable pool selects everything.
-    Returns the picked records in pick order plus the full trace.
+    A ``target`` makes the run aligned; without one it is general, and a
+    positive ``kl_weight`` raises. Unanchorable records (no leaves) are
+    excluded up front and counted in the trace. A budget larger than the
+    usable pool selects everything. Returns the picked records in pick
+    order plus the full trace.
 
     Aligned mode, and general mode at iterations 1 and 2 or while some
     node's accumulated mass lies strictly between 0 and GRADIENT_FLOOR,
@@ -175,14 +175,9 @@ def sample(
     give the same picks, gains and joints bit for bit.
     """
     obj = config.objective
-    if config.mode == "aligned":
-        if target is None:
-            raise ValueError("aligned mode requires a target distribution")
-    else:
-        if obj.kl_weight != 0.0:
-            raise ValueError("kl_weight > 0 requires aligned mode and a target")
-        if target is not None:
-            raise ValueError("target provided but mode is 'general'")
+    aligned = target is not None
+    if obj.kl_weight > 0.0 and not aligned:
+        raise ValueError("kl_weight > 0 requires a target distribution")
 
     usable = [r for r in records if r.leaves]
     n_unanchorable = len(records) - len(usable)
@@ -199,9 +194,8 @@ def sample(
     t_d = np.diff(indptr).astype(np.float64)
     n = len(cand)
 
-    q_dense = target.dense(ancestry.leaf_ids) if target is not None else None
-    aligned = config.mode == "aligned"
     if aligned:
+        q_dense = target.dense(ancestry.leaf_ids)
         q_support = np.nonzero(q_dense > 0.0)[0]
         q_vals = q_dense[q_support]
         q_entropy_term = float(np.sum(q_vals * np.log(q_vals)))
@@ -306,7 +300,7 @@ def sample(
         budget_requested=config.budget,
         pool_size=len(records),
         unanchorable=n_unanchorable,
-        mode=config.mode,
+        mode="aligned" if aligned else "general",
         full_rescores=full_rescores,
         rescored=rescored,
     )

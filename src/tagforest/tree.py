@@ -82,9 +82,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    def extend(self, other: "ValidationReport") -> None:
-        self.entries.extend(other.entries)
-
     def __str__(self) -> str:
         if not self.entries:
             return "valid"

@@ -145,7 +145,11 @@ def _lloyd(
 
 
 def kmeans(
-    points: np.ndarray, k: int, seed, iters: int = 50, restarts: int = 8
+    points: np.ndarray,
+    k: int,
+    seed,
+    iters: int = TreeBuildConfig.kmeans_iters,
+    restarts: int = TreeBuildConfig.kmeans_restarts,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Seeded k-means++ plus Lloyd iterations on unit-normalized rows.
 
@@ -179,8 +183,8 @@ def cluster_level(
     embeddings: np.ndarray,
     k: int,
     seed,
-    iters: int = 50,
-    restarts: int = 8,
+    iters: int = TreeBuildConfig.kmeans_iters,
+    restarts: int = TreeBuildConfig.kmeans_restarts,
 ) -> ClusterLevel:
     """Partition one level's nodes into k clusters.
 

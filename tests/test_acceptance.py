@@ -308,7 +308,7 @@ class TestAcceptance:
             )
             sel_g, trace_g = sample(pool, tree, SamplerConfig(budget=40))
             sel_a, trace_a = sample(
-                pool, tree, SamplerConfig(budget=40, mode="aligned"), target
+                pool, tree, SamplerConfig(budget=40), target
             )
             path_g = tmp_path / f"general_{case}.jsonl"
             path_a = tmp_path / f"aligned_{case}.jsonl"
@@ -339,7 +339,6 @@ class TestAcceptance:
             for lam in (0.0, 1.0, 5.0, 25.0):
                 cfg = SamplerConfig(
                     budget=200,
-                    mode="aligned",
                     objective=ObjectiveConfig(kl_weight=lam),
                 )
                 _, trace = sample(pool, tree, cfg, target)
@@ -374,7 +373,7 @@ class TestAcceptance:
             ]
             pool = _single_leaf_pool(rows)
             cfg = SamplerConfig(
-                budget=300, mode="aligned", objective=ObjectiveConfig(kl_weight=100.0)
+                budget=300, objective=ObjectiveConfig(kl_weight=100.0)
             )
             selected, trace = sample(
                 pool, tree, cfg, TargetDistribution(weights={target_leaf: 1.0})

@@ -1,8 +1,13 @@
 """Anchoring tests: exact matches, similarity matching, activation lifting."""
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagforest import (
     EmbeddingTable,
@@ -135,7 +140,68 @@ class TestAnchorPool:
         assert [(r.quality, r.complexity) for r in records] == [(0.25, 0.75), (1.0, 0.0)]
 
 
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_VALID_ROW_KEYS = ("id", "leaves", "dropped", "quality", "complexity")
+_VALID_ROW = st.fixed_dictionaries(
+    {
+        "id": st.text(min_size=1, max_size=2),
+        "leaves": st.lists(st.integers(-2, 9), max_size=3),
+        "dropped": st.lists(st.text(max_size=3), max_size=2),
+        "quality": st.floats(0.0, 1.0),
+        "complexity": st.floats(0.0, 1.0),
+    }
+)
+# a valid row with at most one field replaced by arbitrary JSON or removed
+_ROW = st.builds(
+    lambda row, key, junk, drop: (
+        row if key is None
+        else {k: v for k, v in row.items() if k != key} if drop
+        else {**row, key: junk}
+    ),
+    _VALID_ROW,
+    st.sampled_from([None, None, *_VALID_ROW_KEYS]),
+    _JSON,
+    st.booleans(),
+)
+_LINE = st.one_of(
+    _ROW.map(json.dumps),
+    _ROW.map(json.dumps),  # listed twice: most lines are near-valid rows
+    _JSON.map(json.dumps),
+    st.text(alphabet=st.characters(blacklist_characters="\r\n"), max_size=6),
+)
+
+
 class TestAnchoredFile:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_LINE, max_size=4))
+    def test_load_returns_records_or_names_the_line(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("rows") / "a.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        try:
+            records = load_anchored(path)
+        except ValueError as exc:
+            found = re.match(r"line (\d+): ", str(exc))
+            assert found, str(exc)
+            bad = int(found.group(1))
+            assert 1 <= bad <= len(lines) and lines[bad - 1].strip()
+            path.write_text(
+                "".join(f"{line}\n" for line in lines[: bad - 1]), encoding="utf-8"
+            )
+            load_anchored(path)  # every line before the named one is fine
+        else:
+            assert len(records) == sum(1 for line in lines if line.strip())
+            for r in records:
+                assert isinstance(r.id, str) and r.id
+                assert all(type(x) is int for x in r.leaves)
+                assert all(isinstance(t, str) for t in r.dropped)
+                assert 0.0 <= r.quality <= 1.0 and 0.0 <= r.complexity <= 1.0
+
     def test_round_trip(self, tmp_path, tiny_tree):
         pool = [_inst("a", ["l1"], 0.25, 0.75), _inst("b", ["zzz_none"], 0.5, 0.5)]
         table = EmbeddingTable(dimension=2)

@@ -477,6 +477,65 @@ class TestBadAnchoredInput:
         assert f"record 'b' references non-leaf node {root}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["sample", "stats"])
+    @pytest.mark.parametrize(
+        "field, override",
+        [
+            ("JSON object", None),
+            ("'id'", {"id": ["x"]}),
+            ("'leaves'", {"leaves": 5}),
+            ("'dropped'", {"dropped": 5}),
+            ("'leaves'", {"leaves": "34"}),
+            ("'leaves'", {"leaves": [1.7]}),
+            ("'leaves'", {"leaves": [True]}),
+            ("'leaves'", {"leaves": ["x"]}),
+        ],
+        ids=["row-5", "id-list", "leaves-5", "dropped-5", "leaves-str",
+             "leaves-float", "leaves-bool", "leaves-str-item"],
+    )
+    def test_malformed_row(self, ws, tmp_path, capsys, command, field, override):
+        good = {"id": "b", "leaves": [self._leaf(ws)], "dropped": [], "quality": 0.5,
+                "complexity": 0.5}
+        rows = [5 if override is None else {**good, "id": "a", **override}, good]
+        if command == "sample":
+            rc = self._sample(ws, tmp_path, rows)
+        else:
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+            rc = main(["stats", "--input", str(bad), "--tree", ws["tree"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and field in err
+        assert "Traceback" not in err
+
+
+class TestSeedOnlyWhereUsed:
+    def test_manifests(self, ws, tmp_path):
+        out = tmp_path / "s.jsonl"
+        assert main([
+            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"], "--budget", "2",
+            "-o", str(out), "--trace", str(tmp_path / "t.json"),
+        ]) == 0
+        for path in (ws["anchored"], ws["target"], out, tmp_path / "t.json"):
+            with open(str(path) + ".manifest.json", encoding="utf-8") as f:
+                assert "seed" not in json.load(f)
+        with open(ws["tree"] + ".manifest.json", encoding="utf-8") as f:
+            assert json.load(f)["seed"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["anchor", "--tree", "t", "--pool", "p"],
+            ["derive-target", "--anchored", "a", "--tree", "t"],
+            ["sample", "--anchored", "a", "--tree", "t", "--budget", "1"],
+        ],
+    )
+    def test_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
 
 class TestStats:
     def test_anchored_stats(self, ws, capsys):

@@ -159,10 +159,6 @@ class TestNormalizeScores:
         with pytest.raises(ValueError):
             normalize_scores([])
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_scores([_inst("a", 1, 1)], method="zscore")
-
 
 class TestFallbackEmbedding:
     def test_unit_norm_and_determinism(self):

@@ -88,17 +88,24 @@ class TestSampleBasics:
             np.testing.assert_allclose(trace.final_information, ref, rtol=1e-9)
 
     def test_mode_validation(self, tiny_tree, worked_pool):
-        target = TargetDistribution(weights={1: 1.0})
-        with pytest.raises(ValueError):  # aligned without target
-            sample(worked_pool, tiny_tree, SamplerConfig(budget=1, mode="aligned"))
-        with pytest.raises(ValueError):  # kl_weight in general mode
+        with pytest.raises(ValueError, match="requires a target"):  # lambda, no target
             sample(
                 worked_pool,
                 tiny_tree,
                 SamplerConfig(budget=1, objective=ObjectiveConfig(kl_weight=2.0)),
             )
-        with pytest.raises(ValueError):  # target in general mode
-            sample(worked_pool, tiny_tree, SamplerConfig(budget=1), target)
+
+    def test_mode_follows_target(self, tiny_tree, worked_pool):
+        _, general = sample(worked_pool, tiny_tree, SamplerConfig(budget=3))
+        assert general.mode == "general" and general.final_kl is None
+        assert all(p.kl is None for p in general.picks)
+        target = TargetDistribution(weights={1: 0.5, 2: 0.5})
+        for kl_weight in (0.0, 5.0):
+            cfg = SamplerConfig(budget=3, objective=ObjectiveConfig(kl_weight=kl_weight))
+            _, aligned = sample(worked_pool, tiny_tree, cfg, target)
+            assert aligned.mode == "aligned" and aligned.final_kl is not None
+            assert len(aligned.picks) == 3
+            assert all(isinstance(p.kl, float) for p in aligned.picks)
 
 
 class TestInvariances:
@@ -121,7 +128,7 @@ class TestInvariances:
         tree = random_tree(rng, max_nodes=50)
         pool = random_pool(rng, tree, size=60)
         target = derive_target(random_pool(rng, tree, size=20, prefix="ref"), tree)
-        for mode, kl_weight, tgt in (("general", 0.0, None), ("aligned", 5.0, target)):
+        for kl_weight, tgt in ((0.0, None), (5.0, target)):
             traces = []
             for workers in (1, 3, 4):
                 _, trace = sample(
@@ -129,7 +136,6 @@ class TestInvariances:
                     tree,
                     SamplerConfig(
                         budget=25,
-                        mode=mode,
                         workers=workers,
                         objective=ObjectiveConfig(kl_weight=kl_weight),
                     ),
@@ -218,7 +224,7 @@ class TestAlignedMode:
         sel_a, trace_a = sample(
             pool,
             tree,
-            SamplerConfig(budget=20, mode="aligned", objective=ObjectiveConfig(kl_weight=0.0)),
+            SamplerConfig(budget=20, objective=ObjectiveConfig(kl_weight=0.0)),
             target,
         )
         assert [r.id for r in sel_g] == [r.id for r in sel_a]
@@ -252,7 +258,7 @@ class TestAlignedMode:
             pool,
             tree,
             SamplerConfig(
-                budget=12, mode="aligned", objective=ObjectiveConfig(kl_weight=100.0)
+                budget=12, objective=ObjectiveConfig(kl_weight=100.0)
             ),
             target,
         )
@@ -265,7 +271,7 @@ class TestAlignedMode:
         _, trace = sample(
             worked_pool,
             tiny_tree,
-            SamplerConfig(budget=2, mode="aligned", objective=ObjectiveConfig(kl_weight=5.0)),
+            SamplerConfig(budget=2, objective=ObjectiveConfig(kl_weight=5.0)),
             target,
         )
         assert all(p.kl is not None for p in trace.picks)
@@ -297,7 +303,7 @@ class TestAlignedMode:
                 pool,
                 tree,
                 SamplerConfig(
-                    budget=40, mode="aligned", objective=ObjectiveConfig(kl_weight=lam)
+                    budget=40, objective=ObjectiveConfig(kl_weight=lam)
                 ),
                 target,
             )
@@ -338,7 +344,7 @@ class TestLazyGreedy:
             pool,
             tree,
             SamplerConfig(
-                budget=budget, mode="aligned", objective=ObjectiveConfig(kl_weight=0.0)
+                budget=budget, objective=ObjectiveConfig(kl_weight=0.0)
             ),
             target,
         )
@@ -396,7 +402,7 @@ class TestLazyGreedy:
 
         target = TargetDistribution(weights={1: 0.5, 2: 0.5})
         aligned = SamplerConfig(
-            budget=3, mode="aligned", objective=ObjectiveConfig(kl_weight=5.0)
+            budget=3, objective=ObjectiveConfig(kl_weight=5.0)
         )
         for config, tgt in ((SamplerConfig(budget=3), None), (aligned, target)):
             _, repeated = sample(pool((1, 1, 2)), tiny_tree, config, tgt)
@@ -488,7 +494,7 @@ class TestExport:
         selected, trace = sample(
             worked_pool,
             tiny_tree,
-            SamplerConfig(budget=2, mode="aligned", objective=ObjectiveConfig(kl_weight=5.0)),
+            SamplerConfig(budget=2, objective=ObjectiveConfig(kl_weight=5.0)),
             target,
         )
         path = tmp_path / "trace.json"
