@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage/input error, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -262,9 +263,10 @@ def cmd_stats(args) -> int:
     tree = load_tree(_require_file(args.tree, "tree file"))
     path = _require_file(args.input, "input file")
     try:  # anchored or exported subset rows
-        rows = [row for _, row in read_rows(path, ("leaves",))]
+        numbered = list(read_rows(path, ("leaves",)))
     except ValueError as exc:
         raise UserError(f"{path}: {exc}") from None
+    rows = [row for _, row in numbered]
     leaf_ids = tree.leaf_ids
     n_leaves = len(leaf_ids)
     leaf_pos = tree.leaf_pos
@@ -295,7 +297,17 @@ def cmd_stats(args) -> int:
         print(f"  depth {depth}: {by_depth_hit.get(depth, 0)}/{by_depth_total[depth]}")
 
     for field in ("quality", "complexity"):
-        values = [float(r[field]) for r in rows if field in r]
+        values = []
+        for lineno, row in numbered:
+            if field in row:
+                value = row[field]
+                # any finite number: exported subsets carry raw pool scores
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise UserError(
+                        f"{path}: line {lineno}: '{field}' must be a finite number, "
+                        f"got {value!r}"
+                    )
+                values.append(float(value))
         if values:
             qs = np.quantile(np.array(values), [0.0, 0.25, 0.5, 0.75, 1.0])
             print(

@@ -363,15 +363,36 @@ def load_tree(path) -> TagTree:
         for key in ("id", "name", "parent", "children", "depth"):
             if key not in obj:
                 raise ValueError(f"node entry {i}: missing key '{key}'")
+        if not isinstance(obj["children"], list):
+            raise ValueError(f"node entry {i}: 'children' must be an array")
+        parent = [] if obj["parent"] is None else [obj["parent"]]
+        for key, values in (
+            ("id", [obj["id"]]),
+            ("parent", parent),
+            ("children", obj["children"]),
+            ("depth", [obj["depth"]]),
+        ):
+            for value in values:
+                if type(value) is not int:  # not a bool, float or string either
+                    raise ValueError(
+                        f"node entry {i}: '{key}' must hold integers, got {value!r}"
+                    )
         emb = obj.get("embedding")
+        if emb is not None:
+            try:
+                emb = np.array(emb, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"node entry {i}: 'embedding' must be an array of numbers"
+                ) from None
         nodes.append(
             TreeNode(
-                id=int(obj["id"]),
+                id=obj["id"],
                 name=str(obj["name"]),
-                parent=None if obj["parent"] is None else int(obj["parent"]),
-                children=[int(c) for c in obj["children"]],
-                depth=int(obj["depth"]),
-                embedding=None if emb is None else np.array(emb, dtype=np.float64),
+                parent=obj["parent"],
+                children=list(obj["children"]),
+                depth=obj["depth"],
+                embedding=emb,
             )
         )
     nodes.sort(key=lambda n: n.id)

@@ -13,7 +13,7 @@ Both are deterministic functions of the tree and reject invalid input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,10 +54,16 @@ class PropagationMatrix:
     """Row-stochastic |V| x |V| neighbor-averaging matrix in CSR form.
 
     Row p holds 1/(1+deg(p)) at p itself and at each tree neighbor of p
-    (parent and children, treated as undirected adjacency).
+    (parent and children, treated as undirected adjacency). ``transpose``
+    is A^T in CSR form, built once: ``transpose @ v`` gives the same bits
+    as ``v @ matrix``, which would rebuild the transpose on every call.
     """
 
     matrix: sp.csr_matrix
+    transpose: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.transpose = self.matrix.T.tocsr()
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -190,7 +190,7 @@ def gradient_vector(state: InfoState, prop: PropagationMatrix, gamma: float) -> 
     nonzero = ~zero
     phi_prime[nonzero] = gamma * np.power(v[nonzero], gamma - 1.0)
     phi_prime[zero] = gamma * GRADIENT_FLOOR ** (gamma - 1.0)
-    return np.asarray(phi_prime @ prop.matrix)
+    return prop.transpose @ phi_prime
 
 
 def marginal_gain_approx(gradient: np.ndarray, info_vec: np.ndarray) -> float:

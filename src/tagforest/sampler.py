@@ -7,15 +7,22 @@ argmax under a fixed total order: joint score descending, composite score
 descending, instance id ascending. The run is aligned exactly when a target
 leaf distribution is given, and general otherwise.
 
-Aligned mode scores every candidate with one sparse matrix-vector product
-per iteration. General mode does that at iterations 1 and 2 only; after
-that it runs Minoux's accelerated ("lazy") greedy, which is exact here:
-phi is concave and the accumulated mass only grows, so a candidate's gain
-can only fall. A heap keyed on (last gain, candidate position) is re-scored
-at the top until the top entry is fresh, and that entry is the argmax. An
-iteration where some node's mass lies strictly between 0 and
-GRADIENT_FLOOR, where phi' is not monotone, scores every candidate
-instead. Everything runs on one thread.
+Iterations 1 and 2 score every candidate with one sparse matrix-vector
+product. After that both modes run Minoux's accelerated ("lazy") greedy,
+which is exact here. In aligned mode the joint is
+gain_d - lambda * ((c - (H w)_d) + log(L + eps*L + t_d)), where c is the
+same for every candidate and t_d is the candidate's leaf count, so among
+candidates with one t_d the argmax is that of the key
+gain_d + lambda * (H w)_d. The key never rises: phi is concave and the
+accumulated mass only grows, so the gain can only fall, and w_j, the KL
+drop of one more count on leaf j, falls as that count grows. Heaps hold
+(last key, candidate position): one per distinct t_d in aligned mode, and
+one in general mode, which is the lambda = 0 case. The tops whose bound
+could still reach the best exact joint of the iteration are re-scored;
+the best wins and the others go back with fresh keys. An iteration where
+some node's mass lies strictly between 0 and GRADIENT_FLOOR, where phi'
+is not monotone, scores every candidate instead. Everything runs on one
+thread.
 """
 from __future__ import annotations
 
@@ -90,8 +97,9 @@ class SelectionTrace:
     """Pick-by-pick record of a run plus final objective values.
 
     ``full_rescores`` counts iterations that scored every candidate and
-    ``rescored`` the single-candidate re-scores of lazy iterations. They
-    describe the work done, not the result, so the trace file omits them.
+    ``rescored`` the single-candidate re-scores of lazy iterations, in
+    either mode. They describe the work done, not the result, so the
+    trace file omits them.
     """
 
     picks: list[Pick]
@@ -153,6 +161,76 @@ def _leaf_matrix(
     )
 
 
+# Rounding slack of a lazy bound, relative to the magnitudes it is built
+# from. A float key or joint is off its real value, and a float key can
+# rise between iterations, by a few ulps of those magnitudes; 1e-9 is far
+# above that, and a larger slack only costs re-scores of near-ties.
+_LAZY_SLACK = 1e-9
+
+
+def _lazy_argmax(heaps, g, w, c, log_t, lam, row_start, row_leaves, s_of):
+    """Exact argmax of the joint over the candidates held in ``heaps``.
+
+    ``heaps[t]`` holds (-key, position) for the candidates whose leaf
+    count has index t. A key from an earlier iteration bounds the joint
+    now, since joint = key - lam * (c + log_t[t]) up to rounding. Tops are
+    popped in order of that bound plus the slack and re-scored with the
+    full-scoring arithmetic (row sums in csr_matvec order from 0.0, then
+    kl = (c - H w) + log_t and joint = gain - lam * kl) while a bound
+    reaches the best joint found; exact ties go to the smallest position,
+    as np.argmax does. General mode passes ``w`` None, lam 0 and one heap.
+    Re-scored candidates other than the winner go back with fresh keys: at
+    once when their bound falls short of the best joint, at the end if not.
+    Returns (position, gain, kl, joint, number re-scored).
+    """
+    up = 1.0 + _LAZY_SLACK
+    lift = [
+        _LAZY_SLACK * lam * (abs(c) + abs(lt) + 1.0) - lam * (c + lt) for lt in log_t
+    ]
+    best_joint = -math.inf
+    idx = -1
+    best_gain = best_kl = None
+    held = []
+    rescored = 0
+    while True:
+        top, reach = -1, -math.inf
+        for group, heap in enumerate(heaps):
+            if heap:
+                bound = -heap[0][0] * up + lift[group]
+                if bound > reach:
+                    top, reach = group, bound
+        if top < 0 or reach < best_joint:
+            break
+        p = heapq.heappop(heaps[top])[1]
+        total = 0.0
+        if w is None:
+            for j in row_leaves[row_start[p] : row_start[p + 1]]:
+                total += g[j]
+            gain = joint = key = s_of[p] * total
+            kl = None
+        else:
+            total_w = 0.0
+            for j in row_leaves[row_start[p] : row_start[p + 1]]:
+                total += g[j]
+                total_w += w[j]
+            gain = s_of[p] * total
+            kl = (c - total_w) + log_t[top]
+            joint = gain - lam * kl
+            key = gain + lam * total_w
+        rescored += 1
+        if joint > best_joint or (joint == best_joint and p < idx):
+            best_joint, idx, best_gain, best_kl = joint, p, gain, kl
+        if p != idx and key * up + lift[top] < best_joint:
+            # it cannot reach the best again, and neither can what lies below it
+            heapq.heappush(heaps[top], (-key, p))
+        else:
+            held.append((top, key, p))
+    for group, key, p in held:
+        if p != idx:
+            heapq.heappush(heaps[group], (-key, p))
+    return idx, best_gain, best_kl, best_joint, rescored
+
+
 def sample(
     records: list[AnchoredRecord],
     tree: TagTree,
@@ -167,16 +245,19 @@ def sample(
     usable pool selects everything. Returns the picked records in pick
     order plus the full trace.
 
-    Aligned mode, and general mode at iterations 1 and 2 or while some
-    node's accumulated mass lies strictly between 0 and GRADIENT_FLOOR,
-    score every candidate. Other general-mode iterations are lazy: a heap
-    holds each unselected candidate's last gain, an upper bound on its
-    gain now, and only the top is re-scored until it is fresh. Both paths
-    give the same picks, gains and joints bit for bit.
+    Iterations 1 and 2, and any iteration where some node's accumulated
+    mass lies strictly between 0 and GRADIENT_FLOOR, score every
+    candidate. The others are lazy: heaps (one per distinct leaf count in
+    aligned mode, one in general mode) hold each unselected candidate's
+    last key gain + kl_weight * (H w), which never rises, and tops are
+    popped and re-scored while their bound could still reach the best
+    exact joint of the iteration. Both paths give the same picks, gains,
+    KL values and joints bit for bit.
     """
     obj = config.objective
+    lam = obj.kl_weight
     aligned = target is not None
-    if obj.kl_weight > 0.0 and not aligned:
+    if lam > 0.0 and not aligned:
         raise ValueError("kl_weight > 0 requires a target distribution")
 
     usable = [r for r in records if r.leaves]
@@ -191,7 +272,6 @@ def sample(
     cand, s = _rank_candidates(usable, obj.alpha)
     h_matrix = _leaf_matrix(cand, tree.leaf_pos, n_leaves)
     indptr, indices = h_matrix.indptr, h_matrix.indices
-    t_d = np.diff(indptr).astype(np.float64)
     n = len(cand)
 
     if aligned:
@@ -200,72 +280,86 @@ def sample(
         q_vals = q_dense[q_support]
         q_entropy_term = float(np.sum(q_vals * np.log(q_vals)))
         eps_total = obj.epsilon * n_leaves
+        # candidates sharing a leaf count t share log(L + eps*L + t): one
+        # lazy heap per distinct t, and log evaluated once per t
+        t_values, t_group = np.unique(
+            np.diff(indptr).astype(np.float64), return_inverse=True
+        )
+    else:
+        c = 0.0
+        t_group = np.zeros(n, dtype=np.int64)
+        log_t = np.zeros(1, dtype=np.float64)
 
     state = InfoState.empty(n_nodes, n_leaves)
     selected = np.zeros(n, dtype=bool)
     picks: list[Pick] = []
     chosen: list[AnchoredRecord] = []
-    # Lazy general mode: (-gain, position) entries, built from the gains of
-    # the last full scoring when first needed; scored_at[p] is the
-    # iteration at which p's entry was last re-scored. The memoryviews
+    # Lazy iterations: heaps[t] holds (-key, position) entries, built from
+    # the keys of the last full scoring when first needed. The memoryviews
     # index to Python numbers, far cheaper than numpy scalars per row.
-    heap: list[tuple[float, int]] | None = None
-    scored_at = [0] * n
+    heaps: list[list[tuple[float, int]]] | None = None
     row_start, row_leaves, s_of = memoryview(indptr), memoryview(indices), memoryview(s)
     full_rescores = rescored = 0
 
     for iteration in range(1, budget + 1):
         gradient = gradient_vector(state, prop, obj.gamma)
         g_leaf = np.asarray(to_leaves @ gradient)
+        if aligned:
+            # kl_d = (c - (H w)_d) + log_t: c is common to all candidates and
+            # w_j, the KL drop of one more count on leaf j, falls as it grows
+            counts_supp = state.leaf_counts[q_support].astype(np.float64)
+            base = float(np.sum(q_vals * np.log(counts_supp + obj.epsilon)))
+            w_vec = np.zeros(n_leaves, dtype=np.float64)
+            w_vec[q_support] = q_vals * (
+                np.log(counts_supp + 1.0 + obj.epsilon)
+                - np.log(counts_supp + obj.epsilon)
+            )
+            c = q_entropy_term - base
+            log_t = np.log((float(state.total_leaf_mass) + eps_total) + t_values)
         acc = state.accumulated
         # phi' falls as mass grows, so gains never rise after iteration 2,
         # except where a node leaves 0 for a value under the floor.
-        if aligned or iteration <= 2 or np.any((acc > 0.0) & (acc < GRADIENT_FLOOR)):
+        if iteration <= 2 or np.any((acc > 0.0) & (acc < GRADIENT_FLOOR)):
             full_rescores += 1
-            heap = None
+            heaps = None
             gains = s * (h_matrix @ g_leaf)
             if aligned:
-                counts_supp = state.leaf_counts[q_support].astype(np.float64)
-                base = float(np.sum(q_vals * np.log(counts_supp + obj.epsilon)))
-                w_vec = np.zeros(n_leaves, dtype=np.float64)
-                w_vec[q_support] = q_vals * (
-                    np.log(counts_supp + 1.0 + obj.epsilon)
-                    - np.log(counts_supp + obj.epsilon)
-                )
-                log_args = float(state.total_leaf_mass) + eps_total
-                kl = (
-                    q_entropy_term
-                    - base
-                    - (h_matrix @ w_vec)
-                    + np.log(log_args + t_d)
-                )
-                joint = gains - obj.kl_weight * kl
+                hw = h_matrix @ w_vec
+                kl = (c - hw) + log_t[t_group]
+                joint = gains - lam * kl
+                keys = gains + lam * hw
             else:
-                kl = None
-                joint = gains
+                hw = kl = None
+                joint = keys = gains
             joint = np.where(selected, -np.inf, joint)
             idx = int(np.argmax(joint))  # ties: first occurrence in candidate order
             gain = float(gains[idx])
             pick_kl = None if kl is None else float(kl[idx])
             pick_joint = float(joint[idx])
+            del gains, hw, kl, joint  # only keys outlives a full scoring
         else:
-            if heap is None:  # gains still holds the last full scoring
+            if heaps is None:  # keys still holds the last full scoring's
                 free = np.flatnonzero(~selected)
-                heap = list(zip((-gains[free]).tolist(), free.tolist()))
-                heapq.heapify(heap)
-            g = g_leaf.tolist()
-            while scored_at[heap[0][1]] != iteration:
-                p = heap[0][1]
-                # csr_matvec's order and start value, so gains match bitwise
-                total = 0.0
-                for j in row_leaves[row_start[p] : row_start[p + 1]]:
-                    total += g[j]
-                heapq.heapreplace(heap, (-(s_of[p] * total), p))
-                scored_at[p] = iteration
-                rescored += 1
-            neg_gain, idx = heapq.heappop(heap)
-            gain = pick_joint = -neg_gain
-            pick_kl = None
+                heaps = [[] for _ in range(len(log_t))]
+                for group, neg_key, p in zip(
+                    t_group[free].tolist(), (-keys[free]).tolist(), free.tolist()
+                ):
+                    heaps[group].append((neg_key, p))
+                for heap in heaps:
+                    heapq.heapify(heap)
+                del keys, free
+            idx, gain, pick_kl, pick_joint, n_rescored = _lazy_argmax(
+                heaps,
+                g_leaf.tolist(),
+                w_vec.tolist() if aligned else None,
+                c,
+                log_t.tolist(),
+                lam,
+                row_start,
+                row_leaves,
+                s_of,
+            )
+            rescored += n_rescored
         if not math.isfinite(pick_joint):
             break
 

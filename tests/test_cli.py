@@ -323,11 +323,12 @@ class TestSample:
         for path in (out, trace_path):
             with open(str(path) + ".manifest.json", encoding="utf-8") as f:
                 counters = json.load(f)["counters"]
+            # both modes are lazy after iteration 2
             if aligned:
-                assert counters == {"full_rescores": picks, "rescored": 0}
+                assert counters["full_rescores"] >= 2
             else:
                 assert counters["full_rescores"] == 2
-                assert 0 < counters["rescored"] < (picks - 2) * candidates
+            assert 0 < counters["rescored"] < (picks - 2) * candidates
 
     def test_lambda_without_target(self, ws, tmp_path, capsys):
         rc = main([
@@ -584,3 +585,53 @@ class TestStats:
         rc = main(["stats", "--input", str(bad), "--tree", ws["tree"]])
         assert rc == 2
         assert "no 'leaves' field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [{}, "0.5", None, True, [0.5], float("nan")])
+    def test_non_numeric_score(self, ws, tmp_path, capsys, value):
+        with open(ws["anchored"], encoding="utf-8") as f:
+            rows = [json.loads(line) for line in f]
+        rows[1]["quality"] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rc = main(["stats", "--input", str(bad), "--tree", ws["tree"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 2: 'quality' must be a finite number" in err
+        assert "Traceback" not in err
+
+    def test_raw_scores_outside_unit_interval(self, ws, tmp_path, capsys):
+        # exported subsets carry the pool's raw scores, so no [0, 1] rule
+        with open(ws["anchored"], encoding="utf-8") as f:
+            rows = [json.loads(line) for line in f]
+        rows[0]["quality"], rows[0]["complexity"] = 7.5, -3
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rc = main(["stats", "--input", str(raw), "--tree", ws["tree"]])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "max 7.5" in out and "min -3" in out
+
+
+class TestBadTreeFile:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("children", [[1]]),
+            ("children", 3),
+            ("id", "1"),
+            ("parent", True),
+            ("depth", 1.0),
+            ("embedding", {}),
+        ],
+    )
+    def test_bad_node_field(self, ws, tmp_path, capsys, key, value):
+        with open(ws["tree"], encoding="utf-8") as f:
+            payload = json.load(f)
+        payload["nodes"][1][key] = value
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        rc = main(["stats", "--input", ws["anchored"], "--tree", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"node entry 1: '{key}' must" in err
+        assert "Traceback" not in err

@@ -96,6 +96,18 @@ class TestPropagationMatrix:
             row_sums = np.asarray(prop.matrix.sum(axis=1)).ravel()
             np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=1e-12)
 
+    def test_transpose_product_is_bitwise_row_product(self):
+        # gradient_vector multiplies by the stored transpose; it must give
+        # the bits of v @ A, the product it replaced
+        rng = np.random.default_rng(34)
+        for _ in range(30):
+            tree = random_tree(rng, max_nodes=120)
+            prop = build_propagation_matrix(tree)
+            for _ in range(10):
+                v = rng.uniform(0.0, 50.0, size=tree.n_nodes) ** rng.uniform(-3.0, 3.0)
+                expected = np.asarray(v @ prop.matrix)
+                assert (prop.transpose @ v).tobytes() == expected.tobytes()
+
     def test_diagonal_is_inverse_degree_plus_one(self):
         rng = np.random.default_rng(32)
         for _ in range(20):

@@ -26,9 +26,12 @@ from tagforest import (
     sample,
     write_trace,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from tagforest.oracle import exact_information, greedy_exact
 
-from conftest import random_pool, random_tree, star_tree
+from conftest import make_tree, random_pool, random_tree, star_tree
+from full_rescoring import sample_full_rescoring
 
 
 class TestSampleBasics:
@@ -330,43 +333,64 @@ def _quantised_scores(rng, pool):
     ]
 
 
-class TestLazyGreedy:
-    """General mode's lazy heap against full rescoring at every step.
+# (kl_weight, aligned): general mode, then aligned mode at three strengths
+MODES = [(0.0, False), (0.0, True), (5.0, True), (1e3, True)]
 
-    Aligned mode at kl_weight 0 scores every candidate in every iteration
-    and gives the same joint as general mode, so it is the reference.
+
+def _random_target(rng, tree):
+    """Random weights on a random non-empty subset of the leaves."""
+    leaf_ids = [int(x) for x in tree.leaf_ids]
+    k = int(rng.integers(1, len(leaf_ids) + 1))
+    picked = rng.choice(len(leaf_ids), size=k, replace=False)
+    raw = rng.uniform(0.1, 1.0, size=k)
+    return TargetDistribution(
+        weights={leaf_ids[j]: float(v) for j, v in zip(picked, raw / raw.sum())}
+    )
+
+
+class TestLazyGreedy:
+    """The lazy loop against full rescoring at every step, in both modes.
+
+    The reference, ``full_rescoring.sample_full_rescoring``, is the loop
+    ``sample`` ran before aligned mode became lazy; everything must match
+    it bit for bit.
     """
 
-    def _assert_matches_full_rescoring(self, pool, tree, budget):
-        _, lazy = sample(pool, tree, SamplerConfig(budget=budget))
-        target = TargetDistribution(weights={int(tree.leaf_ids[0]): 1.0})
-        _, full = sample(
-            pool,
-            tree,
-            SamplerConfig(
-                budget=budget, objective=ObjectiveConfig(kl_weight=0.0)
-            ),
-            target,
+    def _assert_matches_full_rescoring(self, pool, tree, budget, kl_weight, target):
+        config = SamplerConfig(
+            budget=budget, objective=ObjectiveConfig(kl_weight=kl_weight)
         )
-        assert [(p.instance_id, p.gain, p.joint) for p in lazy.picks] == [
-            (p.instance_id, p.gain, p.joint) for p in full.picks
+        _, lazy = sample(pool, tree, config, target)
+        _, full = sample_full_rescoring(pool, tree, config, target)
+        assert [(p.instance_id, p.gain, p.kl, p.joint) for p in lazy.picks] == [
+            (p.instance_id, p.gain, p.kl, p.joint) for p in full.picks
         ]
         assert lazy.final_information == full.final_information
-        assert full.full_rescores == len(full.picks) and full.rescored == 0
+        assert lazy.final_kl == full.final_kl
+        assert lazy.mode == full.mode
         return lazy
+
+    def _run_modes(self, rng, tree, pool, budget):
+        traces = []
+        for kl_weight, aligned in MODES:
+            target = _random_target(rng, tree) if aligned else None
+            traces.append(
+                self._assert_matches_full_rescoring(pool, tree, budget, kl_weight, target)
+            )
+        return traces
 
     def test_random_trees(self):
         rng = np.random.default_rng(91)
-        for _ in range(40):
+        for _ in range(25):
             tree = random_tree(rng, max_nodes=40)
             pool = random_pool(rng, tree, size=int(rng.integers(5, 60)))
             budget = int(rng.integers(1, len(pool) + 3))
-            lazy = self._assert_matches_full_rescoring(pool, tree, budget)
-            assert lazy.full_rescores == min(2, len(lazy.picks))
+            for lazy in self._run_modes(rng, tree, pool, budget):
+                assert lazy.full_rescores == min(2, len(lazy.picks))
 
     def test_quantised_scores_with_exact_ties(self):
         rng = np.random.default_rng(92)
-        for _ in range(40):
+        for _ in range(25):
             if rng.uniform() < 0.5:
                 tree = star_tree(int(rng.integers(2, 6)))
             else:
@@ -375,22 +399,75 @@ class TestLazyGreedy:
                 rng, random_pool(rng, tree, size=int(rng.integers(5, 50)))
             )
             budget = int(rng.integers(1, len(pool) + 1))
-            lazy = self._assert_matches_full_rescoring(pool, tree, budget)
-            assert lazy.full_rescores == min(2, len(lazy.picks))
+            for lazy in self._run_modes(rng, tree, pool, budget):
+                assert lazy.full_rescores == min(2, len(lazy.picks))
 
     @pytest.mark.parametrize("factor", [1e-5, 1e-6, 1e-7, 1e-8])
     def test_gradient_floor_scale_scores_fall_back(self, factor):
         # accumulated mass between 0 and GRADIENT_FLOOR makes phi' rise as
         # mass grows there, so those iterations must score every candidate
         rng = np.random.default_rng(93)
-        fell_back = 0
-        for _ in range(20):
+        fell_back = [0] * len(MODES)
+        for _ in range(15):
             tree = random_tree(rng, max_nodes=40)
             pool = random_pool(rng, tree, size=int(rng.integers(10, 50)))
             pool = _scaled_scores(pool, factor)
-            lazy = self._assert_matches_full_rescoring(pool, tree, budget=8)
-            fell_back += lazy.full_rescores > 2
-        assert fell_back > 0
+            for m, lazy in enumerate(self._run_modes(rng, tree, pool, budget=8)):
+                fell_back[m] += lazy.full_rescores > 2
+        assert all(fell_back)
+
+    def test_pools_mixing_leaf_counts(self):
+        # t_d = 1..4 in one pool: one heap per leaf count in aligned mode
+        rng = np.random.default_rng(94)
+        for _ in range(15):
+            tree = star_tree(int(rng.integers(4, 12)))
+            pool = random_pool(rng, tree, size=60, max_leaves_per_record=4)
+            assert {len(r.leaves) for r in pool} == {1, 2, 3, 4}
+            if rng.uniform() < 0.5:
+                pool = _quantised_scores(rng, pool)
+            for lazy in self._run_modes(rng, tree, pool, budget=int(rng.integers(3, 60))):
+                assert lazy.full_rescores == 2
+                assert 0 < lazy.rescored < (len(lazy.picks) - 2) * len(pool)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_small_inputs(self, data):
+        n_nodes = data.draw(st.integers(2, 12), label="nodes")
+        parents = [None] + [
+            data.draw(st.integers(0, i - 1), label=f"parent {i}") for i in range(1, n_nodes)
+        ]
+        tree = make_tree(parents)
+        leaf_ids = [int(x) for x in tree.leaf_ids]
+        # a handful of score levels, full scale or at the gradient floor's
+        scale = data.draw(st.sampled_from([1.0, 1e-6, 1e-8]), label="scale")
+        level = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        pool = [
+            AnchoredRecord(
+                id=f"r{i:02d}",
+                leaves=tuple(
+                    data.draw(
+                        st.lists(st.sampled_from(leaf_ids), min_size=1, max_size=4),
+                        label=f"leaves {i}",
+                    )
+                ),
+                dropped=(),
+                quality=data.draw(level) * scale,
+                complexity=data.draw(level) * scale,
+            )
+            for i in range(data.draw(st.integers(1, 25), label="pool size"))
+        ]
+        kl_weight, aligned = data.draw(st.sampled_from(MODES), label="mode")
+        target = None
+        if aligned:
+            support = data.draw(
+                st.lists(st.sampled_from(leaf_ids), min_size=1, unique=True), label="support"
+            )
+            raw = [data.draw(st.sampled_from([1.0, 2.0, 5.0])) for _ in support]
+            target = TargetDistribution(
+                weights={leaf: w / sum(raw) for leaf, w in zip(support, raw)}
+            )
+        budget = data.draw(st.integers(0, len(pool) + 2), label="budget")
+        self._assert_matches_full_rescoring(pool, tree, budget, kl_weight, target)
 
     def test_repeated_leaf_counts_once(self, tiny_tree):
         def pool(leaves):
