@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import EmbeddingTable, Instance, _unit_rows, dumps_canonical, fallback_embedding
+from .io import (
+    FINITE_RANGE,
+    EmbeddingTable,
+    Instance,
+    _unit_rows,
+    dumps_canonical,
+    fallback_embedding,
+)
 from .matrices import AncestryMatrix, build_ancestry_matrix
 from .tree import TagTree
 
@@ -305,6 +312,27 @@ def read_rows(path, required: tuple[str, ...]):
             yield lineno, row
 
 
+_UNIT_INTERVAL = (0.0, 1.0)
+
+
+def read_score(row: dict, key: str, lineno: int, unit_interval: bool = False) -> float:
+    """Return the score ``row[key]`` as a float; raises ``ValueError`` naming the line.
+
+    A score is a finite JSON number (see :func:`io.is_finite_number`); with
+    ``unit_interval`` it must also lie in [0, 1], as ``anchor`` writes it.
+    Exported subsets carry the pool's raw scores, so they need only the
+    first rule.
+    """
+    value = row[key]
+    lo, hi = _UNIT_INTERVAL if unit_interval else FINITE_RANGE
+    if type(value) not in (int, float) or not lo <= value <= hi:
+        span = " in [0, 1]" if unit_interval else ""
+        raise ValueError(
+            f"line {lineno}: '{key}' must be a finite number{span}, got {value!r}"
+        )
+    return float(value)
+
+
 def load_anchored(path) -> list[AnchoredRecord]:
     """Read anchored rows; raises with the line number on malformed input.
 
@@ -315,14 +343,8 @@ def load_anchored(path) -> list[AnchoredRecord]:
     seen: set[str] = set()
     keys = ("id", "leaves", "dropped", "quality", "complexity")
     for lineno, obj in read_rows(path, keys):
-        for key in ("quality", "complexity"):
-            value = obj[key]
-            # False for NaN as well; a bool is not a number here
-            if type(value) not in (int, float) or not 0.0 <= value <= 1.0:
-                raise ValueError(
-                    f"line {lineno}: '{key}' must be a finite number in "
-                    f"[0, 1], got {value!r}"
-                )
+        quality = read_score(obj, "quality", lineno, unit_interval=True)
+        complexity = read_score(obj, "complexity", lineno, unit_interval=True)
         if obj["id"] in seen:
             raise ValueError(f"line {lineno}: duplicate id '{obj['id']}'")
         seen.add(obj["id"])
@@ -331,8 +353,8 @@ def load_anchored(path) -> list[AnchoredRecord]:
                 id=obj["id"],
                 leaves=tuple(obj["leaves"]),
                 dropped=tuple(obj["dropped"]),
-                quality=float(obj["quality"]),
-                complexity=float(obj["complexity"]),
+                quality=quality,
+                complexity=complexity,
             )
         )
     return records

@@ -16,7 +16,6 @@ Exit codes: 0 success, 2 usage/input error, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -30,6 +29,7 @@ from .anchoring import (
     anchor_pool,
     load_anchored,
     read_rows,
+    read_score,
     write_anchored,
 )
 from .io import (
@@ -300,14 +300,10 @@ def cmd_stats(args) -> int:
         values = []
         for lineno, row in numbered:
             if field in row:
-                value = row[field]
-                # any finite number: exported subsets carry raw pool scores
-                if type(value) not in (int, float) or not math.isfinite(value):
-                    raise UserError(
-                        f"{path}: line {lineno}: '{field}' must be a finite number, "
-                        f"got {value!r}"
-                    )
-                values.append(float(value))
+                try:
+                    values.append(read_score(row, field, lineno))
+                except ValueError as exc:
+                    raise UserError(f"{path}: {exc}") from None
         if values:
             qs = np.quantile(np.array(values), [0.0, 0.25, 0.5, 0.75, 1.0])
             print(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
 
@@ -34,6 +35,21 @@ __all__ = [
     "save_target",
     "sha256_file",
 ]
+
+
+# the numbers a float holds finitely; comparing against these is exact for
+# ints of any size and False for NaN
+FINITE_RANGE = (-sys.float_info.max, sys.float_info.max)
+
+
+def is_finite_number(value) -> bool:
+    """True for a JSON number (an int or float, not a bool) with a finite float value.
+
+    False for NaN, the infinities and ints too large for a float, where
+    ``float()`` and ``math.isfinite`` raise ``OverflowError``.
+    """
+    lo, hi = FINITE_RANGE
+    return type(value) in (int, float) and lo <= value <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +151,7 @@ def _parse_instance(obj: dict) -> Instance:
         raise ValueError("'quality' must be a number")
     if not isinstance(complexity, (int, float)) or isinstance(complexity, bool):
         raise ValueError("'complexity' must be a number")
-    if not math.isfinite(quality) or not math.isfinite(complexity):
+    if not is_finite_number(quality) or not is_finite_number(complexity):
         raise ValueError("scores must be finite")
     return Instance(
         id=obj["id"],
@@ -381,7 +397,7 @@ def load_tree(path) -> TagTree:
         if emb is not None:
             try:
                 emb = np.array(emb, dtype=np.float64)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # overflow: a huge int
                 raise ValueError(
                     f"node entry {i}: 'embedding' must be an array of numbers"
                 ) from None
@@ -449,9 +465,9 @@ def load_target(path, tree: TagTree) -> TargetDistribution:
             raise ValueError(f"'{name}' is not a leaf of this tree")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"weight for '{name}' is not a number")
-        w = float(value)
-        if not math.isfinite(w) or w < 0:
+        if not is_finite_number(value) or value < 0:
             raise ValueError(f"weight for '{name}' must be finite and >= 0")
+        w = float(value)
         if w > 0:
             weights[name_to_leaf[name]] = w
     total = sum(weights.values())

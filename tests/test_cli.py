@@ -453,7 +453,7 @@ class TestBadAnchoredInput:
     def _leaf(self, ws):
         return int(load_tree(ws["tree"]).leaf_ids[0])
 
-    @pytest.mark.parametrize("value", [float("nan"), 1.5])
+    @pytest.mark.parametrize("value", [float("nan"), 1.5, 10**400])
     def test_bad_quality(self, ws, tmp_path, capsys, value):
         leaf = self._leaf(ws)
         rows = [
@@ -586,7 +586,9 @@ class TestStats:
         assert rc == 2
         assert "no 'leaves' field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [{}, "0.5", None, True, [0.5], float("nan")])
+    @pytest.mark.parametrize(
+        "value", [{}, "0.5", None, True, [0.5], float("nan"), 10**400]
+    )
     def test_non_numeric_score(self, ws, tmp_path, capsys, value):
         with open(ws["anchored"], encoding="utf-8") as f:
             rows = [json.loads(line) for line in f]
@@ -622,6 +624,7 @@ class TestBadTreeFile:
             ("parent", True),
             ("depth", 1.0),
             ("embedding", {}),
+            ("embedding", [10**400]),
         ],
     )
     def test_bad_node_field(self, ws, tmp_path, capsys, key, value):

@@ -116,6 +116,15 @@ class TestLoadInstances:
         pool, report = load_instances(p)
         assert pool == [] and len(report.errors) == 1
 
+    def test_int_beyond_float_range_rejected_per_line(self, tmp_path):
+        p = tmp_path / "pool.jsonl"
+        p.write_text(
+            '{"id":"a","query":"q","response":"r","tags":["t"],"quality":1%s,"complexity":0}\n'
+            % ("0" * 400)
+        )
+        pool, report = load_instances(p)
+        assert pool == [] and report.errors[0][2] == "scores must be finite"
+
 
 class TestNormalizeScores:
     def test_min_max_worked_example(self):
@@ -300,6 +309,12 @@ class TestTargetDistribution:
         p = tmp_path / "q.json"
         p.write_text('{"l1": -0.2, "l2": 1.2}')
         with pytest.raises(ValueError, match="l1"):
+            load_target(p, tiny_tree)
+
+    def test_int_beyond_float_range_rejected(self, tmp_path, tiny_tree):
+        p = tmp_path / "q.json"
+        p.write_text('{"l1": 1%s, "l2": 1.0}' % ("0" * 400))
+        with pytest.raises(ValueError, match="weight for 'l1' must be finite"):
             load_target(p, tiny_tree)
 
     def test_ambiguous_leaf_name_rejected(self, tmp_path):
