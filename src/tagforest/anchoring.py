@@ -9,7 +9,6 @@ matrix, to integer path counts over all nodes.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -22,6 +21,7 @@ from .io import (
     _unit_rows,
     dumps_canonical,
     fallback_embedding,
+    loads_line,
 )
 from .matrices import AncestryMatrix, build_ancestry_matrix
 from .tree import TagTree
@@ -76,10 +76,17 @@ class AnchoredRecord:
 
 @dataclass
 class AnchorReport:
-    """Aggregate outcome of anchoring a pool."""
+    """Aggregate outcome of anchoring a pool.
+
+    Tag occurrences are counted once per instance: ``exact_tags`` matched
+    a leaf name, ``nearest_tags`` resolved to the nearest leaf and
+    ``dropped_tags`` counts the rest by tag.
+    """
 
     anchored: int = 0
     unanchorable_ids: list[str] = field(default_factory=list)
+    exact_tags: int = 0
+    nearest_tags: int = 0
     dropped_tags: Counter = field(default_factory=Counter)
 
 
@@ -148,10 +155,11 @@ def _resolve_tags(
     embeddings: EmbeddingTable | None,
     min_similarity: float,
 ):
-    """Yield (kept, dropped) for each instance, in pool order.
+    """Yield (kept, dropped, exact) for each instance, in pool order.
 
     ``kept`` maps each kept tag to its (leaf id, similarity); ``dropped``
-    lists tags below ``min_similarity`` in first-seen order. Each distinct
+    lists tags below ``min_similarity`` in first-seen order; ``exact``
+    counts the kept tags that matched a leaf name. Each distinct
     tag without an exact leaf-name match is resolved once for the whole
     pool, in chunks to bound memory.
     """
@@ -191,16 +199,18 @@ def _resolve_tags(
     for inst in pool:
         kept: dict[str, tuple[int, float]] = {}
         dropped: list[str] = []
+        exact = 0
         for tag in dict.fromkeys(inst.tags):  # de-dup, keep order
             if tag in name_to_leaf:
                 kept[tag] = (name_to_leaf[tag], 1.0)
+                exact += 1
                 continue
             hit = resolution[tag]
             if hit is None:
                 dropped.append(tag)
             else:
                 kept[tag] = hit
-        yield kept, dropped
+        yield kept, dropped, exact
 
 
 def anchor_instance(
@@ -218,7 +228,7 @@ def anchor_instance(
     """
     if ancestry is None:
         ancestry = build_ancestry_matrix(tree)
-    [(kept, dropped)] = _resolve_tags([instance], tree, embeddings, min_similarity)
+    [(kept, dropped, _)] = _resolve_tags([instance], tree, embeddings, min_similarity)
     return _profile_from_leaves(instance.id, kept, dropped, ancestry, tree.leaf_pos)
 
 
@@ -236,8 +246,10 @@ def anchor_pool(
     report = AnchorReport()
     records: list[AnchoredRecord] = []
     resolved = _resolve_tags(pool, tree, embeddings, min_similarity)
-    for inst, (kept, dropped) in zip(pool, resolved):
+    for inst, (kept, dropped, exact) in zip(pool, resolved):
         leaves = tuple(sorted({leaf for leaf, _ in kept.values()}))
+        report.exact_tags += exact
+        report.nearest_tags += len(kept) - exact
         report.dropped_tags.update(dropped)
         if leaves:
             report.anchored += 1
@@ -303,9 +315,9 @@ def read_rows(path, required: tuple[str, ...]):
             if not text:
                 continue
             try:
-                row = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON: {exc.msg}") from None
+                row = loads_line(text)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             problem = _row_problem(row, required)
             if problem is not None:
                 raise ValueError(f"line {lineno}: {problem}")

@@ -164,11 +164,16 @@ def cmd_anchor(args) -> int:
         "min_sim": args.min_sim,
         "output": args.output,
     }
-    _write_manifest(args.output, "anchor", params, inputs, started)
+    counters = {
+        "exact": anchor_report.exact_tags,
+        "nearest": anchor_report.nearest_tags,
+        "dropped": sum(anchor_report.dropped_tags.values()),
+    }
+    _write_manifest(args.output, "anchor", params, inputs, started, counters=counters)
     print(
         f"anchored {anchor_report.anchored}/{len(pool)} instances "
         f"({len(anchor_report.unanchorable_ids)} unanchorable, "
-        f"{sum(anchor_report.dropped_tags.values())} tag drops) -> {args.output}"
+        f"{counters['dropped']} tag drops) -> {args.output}"
     )
     if anchor_report.unanchorable_ids:
         shown = ", ".join(anchor_report.unanchorable_ids[:10])

@@ -52,6 +52,21 @@ def is_finite_number(value) -> bool:
     return type(value) in (int, float) and lo <= value <= hi
 
 
+def loads_line(text: str):
+    """``json.loads`` for one JSONL line; any failure raises ``ValueError("invalid JSON: ...")``.
+
+    Besides a decode error, ``json.loads`` refuses an integer longer than
+    the int-string conversion limit (4,300 digits by default) with a plain
+    ``ValueError`` and deep nesting with ``RecursionError``.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON
 
@@ -182,9 +197,9 @@ def load_instances(path) -> tuple[list[Instance], ValidationReport]:
                 report.error(location, "blank line")
                 continue
             try:
-                obj = json.loads(text)
-            except json.JSONDecodeError as exc:
-                report.error(location, f"invalid JSON: {exc.msg}")
+                obj = loads_line(text)
+            except ValueError as exc:
+                report.error(location, str(exc))
                 continue
             if not isinstance(obj, dict):
                 report.error(location, "record is not a JSON object")

@@ -350,8 +350,8 @@ def sample(
                 del keys, free
             idx, gain, pick_kl, pick_joint, n_rescored = _lazy_argmax(
                 heaps,
-                g_leaf.tolist(),
-                w_vec.tolist() if aligned else None,
+                memoryview(g_leaf),
+                memoryview(w_vec) if aligned else None,
                 c,
                 log_t.tolist(),
                 lam,

@@ -12,6 +12,12 @@ limit stops the recursion.
 Everything is deterministic given (tags, embeddings, config): K-Means
 draws from a generator seeded by (seed, level), assignment ties take the
 lowest cluster index, and centroid sums reduce in fixed input order.
+
+K-Means++ seeding and the refinement's reassignment are pruned: a point's
+direct distance to a center is computed only where a dot-product estimate
+with a rounding margin says it could reach the point's best distance so
+far, so every distance, draw and assignment is the one a full pass gives.
+Lloyd's assignment scores all centers in one expanded-form product.
 """
 from __future__ import annotations
 
@@ -70,15 +76,53 @@ class ClusterLevel:
     names: list[str]
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+# A pruned pass computes the direct sum((x - c)**2) only for the points
+# that could come out at or below their best squared distance so far, d2.
+# The estimate |x|^2 + |c|^2 - 2 x.c, from one matrix-vector product, is
+# off the real value by at most (2 * dim + 6) * 2**-53 * (|x|^2 + |c|^2),
+# in whatever order BLAS sums, and the direct sum by a relative
+# dim * 2**-53. So where the estimate exceeds d2 by the margin below, the
+# direct sum comes out strictly above d2 (for dim up to a million) and the
+# unpruned pass's np.minimum or argmin could not have taken c.
+# _PRUNE_FLOOR covers products and squares that underflow. A larger slack
+# only costs distances computed in vain.
+_PRUNE_SLACK = 1e-9
+_PRUNE_FLOOR = 1e-300
+
+
+def _rows_within(
+    points: np.ndarray, sq: np.ndarray, c: np.ndarray, d2: np.ndarray
+) -> np.ndarray:
+    """Indices of the rows of ``points`` (squared norms ``sq``) whose
+    direct squared distance to ``c`` can come out at or below ``d2``."""
+    c_sq = float(c @ c)
+    est = points @ c
+    est *= -2.0
+    est += sq
+    est += c_sq
+    margin = (d2 + sq + c_sq) * _PRUNE_SLACK + _PRUNE_FLOOR
+    return np.flatnonzero(est <= d2 + margin)
+
+
+def _plus_plus_init(
+    points: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Standard D^2-weighted seeding; falls back to the lowest unused index
-    when every remaining point coincides with a chosen center."""
+    when every remaining point coincides with a chosen center.
+
+    Returns the centers and each point's squared distance to the nearest.
+    A new center's distance is computed only for the rows
+    :func:`_rows_within` keeps; elsewhere ``np.minimum`` would have kept
+    the old distance, so the distances, draws and centers are those of a
+    full pass.
+    """
     n = len(points)
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    chosen: list[int] = [int(rng.integers(n))]
-    taken = set(chosen)
-    centers[0] = points[chosen[0]]
+    first = int(rng.integers(n))
+    taken = {first}
+    centers[0] = points[first]
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    sq = np.sum(points**2, axis=1)
     for i in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
@@ -86,17 +130,21 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             idx = int(rng.choice(n, p=probs))
         else:
             idx = next(j for j in range(n) if j not in taken)
-        chosen.append(idx)
         taken.add(idx)
         centers[i] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
-    return centers
+        rows = _rows_within(points, sq, centers[i], d2)
+        near = np.sum((points[rows] - centers[i]) ** 2, axis=1)
+        d2[rows] = np.minimum(d2[rows], near)
+    return centers, d2
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ||x-c||^2 expanded; argmin takes the first (lowest) index on ties.
-    dots = points @ centers.T
-    d2 = np.sum(centers**2, axis=1)[None, :] - 2.0 * dots
+    # ||c||^2 - 2 x.c built in place: scaling by -2 is exact and addition
+    # commutes, so the values are bitwise those of csq - 2.0 * dots.
+    # argmin takes the first (lowest) index on ties.
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += np.sum(centers**2, axis=1)
     return np.argmin(d2, axis=1)
 
 
@@ -119,7 +167,7 @@ def _cluster_sse(points: np.ndarray, labels: np.ndarray, centers: np.ndarray, k:
 def _lloyd(
     points: np.ndarray, k: int, rng: np.random.Generator, iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    centers = _plus_plus_init(points, k, rng)
+    centers, _ = _plus_plus_init(points, k, rng)
     labels = np.full(len(points), -1, dtype=np.int64)
     for _ in range(iters):
         new_labels = _assign(points, centers)
@@ -261,8 +309,22 @@ def refine_clusters(
 
     # Direct (c - x)^2 sums, not _assign's expanded form: the two round
     # differently and tie-heavy inputs would change which centroid wins.
-    d2 = np.column_stack([np.sum((unit - c) ** 2, axis=1) for c in centroids])
-    labels = np.argmin(d2, axis=1)
+    # Each node starts at its own merged centroid; another centroid's sum
+    # is computed only where _rows_within keeps the node, and the lowest
+    # index wins ties, as argmin over every column would.
+    ref = np.zeros(len(unit), dtype=np.intp)
+    for pos, ci in enumerate(order):
+        ref[merged[ci]] = pos
+    best = np.sum((unit - centroids[ref]) ** 2, axis=1)
+    labels = ref.copy()
+    sq = np.sum(unit**2, axis=1)
+    for j, c in enumerate(centroids):
+        rows = _rows_within(unit, sq, c, best)
+        d2 = np.sum((unit[rows] - c) ** 2, axis=1)
+        wins = (d2 < best[rows]) | ((d2 == best[rows]) & (j < labels[rows]))
+        rows = rows[wins]
+        best[rows] = d2[wins]
+        labels[rows] = j
     keep = np.unique(labels)
     return ClusterLevel(
         members=[np.nonzero(labels == c)[0].tolist() for c in keep],

@@ -9,7 +9,14 @@ import sys
 import pytest
 
 import tagforest
-from tagforest import __version__, load_anchored, load_instances, load_target, load_tree
+from tagforest import (
+    __version__,
+    load_anchored,
+    load_instances,
+    load_target,
+    load_tree,
+    sha256_file,
+)
 from tagforest.cli import main
 
 TAG_NAMES = [
@@ -39,6 +46,9 @@ POOL_ROWS = [
     ("p10", ["geometry", "poetry"], 0.55, 0.35),
     ("p11", [], 0.99, 0.99),
 ]
+
+# sha256 of the anchored file TestAnchor.test_manifest_counts_tag_resolutions writes
+ANCHORED_WITH_VARIANTS_SHA256 = "5b6f879771ecfce58d10831f3557319790fa45d11b76b12f7e5161aa88801d2b"
 
 
 def _write_workspace(root) -> dict[str, str]:
@@ -232,6 +242,67 @@ class TestAnchor:
         assert rc == 0
         assert "line 2" in capsys.readouterr().err
         assert len(load_anchored(out_path)) == 1
+
+    def test_overlong_integer_located_and_skipped(self, ws, tmp_path, capsys):
+        good = {"id": "ok", "query": "q", "response": "r", "tags": ["algebra"],
+                "quality": 0.5, "complexity": 0.5}
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(
+            json.dumps(good) + "\n"
+            + json.dumps({**good, "id": "big"}).replace('"quality": 0.5', '"quality": 1' + "0" * 5000)
+            + "\n",
+            encoding="utf-8",
+        )
+        out_path = tmp_path / "a.jsonl"
+        rc = main(["anchor", "--tree", ws["tree"], "--pool", str(pool), "-o", str(out_path)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "line 2: invalid JSON: Exceeds the limit (4300 digits)" in err
+        assert [r.id for r in load_anchored(out_path)] == ["ok"]
+
+    def test_manifest_counts_tag_resolutions(self, ws, tmp_path):
+        # exact leaf names, repeated tags, a variant near "python" and a tag
+        # far from every leaf (best cosine about 0.41, so dropped at 0.5)
+        with open(ws["emb"], encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        lines[0] = f"dim=4 count={len(lines) + 1}"
+        lines += ["py3\t0.0 1.0 0.0 0.3", "void\t0.0 0.0 0.0 1.0"]
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("".join(f"{l}\n" for l in lines), encoding="utf-8")
+        rows = [
+            ("q0", ["algebra", "algebra", "python"]),
+            ("q1", ["py3", "void"]),
+            ("q2", ["void", "void", "geometry"]),
+            ("q3", ["py3", "py3"]),
+        ]
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text(
+            "".join(
+                json.dumps({"id": i, "query": "q", "response": "r", "tags": tags,
+                            "quality": 0.5, "complexity": 0.5}) + "\n"
+                for i, tags in rows
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "a.jsonl"
+        assert main([
+            "anchor", "--tree", ws["tree"], "--pool", str(pool), "--embeddings", str(emb),
+            "--min-sim", "0.5", "-o", str(out),
+        ]) == 0
+        counters = json.loads((tmp_path / "a.jsonl.manifest.json").read_text())["counters"]
+        assert counters == {"exact": 3, "nearest": 2, "dropped": 2}
+        # the same count as a reader of the files would make
+        tree = load_tree(ws["tree"])
+        names = {tree.node(int(i)).name for i in tree.leaf_ids}
+        seen = {"exact": 0, "nearest": 0, "dropped": 0}
+        for (_, tags), record in zip(rows, load_anchored(out)):
+            for tag in dict.fromkeys(tags):
+                kind = "exact" if tag in names else "dropped" if tag in record.dropped else "nearest"
+                seen[kind] += 1
+        assert seen == counters
+        assert sum(counters.values()) == sum(len(set(tags)) for _, tags in rows)
+        # recorded before the counters existed: the anchored rows are unchanged
+        assert sha256_file(out) == ANCHORED_WITH_VARIANTS_SHA256
 
     def test_fully_unparseable_pool(self, ws, tmp_path, capsys):
         pool = tmp_path / "pool.jsonl"
@@ -507,6 +578,27 @@ class TestBadAnchoredInput:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 1" in err and field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sample", "stats"])
+    def test_overlong_integer(self, ws, tmp_path, capsys, command):
+        good = {"id": "b", "leaves": [self._leaf(ws)], "dropped": [], "quality": 0.5,
+                "complexity": 0.5}
+        big = json.dumps({**good, "id": "a"}).replace(
+            '"quality": 0.5', '"quality": 1' + "0" * 5000
+        )
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n" + big + "\n", encoding="utf-8")
+        if command == "sample":
+            rc = main([
+                "sample", "--anchored", str(bad), "--tree", ws["tree"],
+                "--budget", "2", "-o", str(tmp_path / "s.jsonl"),
+            ])
+        else:
+            rc = main(["stats", "--input", str(bad), "--tree", ws["tree"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 2: invalid JSON: Exceeds the limit (4300 digits)" in err
         assert "Traceback" not in err
 
 

@@ -125,6 +125,24 @@ class TestLoadInstances:
         pool, report = load_instances(p)
         assert pool == [] and report.errors[0][2] == "scores must be finite"
 
+    def test_unreadable_lines_located_and_skipped(self, tmp_path):
+        # an int past the int-string digit limit and nesting past the
+        # recursion limit are not JSONDecodeErrors, but still line errors
+        good = '{"id":"a","query":"q","response":"r","tags":["t"],"quality":1,"complexity":2}'
+        lines = [
+            '{"id":"b","query":"q","response":"r","tags":["t"],"quality":1%s,"complexity":0}'
+            % ("0" * 5000),
+            "[" * 100_000 + "]" * 100_000,
+            good,
+        ]
+        p = tmp_path / "pool.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        pool, report = load_instances(p)
+        assert [i.id for i in pool] == ["a"]
+        assert [loc for _, loc, _ in report.errors] == ["line 1", "line 2"]
+        assert all(msg.startswith("invalid JSON: ") for _, _, msg in report.errors)
+        assert "4300" in report.errors[0][2]
+
 
 class TestNormalizeScores:
     def test_min_max_worked_example(self):

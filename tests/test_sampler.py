@@ -1,6 +1,7 @@
 """Sampler tests: greedy selection, aligned mode, exports, invariances."""
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from tagforest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from tagforest.oracle import exact_information, greedy_exact
+from tagforest.oracle import _leaf_distribution_kl, exact_information, greedy_exact
 
 from conftest import make_tree, random_pool, random_tree, star_tree
 from full_rescoring import sample_full_rescoring
@@ -497,6 +498,73 @@ class TestLazyGreedy:
         empty = InfoState.empty(3, 2)
         expected = kl_penalty(q, empty, np.array([0, 1], dtype=np.int64))
         np.testing.assert_allclose(first.kl, expected, rtol=0, atol=1e-12)
+
+
+class TestAgainstExactGreedy:
+    """``sample`` scores first-order gains and ``oracle.greedy_exact`` exact
+    ones, so their picks may differ; both must still be well-formed
+    selections whose reported value is the exact value of their picks."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_selection_invariants(self, data):
+        n_nodes = data.draw(st.integers(2, 9), label="nodes")
+        tree = make_tree(
+            [None] + [data.draw(st.integers(0, i - 1)) for i in range(1, n_nodes)]
+        )
+        leaf_ids = [int(x) for x in tree.leaf_ids]
+        level = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        pool = [
+            AnchoredRecord(
+                id=f"r{i:02d}",
+                leaves=tuple(data.draw(st.lists(st.sampled_from(leaf_ids), max_size=3))),
+                dropped=(),
+                quality=data.draw(level),
+                complexity=data.draw(level),
+            )
+            for i in range(data.draw(st.integers(0, 7), label="pool size"))
+        ]
+        usable = [r for r in pool if r.leaves]
+        kl_weight, aligned = data.draw(st.sampled_from(MODES), label="mode")
+        target = None
+        if aligned:
+            support = data.draw(
+                st.lists(st.sampled_from(leaf_ids), min_size=1, unique=True), label="support"
+            )
+            raw = [data.draw(st.sampled_from([1.0, 2.0, 5.0])) for _ in support]
+            target = TargetDistribution(
+                weights={leaf: w / sum(raw) for leaf, w in zip(support, raw)}
+            )
+        budget = data.draw(st.integers(0, len(pool) + 2), label="budget")
+        obj = ObjectiveConfig(kl_weight=kl_weight)
+        expected = min(budget, len(usable))
+
+        def exact_value(chosen):
+            scores = [obj.alpha * r.quality + (1.0 - obj.alpha) * r.complexity for r in chosen]
+            info = exact_information(chosen, scores, tree, obj.gamma)
+            kl = None
+            if aligned:
+                kl = _leaf_distribution_kl(target.weights, chosen, tree, obj.epsilon)
+            return info, kl
+
+        selected, trace = sample(pool, tree, SamplerConfig(budget=budget, objective=obj), target)
+        ids = [p.instance_id for p in trace.picks]
+        assert len(set(ids)) == len(ids) == expected
+        assert [r.id for r in selected] == ids
+        info, kl = exact_value(selected)
+        assert math.isclose(trace.final_information, info, rel_tol=1e-9, abs_tol=1e-300)
+        if aligned:
+            assert math.isclose(trace.final_kl, kl, rel_tol=1e-9, abs_tol=1e-12)
+
+        greedy_ids, value = greedy_exact(
+            usable, budget, tree, obj.gamma, obj.alpha, kl_weight,
+            target.weights if aligned else None, obj.epsilon,
+        )
+        assert len(set(greedy_ids)) == len(greedy_ids) == expected
+        by_id = {r.id: r for r in usable}
+        info, kl = exact_value([by_id[i] for i in greedy_ids])
+        want = info - kl_weight * kl if kl_weight > 0.0 else info
+        assert math.isclose(value, want, rel_tol=1e-9, abs_tol=1e-300)
 
 
 class TestDeriveTarget:

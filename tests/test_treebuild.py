@@ -16,7 +16,18 @@ from tagforest import (
     sha256_file,
     validate_tree,
 )
-from tagforest.treebuild import ClusterLevel, cluster_level, refine_clusters
+from tagforest.io import _unit_rows
+from tagforest.treebuild import (
+    ClusterLevel,
+    _assign,
+    _centroids,
+    _plus_plus_init,
+    _rows_within,
+    cluster_level,
+    refine_clusters,
+)
+
+import unpruned_kmeans as unpruned
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
@@ -205,6 +216,102 @@ class TestRefiner:
             [i for i in range(n) if nearest[i] == c] for c in range(len(centroids))
         ]
         assert refined.members == [m for m in expected if m]
+
+
+def _draw_points(data) -> np.ndarray:
+    """Unit rows, as k-means sees them: tie-heavy integer grids, a few
+    distinct rows repeated, or random directions."""
+    kind = data.draw(st.sampled_from(["grid", "duplicates", "random"]), label="kind")
+    n = data.draw(st.integers(1, 40), label="n")
+    dim = data.draw(st.integers(1, 5), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "random":
+        points = rng.normal(size=(n, dim))
+    else:
+        base = rng.integers(-2, 3, size=(n if kind == "grid" else 3, dim)).astype(np.float64)
+        base[~base.any(axis=1)] = 1.0
+        points = base if kind == "grid" else base[rng.integers(0, 3, size=n)]
+    return _unit_rows(points)
+
+
+class TestPrunedPasses:
+    """The pruned seeding, assignment and reassignment against the
+    unpruned passes in ``unpruned_kmeans``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_seeding_matches_full_passes(self, data):
+        points = _draw_points(data)
+        k = data.draw(st.integers(1, len(points)), label="k")
+        seed = data.draw(st.integers(0, 1000), label="rng seed")
+        fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        centers, d2 = _plus_plus_init(points, k, fast_rng)
+        ref_centers, ref_d2 = unpruned.plus_plus_init(points, k, ref_rng)
+        np.testing.assert_array_equal(centers, ref_centers)
+        np.testing.assert_array_equal(d2, ref_d2)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        if k > len(np.unique(points, axis=0)):
+            assert not d2.any()  # every point coincides with a center: the fallback ran
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_assignment_matches_expanded_form(self, data):
+        points = _draw_points(data)
+        k = data.draw(st.integers(1, len(points)), label="k")
+        labels = np.array(
+            data.draw(st.lists(st.integers(0, k - 1), min_size=len(points),
+                               max_size=len(points)), label="labels")
+        )
+        centers = _centroids(points, labels, k)  # empty clusters sit at 0
+        np.testing.assert_array_equal(_assign(points, centers), unpruned.assign(points, centers))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_reassignment_matches_every_column(self, data):
+        points = _draw_points(data)
+        n = len(points)
+        if data.draw(st.booleans(), label="coinciding"):
+            # copy c of every row goes to cluster c: all merged centroids
+            # coincide and every node ties, so the lowest index must win
+            copies = data.draw(st.integers(2, 4), label="copies")
+            points = np.tile(points, (copies, 1))
+            members = [list(range(c * n, (c + 1) * n)) for c in range(copies)]
+        else:
+            k = data.draw(st.integers(1, n), label="k")
+            labels = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+            members = [[i for i in range(n) if labels[i] == c] for c in range(k)]
+            members = [m for m in members if m]
+        cluster_names = data.draw(
+            st.lists(st.sampled_from(["a", "A", " a ", "b", "c", "d", "e"]),
+                     min_size=len(members), max_size=len(members)),
+            label="names",
+        )
+        level = ClusterLevel(
+            members=members, centroids=np.zeros((len(members), points.shape[1])),
+            names=cluster_names,
+        )
+        names = [f"t{i}" for i in range(len(points))]
+        got = refine_clusters(level, names, points)
+        want = unpruned.refine_clusters(level, names, points)
+        assert got.members == want.members
+        assert got.names == want.names
+        np.testing.assert_array_equal(got.centroids, want.centroids)
+
+    def test_rows_within_keeps_every_possible_winner_and_prunes(self):
+        rng = np.random.default_rng(7)
+        centres = _unit_rows(rng.normal(size=(20, 16)))
+        points = _unit_rows(centres[rng.integers(0, 20, size=2000)]
+                            + 0.05 * rng.normal(size=(2000, 16)))
+        sq = np.sum(points**2, axis=1)
+        d2 = np.sum((points - points[0]) ** 2, axis=1)
+        for c in points[1:200]:
+            rows = _rows_within(points, sq, c, d2)
+            direct = np.sum((points - c) ** 2, axis=1)
+            skipped = np.ones(len(points), dtype=bool)
+            skipped[rows] = False
+            assert np.all(direct[skipped] > d2[skipped])
+            d2 = np.minimum(d2, direct)
+        assert len(rows) < len(points) // 4
 
 
 def _grid_case(s: int):
