@@ -10,6 +10,7 @@ __version__ = "0.1.0"
 
 from .anchoring import (
     ActivationProfile,
+    AnchoredPool,
     AnchoredRecord,
     AnchorReport,
     anchor_instance,
@@ -69,6 +70,7 @@ __all__ = [
     "ActivationProfile",
     "AncestryMatrix",
     "AnchorReport",
+    "AnchoredPool",
     "AnchoredRecord",
     "DuplicateIdError",
     "EmbeddingTable",

@@ -6,10 +6,18 @@ similarity 1.0). Matches below the similarity threshold are dropped and
 recorded. The surviving leaves are the record the sampler consumes;
 :func:`anchor_instance` additionally lifts them, through the ancestry
 matrix, to integer path counts over all nodes.
+
+An anchored file is read back by :func:`load_anchored` into an
+:class:`AnchoredPool`, which holds the rows as columns (ids, a CSR-style
+leaf list, dropped tags, scores) and rebuilds an :class:`AnchoredRecord`
+only when a row is indexed or iterated.
 """
 from __future__ import annotations
 
+import json
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +36,7 @@ from .tree import TagTree
 
 __all__ = [
     "ActivationProfile",
+    "AnchoredPool",
     "AnchoredRecord",
     "AnchorReport",
     "anchor_instance",
@@ -72,6 +81,72 @@ class AnchoredRecord:
     dropped: tuple[str, ...]
     quality: float
     complexity: float
+
+
+@dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
+class AnchoredPool(Sequence):
+    """An anchored pool held as columns: a read-only sequence of :class:`AnchoredRecord`.
+
+    Row ``i`` has id ``ids[i]``, the leaves
+    ``leaf_ids[leaf_ptr[i]:leaf_ptr[i + 1]]`` as written (duplicates and
+    order kept), the tags ``dropped[i]`` and the scores ``quality[i]`` and
+    ``complexity[i]``. ``leaf_ptr`` and ``leaf_ids`` are int64 arrays,
+    ``quality`` and ``complexity`` float64 arrays. Indexing and iteration
+    rebuild each row's record.
+    """
+
+    ids: list[str]
+    leaf_ptr: np.ndarray
+    leaf_ids: np.ndarray
+    dropped: list[tuple[str, ...]]
+    quality: np.ndarray
+    complexity: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> AnchoredPool:
+        """The pool of a sequence of records, in their order."""
+        leaf_ptr = array("q", [0])
+        leaf_ids = array("q")
+        for record in records:
+            leaf_ids.extend(record.leaves)
+            leaf_ptr.append(len(leaf_ids))
+        return cls(
+            ids=[r.id for r in records],
+            leaf_ptr=np.frombuffer(leaf_ptr, dtype=np.int64),
+            leaf_ids=np.frombuffer(leaf_ids, dtype=np.int64),
+            dropped=[r.dropped for r in records],
+            quality=np.array([r.quality for r in records], dtype=np.float64),
+            complexity=np.array([r.complexity for r in records], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self.ids))[index]]
+        i = range(len(self.ids))[index]  # negative indices; IndexError past the end
+        lo, hi = self.leaf_ptr.item(i), self.leaf_ptr.item(i + 1)
+        return AnchoredRecord(
+            id=self.ids[i],
+            leaves=tuple(self.leaf_ids[lo:hi].tolist()),
+            dropped=self.dropped[i],
+            quality=self.quality.item(i),
+            complexity=self.complexity.item(i),
+        )
+
+    def __iter__(self):
+        ptr = self.leaf_ptr.tolist()
+        leaves = self.leaf_ids.tolist()
+        rows = zip(self.ids, self.dropped, self.quality.tolist(), self.complexity.tolist())
+        for i, (rid, dropped, quality, complexity) in enumerate(rows):
+            yield AnchoredRecord(
+                id=rid,
+                leaves=tuple(leaves[ptr[i] : ptr[i + 1]]),
+                dropped=dropped,
+                quality=quality,
+                complexity=complexity,
+            )
 
 
 @dataclass
@@ -345,11 +420,11 @@ def read_score(row: dict, key: str, lineno: int, unit_interval: bool = False) ->
     return float(value)
 
 
-def load_anchored(path) -> list[AnchoredRecord]:
-    """Read anchored rows; raises with the line number on malformed input.
+def _load_records(path) -> list[AnchoredRecord]:
+    """Read anchored rows one line at a time with :func:`read_rows`.
 
-    Rows follow :func:`read_rows` and carry all five keys. Scores must be
-    finite and in [0, 1], as ``anchor`` writes them.
+    :func:`load_anchored` runs this only when its own pass refuses a line;
+    it raises the located error of the first bad line.
     """
     records: list[AnchoredRecord] = []
     seen: set[str] = set()
@@ -370,3 +445,91 @@ def load_anchored(path) -> list[AnchoredRecord]:
             )
         )
     return records
+
+
+# The decoder json.loads uses. On a stripped line, a value that ends at the
+# end of the text is exactly what json.loads would return; anything else
+# (no value, trailing data, a leading BOM, an over-long integer, deep
+# nesting) raises or stops short, and the line is refused.
+_scan_once = json.JSONDecoder().scan_once
+_INT, _STR, _NUMBER = {int}, {str}, (int, float)
+
+
+def _read_columns(path) -> AnchoredPool | None:
+    """One pass straight into columns; None when a line breaks any rule.
+
+    The rules are those of :func:`read_rows`, :func:`read_score` with
+    ``unit_interval`` and the unique-id rule, applied to the parsed row
+    without building a record. A row that keeps every rule but holds a
+    leaf id outside the int64 range raises a located ``ValueError``.
+    """
+    ids: list[str] = []
+    dropped: list[tuple[str, ...]] = []
+    seen: set[str] = set()
+    leaf_ptr = array("q", [0])
+    leaf_ids = array("q")
+    quality = array("d")
+    complexity = array("d")
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                row, end = _scan_once(text, 0)
+                rid, leaves, tags = row["id"], row["leaves"], row["dropped"]
+                q, c = row["quality"], row["complexity"]
+            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+                return None  # TypeError: the value is not an object
+            if not (
+                end == len(text)
+                and type(rid) is str
+                and rid
+                and rid not in seen
+                and type(leaves) is list
+                and _INT.issuperset(map(type, leaves))
+                and type(tags) is list
+                and _STR.issuperset(map(type, tags))
+                and type(q) in _NUMBER
+                and 0.0 <= q <= 1.0
+                and type(c) in _NUMBER
+                and 0.0 <= c <= 1.0
+            ):
+                return None
+            try:
+                leaf_ids.extend(leaves)
+            except OverflowError:
+                big = next(x for x in leaves if not -(2**63) <= x < 2**63)
+                raise ValueError(
+                    f"line {lineno}: 'leaves' must hold 64-bit integers, got {big}"
+                ) from None
+            leaf_ptr.append(len(leaf_ids))
+            seen.add(rid)
+            ids.append(rid)
+            dropped.append(tuple(tags))
+            quality.append(q)
+            complexity.append(c)
+    return AnchoredPool(
+        ids=ids,
+        leaf_ptr=np.frombuffer(leaf_ptr, dtype=np.int64),
+        leaf_ids=np.frombuffer(leaf_ids, dtype=np.int64),
+        dropped=dropped,
+        quality=np.frombuffer(quality, dtype=np.float64),
+        complexity=np.frombuffer(complexity, dtype=np.float64),
+    )
+
+
+def load_anchored(path) -> AnchoredPool:
+    """Read anchored rows into a pool; raises with the line number on malformed input.
+
+    Rows follow :func:`read_rows` and carry all five keys. Scores must be
+    finite and in [0, 1], as ``anchor`` writes them, ids must be unique
+    and leaf ids must fit in 64 bits. The file is read in one pass
+    straight into columns; when a line breaks a rule, it is read again
+    line by line with :func:`read_rows` and :func:`read_score`, which
+    raise the located error.
+    """
+    pool = _read_columns(path)
+    if pool is None:
+        pool = AnchoredPool.from_records(_load_records(path))
+    return pool

@@ -67,6 +67,21 @@ def loads_line(text: str):
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
+def _load_json_file(path):
+    """The JSON value of a whole file; any failure raises ``ValueError("invalid JSON: ...")``.
+
+    As in :func:`loads_line`, deep nesting raises ``RecursionError`` and an
+    over-long integer a plain ``ValueError``; a decode error keeps its
+    position in the file.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON
 
@@ -380,8 +395,7 @@ def save_tree(tree: TagTree, path) -> None:
 
 def load_tree(path) -> TagTree:
     """Read tree JSON and validate; never silently repairs a broken file."""
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = _load_json_file(path)
     if not isinstance(payload, dict) or "nodes" not in payload:
         raise ValueError("tree file must be a JSON object with a 'nodes' array")
     raw_nodes = payload["nodes"]
@@ -460,8 +474,7 @@ def load_target(path, tree: TagTree) -> TargetDistribution:
     the sum must land in [0.999, 1.001]; the distribution is renormalized
     to sum exactly 1.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+    payload = _load_json_file(path)
     if not isinstance(payload, dict):
         raise ValueError("target file must be a JSON object of leaf name -> weight")
     name_to_leaf: dict[str, int] = {}

@@ -7,6 +7,11 @@ argmax under a fixed total order: joint score descending, composite score
 descending, instance id ascending. The run is aligned exactly when a target
 leaf distribution is given, and general otherwise.
 
+Set-up reads the anchored pool's columns (see
+:class:`tagforest.anchoring.AnchoredPool`): one composite-score call over
+the usable rows, a sort into the tie-break order, and the candidate x leaf
+indicator matrix in CSR form, built from a node id -> leaf position lookup.
+
 Iterations 1 and 2 score every candidate with one sparse matrix-vector
 product. After that both modes run Minoux's accelerated ("lazy") greedy,
 which is exact here. In aligned mode the joint is
@@ -28,13 +33,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from .anchoring import AnchoredRecord
+from .anchoring import AnchoredPool, AnchoredRecord
 from .io import Instance, TargetDistribution, dumps_canonical
 from .matrices import build_ancestry_matrix, build_propagation_matrix
 from .objective import (
@@ -122,43 +127,53 @@ def _distinct_leaves(record: AnchoredRecord, leaf_pos: dict[int, int]) -> set[in
     return leaves
 
 
-def _rank_candidates(
-    usable: list[AnchoredRecord], alpha: float
-) -> tuple[list[AnchoredRecord], np.ndarray]:
-    """Candidates in tie-break order plus their composite scores.
+def _candidate_setup(
+    pool: AnchoredPool, tree: TagTree, alpha: float
+) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+    """Rows of the usable candidates in tie-break order, their scores and leaves.
 
-    The order is composite score descending, then id ascending, so a
-    first-occurrence argmax (or the smallest position on a heap) picks
-    the documented winner on exact joint ties.
+    Usable rows hold at least one leaf. The order is composite score
+    descending, then id ascending, so a first-occurrence argmax (or the
+    smallest position on a heap) picks the documented winner on exact
+    joint ties: a stable sort by score after a sort by id gives it, as
+    -0.0 == 0.0 in both. The candidate x leaf indicator matrix holds each
+    row's distinct leaf positions, ascending.
     """
-    scores = composite_score(
-        np.array([r.quality for r in usable], dtype=np.float64),
-        np.array([r.complexity for r in usable], dtype=np.float64),
-        alpha,
+    counts = np.diff(pool.leaf_ptr)
+    by_id = np.array(
+        sorted(np.flatnonzero(counts).tolist(), key=pool.ids.__getitem__),
+        dtype=np.int64,
     )
-    by_rec = scores.tolist()
-    order = sorted(range(len(usable)), key=lambda i: (-by_rec[i], usable[i].id))
-    return [usable[i] for i in order], scores[order]
+    scores = composite_score(pool.quality[by_id], pool.complexity[by_id], alpha)
+    order = np.argsort(-scores, kind="stable")
+    rows, s = by_id[order], scores[order]
 
-
-def _leaf_matrix(
-    cand: list[AnchoredRecord], leaf_pos: dict[int, int], n_leaves: int
-) -> sp.csr_matrix:
-    """Candidate x leaf indicator matrix; each row's positions ascend."""
-    indptr = array("q", [0])
-    indices = array("q")
-    for record in cand:
-        leaves = _distinct_leaves(record, leaf_pos)
-        indices.extend(sorted(leaf_pos[leaf] for leaf in leaves))
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (
-            np.ones(len(indices), dtype=np.float64),
-            np.frombuffer(indices, dtype=np.int64),
-            np.frombuffer(indptr, dtype=np.int64),
-        ),
-        shape=(len(cand), n_leaves),
+    leaf_ids = tree.leaf_ids
+    n, n_leaves = len(rows), len(leaf_ids)
+    lookup = np.full(int(leaf_ids[-1]) + 1, -1, dtype=np.int64)
+    lookup[leaf_ids] = np.arange(n_leaves)
+    known = (pool.leaf_ids >= 0) & (pool.leaf_ids < len(lookup))
+    pos = np.full(len(pool.leaf_ids), -1, dtype=np.int64)
+    pos[known] = lookup[pool.leaf_ids[known]]
+    if np.any(pos < 0):
+        for row in rows.tolist():  # names the first offender in candidate order
+            _distinct_leaves(pool[row], tree.leaf_pos)
+    rank = np.empty(len(pool), dtype=np.int64)
+    rank[rows] = np.arange(n)
+    # every leaf belongs to a usable row; sorted keys ascend by rank, then
+    # position, and as keys are >= 0 the -1 keeps the first of each run.
+    # (np.unique gives the same, but hashes first and is far slower here.)
+    keys = np.sort(np.repeat(rank, counts) * n_leaves + pos)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rank_of_key = keys // n_leaves
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rank_of_key, minlength=n), out=indptr[1:])
+    indices = keys - rank_of_key * n_leaves
+    h_matrix = sp.csr_matrix(
+        (np.ones(len(indices), dtype=np.float64), indices, indptr),
+        shape=(n, n_leaves),
     )
+    return rows, s, h_matrix
 
 
 # Rounding slack of a lazy bound, relative to the magnitudes it is built
@@ -232,7 +247,7 @@ def _lazy_argmax(heaps, g, w, c, log_t, lam, row_start, row_leaves, s_of):
 
 
 def sample(
-    records: list[AnchoredRecord],
+    records: Sequence[AnchoredRecord],
     tree: TagTree,
     config: SamplerConfig,
     target: TargetDistribution | None = None,
@@ -244,6 +259,11 @@ def sample(
     excluded up front and counted in the trace. A budget larger than the
     usable pool selects everything. Returns the picked records in pick
     order plus the full trace.
+
+    ``records`` is used as it is when it is an :class:`AnchoredPool`, as
+    :func:`load_anchored` returns it; any other sequence of records is
+    converted to one first. The set-up works on the pool's columns, and
+    records are rebuilt only for the picks.
 
     Iterations 1 and 2, and any iteration where some node's accumulated
     mass lies strictly between 0 and GRADIENT_FLOOR, score every
@@ -260,19 +280,19 @@ def sample(
     if lam > 0.0 and not aligned:
         raise ValueError("kl_weight > 0 requires a target distribution")
 
-    usable = [r for r in records if r.leaves]
-    n_unanchorable = len(records) - len(usable)
-    budget = min(config.budget, len(usable))
+    pool = records
+    if not isinstance(pool, AnchoredPool):
+        pool = AnchoredPool.from_records(records)
 
     ancestry = build_ancestry_matrix(tree)
     prop = build_propagation_matrix(tree)
     n_nodes, n_leaves = ancestry.shape
     to_leaves = ancestry.matrix.T
 
-    cand, s = _rank_candidates(usable, obj.alpha)
-    h_matrix = _leaf_matrix(cand, tree.leaf_pos, n_leaves)
+    cand, s, h_matrix = _candidate_setup(pool, tree, obj.alpha)
     indptr, indices = h_matrix.indptr, h_matrix.indices
     n = len(cand)
+    budget = min(config.budget, n)
 
     if aligned:
         q_dense = target.dense(ancestry.leaf_ids)
@@ -364,11 +384,12 @@ def sample(
             break
 
         selected[idx] = True
-        chosen.append(cand[idx])
+        record = pool[int(cand[idx])]
+        chosen.append(record)
         picks.append(
             Pick(
                 iteration=iteration,
-                instance_id=cand[idx].id,
+                instance_id=record.id,
                 gain=gain,
                 kl=pick_kl,
                 joint=pick_joint,
@@ -392,8 +413,8 @@ def sample(
         final_information=final_info,
         final_kl=final_kl,
         budget_requested=config.budget,
-        pool_size=len(records),
-        unanchorable=n_unanchorable,
+        pool_size=len(pool),
+        unanchorable=len(pool) - n,
         mode="aligned" if aligned else "general",
         full_rescores=full_rescores,
         rescored=rescored,
@@ -401,7 +422,7 @@ def sample(
     return chosen, trace
 
 
-def derive_target(records: list[AnchoredRecord], tree: TagTree) -> TargetDistribution:
+def derive_target(records: Sequence[AnchoredRecord], tree: TagTree) -> TargetDistribution:
     """Empirical leaf distribution of a reference set: counts, normalized."""
     counts: dict[int, int] = {}
     total = 0

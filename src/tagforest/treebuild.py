@@ -104,6 +104,16 @@ def _rows_within(
     return np.flatnonzero(est <= d2 + margin)
 
 
+def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """``rng.choice(len(weights), p=weights / total)``: the same index and
+    generator state, without the checks and the extra sum that ``choice``
+    spends on ``p``. This is ``choice``'s own arithmetic for one draw with
+    replacement."""
+    cdf = np.cumsum(weights / total)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _plus_plus_init(
     points: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +136,7 @@ def _plus_plus_init(
     for i in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
-            probs = d2 / total
-            idx = int(rng.choice(n, p=probs))
+            idx = _weighted_draw(d2, total, rng)
         else:
             idx = next(j for j in range(n) if j not in taken)
         taken.add(idx)

@@ -21,7 +21,9 @@ from tagforest import (
     kl_penalty,
     state_information,
 )
-from tagforest.sampler import Pick, _leaf_matrix, _rank_candidates
+from tagforest.sampler import Pick
+
+from record_setup import _leaf_matrix, _rank_candidates
 
 
 def sample_full_rescoring(records, tree, config, target=None):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagforest import (
+    AnchoredPool,
     EmbeddingTable,
     Instance,
     anchor_instance,
@@ -20,6 +22,7 @@ from tagforest import (
 )
 
 from conftest import make_tree, random_tree
+from record_setup import load_anchored as load_records
 
 
 def _inst(i: str, tags, q: float = 0.5, c: float = 0.5) -> Instance:
@@ -177,7 +180,69 @@ _LINE = st.one_of(
 )
 
 
+_BIG_LEAF = (2**63, -(2**63) - 1, 10**30)  # outside int64
+_EDGE_LINE = st.one_of(
+    # two rows on one line, with and without the comma of a joined parse
+    st.tuples(_VALID_ROW, _VALID_ROW, st.sampled_from([" ", ","])).map(
+        lambda t: json.dumps(t[0]) + t[2] + json.dumps(t[1])
+    ),
+    _VALID_ROW.map(lambda row: "\ufeff" + json.dumps(row)),  # a BOM
+    _VALID_ROW.map(lambda row: json.dumps(row).replace(", ", ",\n", 1)),  # split row
+    st.builds(
+        lambda row, key, value: {**row, key: value},
+        _VALID_ROW,
+        st.sampled_from(["quality", "complexity"]),
+        st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -0.0, 1, True]),
+    ).map(json.dumps),
+    st.builds(
+        lambda row, leaf: {**row, "leaves": [*row["leaves"], leaf]},
+        _VALID_ROW,
+        st.sampled_from([2**63 - 1, -(2**63), *_BIG_LEAF]),
+    ).map(json.dumps),
+)
+
+
+def _load_or_error(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestAnchoredFile:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.one_of(_VALID_ROW.map(json.dumps), _LINE, _EDGE_LINE), max_size=5))
+    def test_pool_matches_record_reader(self, tmp_path_factory, lines):
+        """The columnar loader gives the records, or the error text, of the
+        record reader in ``record_setup``. The one difference: a leaf id
+        outside int64 is a located error, where the record reader loads it."""
+        path = tmp_path_factory.mktemp("rows") / "a.jsonl"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        got = _load_or_error(load_anchored, path)
+        want = _load_or_error(load_records, path)
+        big = re.match(r"line (\d+): 'leaves' must hold 64-bit integers, got (-?\d+)$", str(got))
+        if big:
+            bad, leaf = int(big.group(1)), int(big.group(2))
+            assert leaf in _BIG_LEAF
+            with open(path, encoding="utf-8") as f:
+                lines_read = f.readlines()  # as the readers split them
+            assert str(leaf) in lines_read[bad - 1]
+            # the record reader accepts every line up to and including that one
+            path.write_text("".join(lines_read[:bad]), encoding="utf-8")
+            assert isinstance(load_records(path), list)
+            return
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert isinstance(got, AnchoredPool)
+        assert len(got) == len(want)
+        assert repr(list(got)) == repr(want)  # repr: -0.0 and int/float differ
+        assert repr([got[i] for i in range(-len(got), 0)]) == repr(want)
+        assert repr(got[1::2]) == repr(want[1::2])
+        for column, dtype in (("leaf_ptr", np.int64), ("leaf_ids", np.int64),
+                              ("quality", np.float64), ("complexity", np.float64)):
+            assert getattr(got, column).dtype == dtype
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(_LINE, max_size=4))
     def test_load_returns_records_or_names_the_line(self, tmp_path_factory, lines):

@@ -730,3 +730,21 @@ class TestBadTreeFile:
         err = capsys.readouterr().err
         assert f"node entry 1: '{key}' must" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["stats", "sample"])
+    def test_deep_nesting(self, ws, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        if command == "stats":  # as the tree
+            rc = main(["stats", "--input", ws["anchored"], "--tree", str(deep)])
+        else:  # as the target
+            rc = main([
+                "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],
+                "--budget", "2", "--target", str(deep),
+                "-o", str(tmp_path / "s.jsonl"), "--trace", str(tmp_path / "t.json"),
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: invalid JSON: maximum recursion depth exceeded" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.jsonl").exists()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from tagforest import (
+    AnchoredPool,
     AnchoredRecord,
     InfoState,
     Instance,
@@ -30,9 +31,11 @@ from tagforest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tagforest.oracle import _leaf_distribution_kl, exact_information, greedy_exact
+from tagforest.sampler import _candidate_setup
 
 from conftest import make_tree, random_pool, random_tree, star_tree
 from full_rescoring import sample_full_rescoring
+from record_setup import _leaf_matrix, _rank_candidates
 
 
 class TestSampleBasics:
@@ -498,6 +501,95 @@ class TestLazyGreedy:
         empty = InfoState.empty(3, 2)
         expected = kl_penalty(q, empty, np.array([0, 1], dtype=np.int64))
         np.testing.assert_allclose(first.kl, expected, rtol=0, atol=1e-12)
+
+
+# ids that differ only in a non-ASCII character or a NUL
+_TRICKY_IDS = ["a", "a\x00", "\x00", "a\x00b", "ab", "é", "e\u0301", "e", "ü", "Z", "\u00ff\x00"]
+
+
+class TestColumnarSetup:
+    """The columnar set-up against the record-based ``_rank_candidates`` and
+    ``_leaf_matrix`` in ``record_setup``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_record_setup(self, data):
+        n_nodes = data.draw(st.integers(2, 12), label="nodes")
+        parents = [None] + [
+            data.draw(st.integers(0, i - 1), label=f"parent {i}") for i in range(1, n_nodes)
+        ]
+        tree = make_tree(parents)
+        leaf_ids = [int(x) for x in tree.leaf_ids]
+        node_ids = leaf_ids
+        if data.draw(st.integers(0, 3), label="non-leaf ids") == 0:
+            # the root, inner nodes and ids no node has
+            node_ids = leaf_ids + [i for i in range(-1, n_nodes + 1) if i not in leaf_ids] + [2**40]
+        leaf = st.sampled_from(node_ids)
+        ids = data.draw(
+            st.lists(st.sampled_from(_TRICKY_IDS), max_size=40, unique=data.draw(st.booleans())),
+            label="ids",
+        )
+        level = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])  # ties, and -0.0 == 0.0
+        records = [
+            AnchoredRecord(
+                id=rid,
+                # duplicates and any order; empty rows are unanchorable
+                leaves=tuple(data.draw(st.lists(leaf, max_size=4), label=f"leaves {rid!r}")),
+                dropped=(),
+                quality=data.draw(level),
+                complexity=data.draw(level),
+            )
+            for rid in ids
+        ]
+        alpha = data.draw(st.sampled_from([0.0, 0.5, 0.7, 1.0]), label="alpha")
+        pool = AnchoredPool.from_records(records)
+        assert list(pool) == records
+
+        usable = [r for r in records if r.leaves]
+        cand, s = _rank_candidates(usable, alpha)
+        try:
+            want = _leaf_matrix(cand, tree.leaf_pos, len(leaf_ids))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _candidate_setup(pool, tree, alpha)
+            assert str(got.value) == str(exc)
+            with pytest.raises(ValueError) as got:
+                sample(pool, tree, SamplerConfig(budget=1, objective=ObjectiveConfig(alpha=alpha)))
+            assert str(got.value) == str(exc)
+            return
+        rows, got_s, got = _candidate_setup(pool, tree, alpha)
+        assert repr([pool[i] for i in rows.tolist()]) == repr(cand)
+        assert got_s.dtype == s.dtype and got_s.tobytes() == s.tobytes()
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+        kl_weight, aligned = data.draw(st.sampled_from(MODES), label="mode")
+        target = TargetDistribution(weights={leaf_ids[0]: 1.0}) if aligned else None
+        config = SamplerConfig(
+            budget=data.draw(st.integers(0, len(records) + 1), label="budget"),
+            objective=ObjectiveConfig(alpha=alpha, kl_weight=kl_weight),
+        )
+        from_pool = sample(pool, tree, config, target)
+        from_list = sample(list(pool), tree, config, target)
+        assert repr(from_pool) == repr(from_list)
+
+    def test_non_leaf_message(self, tiny_tree):
+        records = [
+            AnchoredRecord(id="a", leaves=(1,), dropped=(), quality=0.5, complexity=0.5),
+            AnchoredRecord(id="b", leaves=(2, 0), dropped=(), quality=0.9, complexity=0.9),
+            AnchoredRecord(id="c", leaves=(7,), dropped=(), quality=0.1, complexity=0.1),
+        ]
+        for pool in (records, AnchoredPool.from_records(records)):
+            with pytest.raises(ValueError, match="^record 'b' references non-leaf node 0$"):
+                sample(pool, tiny_tree, SamplerConfig(budget=1))
+
+    def test_picks_are_the_input_records(self, tiny_tree, worked_pool):
+        chosen, trace = sample(worked_pool, tiny_tree, SamplerConfig(budget=4))
+        by_id = {r.id: r for r in worked_pool}
+        assert chosen == [by_id[p.instance_id] for p in trace.picks]
+        assert all(type(r) is AnchoredRecord for r in chosen)
 
 
 class TestAgainstExactGreedy:

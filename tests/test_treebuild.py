@@ -23,6 +23,7 @@ from tagforest.treebuild import (
     _centroids,
     _plus_plus_init,
     _rows_within,
+    _weighted_draw,
     cluster_level,
     refine_clusters,
 )
@@ -236,7 +237,8 @@ def _draw_points(data) -> np.ndarray:
 
 class TestPrunedPasses:
     """The pruned seeding, assignment and reassignment against the
-    unpruned passes in ``unpruned_kmeans``, bit for bit."""
+    unpruned passes in ``unpruned_kmeans``, bit for bit, and the seeding's
+    draw against ``rng.choice``."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -252,6 +254,24 @@ class TestPrunedPasses:
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
         if k > len(np.unique(points, axis=0)):
             assert not d2.any()  # every point coincides with a center: the fallback ran
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 6000),
+        zero_share=st.sampled_from([0.0, 0.3, 0.9]),
+        scale=st.sampled_from([1e-300, 1e-12, 1.0, 1e12]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weighted_draw_is_rng_choice(self, n, zero_share, scale, seed):
+        values = np.random.default_rng(seed)
+        d2 = values.random(n) * scale
+        d2[values.random(n) < zero_share] = 0.0
+        d2[values.integers(n)] = scale  # at least one positive weight
+        total = float(d2.sum())
+        fast_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(3):
+            assert _weighted_draw(d2, total, fast_rng) == int(ref_rng.choice(n, p=d2 / total))
+            assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
