@@ -9,11 +9,9 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .anchoring import (
-    ActivationProfile,
     AnchoredPool,
     AnchoredRecord,
     AnchorReport,
-    anchor_instance,
     anchor_pool,
     load_anchored,
     write_anchored,
@@ -48,10 +46,7 @@ from .objective import (
     composite_score,
     gradient_vector,
     kl_penalty,
-    marginal_gain_approx,
-    raw_info_vector,
     state_information,
-    subset_information,
 )
 from .sampler import (
     Pick,
@@ -67,7 +62,6 @@ from .treebuild import TreeBuildConfig, build_tree, kmeans
 
 __all__ = [
     "__version__",
-    "ActivationProfile",
     "AncestryMatrix",
     "AnchorReport",
     "AnchoredPool",
@@ -88,7 +82,6 @@ __all__ = [
     "TreeBuildConfig",
     "TreeNode",
     "ValidationReport",
-    "anchor_instance",
     "anchor_pool",
     "build_ancestry_matrix",
     "build_propagation_matrix",
@@ -106,15 +99,12 @@ __all__ = [
     "load_instances",
     "load_target",
     "load_tree",
-    "marginal_gain_approx",
     "normalize_scores",
-    "raw_info_vector",
     "sample",
     "save_target",
     "save_tree",
     "sha256_file",
     "state_information",
-    "subset_information",
     "validate_tree",
     "write_anchored",
     "write_embeddings",

@@ -3,9 +3,7 @@
 Every tag of an instance is matched to its nearest leaf by cosine
 similarity (an exact string match to a leaf name short-circuits with
 similarity 1.0). Matches below the similarity threshold are dropped and
-recorded. The surviving leaves are the record the sampler consumes;
-:func:`anchor_instance` additionally lifts them, through the ancestry
-matrix, to integer path counts over all nodes.
+recorded. The surviving leaves are the record the sampler consumes.
 
 An anchored file is read back by :func:`load_anchored` into an
 :class:`AnchoredPool`, which holds the rows as columns (ids, a CSR-style
@@ -31,15 +29,12 @@ from .io import (
     fallback_embedding,
     loads_line,
 )
-from .matrices import AncestryMatrix, build_ancestry_matrix
 from .tree import TagTree
 
 __all__ = [
-    "ActivationProfile",
     "AnchoredPool",
     "AnchoredRecord",
     "AnchorReport",
-    "anchor_instance",
     "anchor_pool",
     "write_anchored",
     "load_anchored",
@@ -47,29 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_MIN_SIMILARITY = 0.3
-
-
-@dataclass
-class ActivationProfile:
-    """Where one instance lands on the tree.
-
-    ``leaf_ids`` is the sorted tuple of activated leaf node ids (binary
-    activation: duplicates collapse). ``node_ids``/``node_counts`` are the
-    support and integer values of the lifted path-count vector.
-    ``matched`` maps each kept tag to its (leaf id, similarity); dropped
-    tags fell below the threshold.
-    """
-
-    instance_id: str
-    leaf_ids: tuple[int, ...]
-    node_ids: np.ndarray
-    node_counts: np.ndarray
-    matched: dict[str, tuple[int, float]]
-    dropped: tuple[str, ...]
-
-    @property
-    def unanchorable(self) -> bool:
-        return not self.leaf_ids
 
 
 @dataclass(frozen=True)
@@ -196,34 +168,6 @@ def _tag_vector(tag: str, embeddings: EmbeddingTable | None, dim: int) -> np.nda
     return np.asarray(vec, dtype=np.float64) / float(np.linalg.norm(vec))
 
 
-def _profile_from_leaves(
-    instance_id: str,
-    kept: dict[str, tuple[int, float]],
-    dropped: list[str],
-    ancestry: AncestryMatrix,
-    leaf_pos: dict[int, int],
-) -> ActivationProfile:
-    leaf_ids = tuple(sorted({leaf for leaf, _ in kept.values()}))
-    if leaf_ids:
-        h_leaf = np.zeros(ancestry.shape[1], dtype=np.int64)
-        for leaf in leaf_ids:
-            h_leaf[leaf_pos[leaf]] = 1
-        counts = ancestry.tree_counts(h_leaf)
-        support = np.nonzero(counts)[0].astype(np.int64)
-        values = counts[support]
-    else:
-        support = np.zeros(0, dtype=np.int64)
-        values = np.zeros(0, dtype=np.int64)
-    return ActivationProfile(
-        instance_id=instance_id,
-        leaf_ids=leaf_ids,
-        node_ids=support,
-        node_counts=values,
-        matched=kept,
-        dropped=tuple(dropped),
-    )
-
-
 def _resolve_tags(
     pool: list[Instance],
     tree: TagTree,
@@ -286,25 +230,6 @@ def _resolve_tags(
             else:
                 kept[tag] = hit
         yield kept, dropped, exact
-
-
-def anchor_instance(
-    instance: Instance,
-    tree: TagTree,
-    embeddings: EmbeddingTable | None,
-    min_similarity: float = DEFAULT_MIN_SIMILARITY,
-    *,
-    ancestry: AncestryMatrix | None = None,
-) -> ActivationProfile:
-    """Anchor a single instance and lift its leaves to path counts.
-
-    Tags resolve exactly as in :func:`anchor_pool`. ``ancestry`` can be
-    passed to reuse the matrix across calls.
-    """
-    if ancestry is None:
-        ancestry = build_ancestry_matrix(tree)
-    [(kept, dropped, _)] = _resolve_tags([instance], tree, embeddings, min_similarity)
-    return _profile_from_leaves(instance.id, kept, dropped, ancestry, tree.leaf_pos)
 
 
 def anchor_pool(
@@ -375,6 +300,18 @@ def _row_problem(row, required: tuple[str, ...]) -> str | None:
     return None
 
 
+def _parse_row(text: str, lineno: int, required: tuple[str, ...]) -> dict:
+    """The row of one stripped, non-blank line; raises ``ValueError`` naming the line."""
+    try:
+        row = loads_line(text)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    problem = _row_problem(row, required)
+    if problem is not None:
+        raise ValueError(f"line {lineno}: {problem}")
+    return row
+
+
 def read_rows(path, required: tuple[str, ...]):
     """Yield (line number, row) for each non-blank line of a JSONL file.
 
@@ -387,16 +324,8 @@ def read_rows(path, required: tuple[str, ...]):
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             text = line.strip()
-            if not text:
-                continue
-            try:
-                row = loads_line(text)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            problem = _row_problem(row, required)
-            if problem is not None:
-                raise ValueError(f"line {lineno}: {problem}")
-            yield lineno, row
+            if text:
+                yield lineno, _parse_row(text, lineno, required)
 
 
 _UNIT_INTERVAL = (0.0, 1.0)
@@ -420,31 +349,23 @@ def read_score(row: dict, key: str, lineno: int, unit_interval: bool = False) ->
     return float(value)
 
 
-def _load_records(path) -> list[AnchoredRecord]:
-    """Read anchored rows one line at a time with :func:`read_rows`.
+ANCHORED_KEYS = ("id", "leaves", "dropped", "quality", "complexity")
 
-    :func:`load_anchored` runs this only when its own pass refuses a line;
-    it raises the located error of the first bad line.
+
+def _checked_fields(text: str, lineno: int, seen: set[str]):
+    """(id, leaves, dropped, quality, complexity) of a line under the full rules.
+
+    The rules run in order: :func:`_parse_row`, :func:`read_score` with
+    ``unit_interval`` for ``quality`` and then ``complexity``, then the
+    unique-id rule against ``seen``. The first broken rule raises its
+    located ``ValueError``.
     """
-    records: list[AnchoredRecord] = []
-    seen: set[str] = set()
-    keys = ("id", "leaves", "dropped", "quality", "complexity")
-    for lineno, obj in read_rows(path, keys):
-        quality = read_score(obj, "quality", lineno, unit_interval=True)
-        complexity = read_score(obj, "complexity", lineno, unit_interval=True)
-        if obj["id"] in seen:
-            raise ValueError(f"line {lineno}: duplicate id '{obj['id']}'")
-        seen.add(obj["id"])
-        records.append(
-            AnchoredRecord(
-                id=obj["id"],
-                leaves=tuple(obj["leaves"]),
-                dropped=tuple(obj["dropped"]),
-                quality=quality,
-                complexity=complexity,
-            )
-        )
-    return records
+    row = _parse_row(text, lineno, ANCHORED_KEYS)
+    quality = read_score(row, "quality", lineno, unit_interval=True)
+    complexity = read_score(row, "complexity", lineno, unit_interval=True)
+    if row["id"] in seen:
+        raise ValueError(f"line {lineno}: duplicate id '{row['id']}'")
+    return row["id"], row["leaves"], row["dropped"], quality, complexity
 
 
 # The decoder json.loads uses. On a stripped line, a value that ends at the
@@ -455,13 +376,16 @@ _scan_once = json.JSONDecoder().scan_once
 _INT, _STR, _NUMBER = {int}, {str}, (int, float)
 
 
-def _read_columns(path) -> AnchoredPool | None:
-    """One pass straight into columns; None when a line breaks any rule.
+def load_anchored(path) -> AnchoredPool:
+    """Read anchored rows into a pool; raises with the line number on malformed input.
 
-    The rules are those of :func:`read_rows`, :func:`read_score` with
-    ``unit_interval`` and the unique-id rule, applied to the parsed row
-    without building a record. A row that keeps every rule but holds a
-    leaf id outside the int64 range raises a located ``ValueError``.
+    Rows follow :func:`read_rows` and carry all five keys. Scores must be
+    finite and in [0, 1], as ``anchor`` writes them, ids must be unique
+    and leaf ids must fit in 64 bits. The file is read in one pass
+    straight into columns, with the rules checked inline on the parsed
+    row and no record built. A line those checks refuse goes through
+    :func:`_checked_fields`, which raises the located error of the first
+    rule it breaks.
     """
     ids: list[str] = []
     dropped: list[tuple[str, ...]] = []
@@ -480,7 +404,7 @@ def _read_columns(path) -> AnchoredPool | None:
                 rid, leaves, tags = row["id"], row["leaves"], row["dropped"]
                 q, c = row["quality"], row["complexity"]
             except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
-                return None  # TypeError: the value is not an object
+                end = -1  # TypeError: the value is not an object; -1 refuses the line
             if not (
                 end == len(text)
                 and type(rid) is str
@@ -495,7 +419,7 @@ def _read_columns(path) -> AnchoredPool | None:
                 and type(c) in _NUMBER
                 and 0.0 <= c <= 1.0
             ):
-                return None
+                rid, leaves, tags, q, c = _checked_fields(text, lineno, seen)
             try:
                 leaf_ids.extend(leaves)
             except OverflowError:
@@ -517,19 +441,3 @@ def _read_columns(path) -> AnchoredPool | None:
         quality=np.frombuffer(quality, dtype=np.float64),
         complexity=np.frombuffer(complexity, dtype=np.float64),
     )
-
-
-def load_anchored(path) -> AnchoredPool:
-    """Read anchored rows into a pool; raises with the line number on malformed input.
-
-    Rows follow :func:`read_rows` and carry all five keys. Scores must be
-    finite and in [0, 1], as ``anchor`` writes them, ids must be unique
-    and leaf ids must fit in 64 bits. The file is read in one pass
-    straight into columns; when a line breaks a rule, it is read again
-    line by line with :func:`read_rows` and :func:`read_score`, which
-    raise the located error.
-    """
-    pool = _read_columns(path)
-    if pool is None:
-        pool = AnchoredPool.from_records(_load_records(path))
-    return pool

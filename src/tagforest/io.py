@@ -67,17 +67,17 @@ def loads_line(text: str):
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
-def _load_json_file(path):
+def _load_json_file(path, object_pairs_hook=None):
     """The JSON value of a whole file; any failure raises ``ValueError("invalid JSON: ...")``.
 
     As in :func:`loads_line`, deep nesting raises ``RecursionError`` and an
     over-long integer a plain ``ValueError``; a decode error keeps its
-    position in the file.
+    position in the file. ``object_pairs_hook`` is passed to ``json.loads``.
     """
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
 
@@ -472,10 +472,11 @@ def load_target(path, tree: TagTree) -> TargetDistribution:
 
     Weights must be non-negative, keys must name leaves unambiguously, and
     the sum must land in [0.999, 1.001]; the distribution is renormalized
-    to sum exactly 1.
+    to sum exactly 1. A leaf name may appear only once.
     """
-    payload = _load_json_file(path)
-    if not isinstance(payload, dict):
+    # objects load as tuples of (key, value) pairs, so no repeated key is lost
+    payload = _load_json_file(path, object_pairs_hook=tuple)
+    if not isinstance(payload, tuple):
         raise ValueError("target file must be a JSON object of leaf name -> weight")
     name_to_leaf: dict[str, int] = {}
     ambiguous: set[str] = set()
@@ -486,7 +487,11 @@ def load_target(path, tree: TagTree) -> TargetDistribution:
         else:
             name_to_leaf[name] = int(nid)
     weights: dict[int, float] = {}
-    for name, value in payload.items():
+    named: set[str] = set()
+    for name, value in payload:
+        if name in named:
+            raise ValueError(f"duplicate leaf name '{name}'")
+        named.add(name)
         if name in ambiguous:
             raise ValueError(f"leaf name '{name}' is ambiguous in this tree")
         if name not in name_to_leaf:

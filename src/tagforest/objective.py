@@ -31,11 +31,8 @@ __all__ = [
     "ObjectiveConfig",
     "InfoState",
     "composite_score",
-    "raw_info_vector",
-    "subset_information",
     "state_information",
     "gradient_vector",
-    "marginal_gain_approx",
     "kl_penalty",
 ]
 
@@ -88,13 +85,6 @@ def composite_score(quality, complexity, alpha: float = ObjectiveConfig.alpha):
         raise ValueError("complexity outside [0, 1]; normalize scores first")
     out = alpha * q + (1.0 - alpha) * c
     return float(out) if out.ndim == 0 else out
-
-
-def raw_info_vector(score: float, node_counts: np.ndarray) -> np.ndarray:
-    """Per-node information contribution e = score * path counts."""
-    if score < 0.0:
-        raise ValueError(f"composite score must be >= 0, got {score}")
-    return score * np.asarray(node_counts, dtype=np.float64)
 
 
 @dataclass
@@ -153,21 +143,6 @@ class InfoState:
         return state
 
 
-def subset_information(profiles, scores, prop: PropagationMatrix, gamma: float) -> float:
-    """I(D) for an explicit subset of activation profiles and scores.
-
-    ``profiles`` supply node_ids/node_counts; phi(0) = 0 exactly, so only
-    touched coordinates contribute and the empty subset scores 0.
-    """
-    if len(profiles) != len(scores):
-        raise ValueError("profiles and scores must align")
-    total_e = np.zeros(prop.shape[0], dtype=np.float64)
-    for profile, score in zip(profiles, scores):
-        np.add.at(total_e, profile.node_ids, score * profile.node_counts.astype(np.float64))
-    v = np.asarray(prop.matrix @ total_e)
-    return float(np.sum(np.power(v, gamma)))
-
-
 def state_information(state: InfoState, gamma: float) -> float:
     """I of the current state: sum of phi over the accumulated vector."""
     return float(np.sum(np.power(state.accumulated, gamma)))
@@ -191,11 +166,6 @@ def gradient_vector(state: InfoState, prop: PropagationMatrix, gamma: float) -> 
     phi_prime[nonzero] = gamma * np.power(v[nonzero], gamma - 1.0)
     phi_prime[zero] = gamma * GRADIENT_FLOOR ** (gamma - 1.0)
     return prop.transpose @ phi_prime
-
-
-def marginal_gain_approx(gradient: np.ndarray, info_vec: np.ndarray) -> float:
-    """First-order gain of a candidate: G . e_d (G already includes A)."""
-    return float(np.dot(gradient, info_vec))
 
 
 def kl_penalty(

@@ -8,6 +8,7 @@ indices for the structural matrices built in :mod:`tagforest.matrices`.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -168,7 +169,7 @@ def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationRe
 
     ids = [n.id for n in nodes]
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
         report.error("tree", f"duplicate node ids: {dupes}")
         return report
     if sorted(ids) != list(range(len(nodes))):
@@ -179,6 +180,7 @@ def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationRe
         return report
 
     by_id = {n.id: n for n in nodes}
+    child_sets = {n.id: set(n.children) for n in nodes}
     roots = [n for n in nodes if n.parent is None]
     if len(roots) == 0:
         report.error("tree", "no root (every node has a parent)")
@@ -189,11 +191,11 @@ def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationRe
         if n.parent is not None:
             if n.parent not in by_id:
                 report.error(f"node {n.id}", f"parent {n.parent} does not exist")
-            elif n.id not in by_id[n.parent].children:
+            elif n.id not in child_sets[n.parent]:
                 report.error(
                     f"node {n.id}", f"not listed in children of parent {n.parent}"
                 )
-        if len(set(n.children)) != len(n.children):
+        if len(child_sets[n.id]) != len(n.children):
             report.error(f"node {n.id}", "duplicate entries in children")
         for c in n.children:
             if c not in by_id:
@@ -211,8 +213,7 @@ def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationRe
     root = roots[0]
     seen = {root.id}
     queue = [root.id]
-    while queue:
-        cur = queue.pop(0)
+    for cur in queue:  # appending while iterating walks the queue by index
         for c in by_id[cur].children:
             if c not in seen:
                 seen.add(c)

@@ -23,7 +23,6 @@ from tagforest import (
     TargetDistribution,
     TreeBuildConfig,
     TreeNode,
-    anchor_instance,
     build_ancestry_matrix,
     build_propagation_matrix,
     build_tree,
@@ -31,10 +30,7 @@ from tagforest import (
     derive_target,
     export_subset,
     gradient_vector,
-    marginal_gain_approx,
-    raw_info_vector,
     sample,
-    subset_information,
 )
 from tagforest.oracle import (
     exact_information,
@@ -44,6 +40,7 @@ from tagforest.oracle import (
 )
 
 from conftest import random_pool, random_tree, star_tree
+from path_lifting import anchor_instance, marginal_gain_approx, raw_info_vector, subset_information
 
 GAMMA = 0.85
 

@@ -14,7 +14,6 @@ from tagforest import (
     AnchoredPool,
     EmbeddingTable,
     Instance,
-    anchor_instance,
     anchor_pool,
     build_ancestry_matrix,
     load_anchored,
@@ -22,6 +21,7 @@ from tagforest import (
 )
 
 from conftest import make_tree, random_tree
+from path_lifting import anchor_instance
 from record_setup import load_anchored as load_records
 
 
@@ -280,6 +280,33 @@ class TestAnchoredFile:
         assert records[0].id == "a" and records[0].leaves == (1,)
         assert records[0].quality == 0.25 and records[0].complexity == 0.75
         assert records[1].leaves == () and records[1].dropped == ("zzz_none",)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "not json",
+            '["a"]',
+            '{"id":"a","leaves":[2],"dropped":[],"quality":0,"complexity":0}',
+            '{"id":"c","leaves":[true],"dropped":[],"quality":0,"complexity":0}',
+            '{"id":"c","leaves":[2],"dropped":[],"quality":2,"complexity":-1}',
+            '{"id":"c","leaves":[2],"dropped":[],"complexity":0}',
+        ],
+    )
+    def test_refused_line_opens_the_file_once(self, tmp_path, monkeypatch, bad):
+        good = '{"id":"%s","leaves":[1],"dropped":[],"quality":1,"complexity":0}'
+        p = tmp_path / "a.jsonl"
+        p.write_text(good % "a" + "\n" + good % "b" + "\n" + bad + "\n" + good % "d" + "\n")
+        want = _load_or_error(load_records, p)
+        assert want.startswith("line 3: ")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr("tagforest.anchoring.open", counting_open, raising=False)
+        assert _load_or_error(load_anchored, p) == want
+        assert opened == [p]
 
     def test_load_errors_carry_line_number(self, tmp_path):
         p = tmp_path / "a.jsonl"

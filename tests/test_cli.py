@@ -748,3 +748,33 @@ class TestBadTreeFile:
         assert "error: invalid JSON: maximum recursion depth exceeded" in err
         assert "Traceback" not in err
         assert not (tmp_path / "s.jsonl").exists()
+
+
+class TestBadTargetFile:
+    @pytest.mark.parametrize("command", ["stats", "sample"])
+    def test_duplicate_leaf_name(self, ws, tmp_path, capsys, command):
+        # json.loads keeps the last value, which would hide the extra weight
+        with open(ws["target"], encoding="utf-8") as f:
+            weights = json.load(f)
+        first = next(iter(weights))
+        dup = tmp_path / "target.json"
+        dup.write_text(
+            "{" + f"{json.dumps(first)}: {weights[first]!r}, " + json.dumps(weights)[1:],
+            encoding="utf-8",
+        )
+        if command == "stats":
+            rc = main([
+                "stats", "--input", ws["anchored"], "--tree", ws["tree"],
+                "--target", str(dup),
+            ])
+        else:
+            rc = main([
+                "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],
+                "--budget", "2", "--lambda", "1", "--target", str(dup),
+                "-o", str(tmp_path / "s.jsonl"), "--trace", str(tmp_path / "t.json"),
+            ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"duplicate leaf name '{first}'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.jsonl").exists()

@@ -16,16 +16,13 @@ from tagforest import (
     composite_score,
     gradient_vector,
     kl_penalty,
-    marginal_gain_approx,
-    raw_info_vector,
     state_information,
-    subset_information,
 )
-from tagforest.anchoring import anchor_instance
 from tagforest.io import Instance
 from tagforest.oracle import exact_information
 
 from conftest import random_pool, random_tree
+from path_lifting import anchor_instance, marginal_gain_approx, raw_info_vector, subset_information
 
 
 def _info_vec_and_positions(tree, anc, prop, leaves, score):

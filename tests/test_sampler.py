@@ -23,8 +23,6 @@ from tagforest import (
     gradient_vector,
     kl_penalty,
     load_instances,
-    marginal_gain_approx,
-    raw_info_vector,
     sample,
     write_trace,
 )
@@ -35,6 +33,7 @@ from tagforest.sampler import _candidate_setup
 
 from conftest import make_tree, random_pool, random_tree, star_tree
 from full_rescoring import sample_full_rescoring
+from path_lifting import marginal_gain_approx, raw_info_vector
 from record_setup import _leaf_matrix, _rank_candidates
 
 

@@ -1,12 +1,17 @@
 """Tree structure and validation tests."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagforest import InvalidTreeError, TagTree, TreeNode, validate_tree
 
 from conftest import chain_tree, make_tree, random_tree, star_tree
+from list_scan_validation import validate_tree as validate_by_list_scan
 
 
 class TestTagTree:
@@ -124,3 +129,96 @@ class TestValidateTree:
         tree.nodes[2].embedding = np.array([np.inf])
         report = validate_tree(tree)
         assert len(report.errors) == 2
+
+
+_BREAKS = (
+    "duplicate id",
+    "sparse id",
+    "swap order",
+    "parent",
+    "no root",
+    "drop child",
+    "add child",
+    "duplicate child",
+    "depth",
+    "cycle",
+    "embedding",
+)
+
+
+def _broken_tree(data) -> tuple[TagTree, int | None]:
+    """A random tree with up to three breaks of the checked kinds, plus a depth limit."""
+    n = data.draw(st.integers(1, 12))
+    parents = [None] + [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
+    tree = make_tree(parents)
+    nodes = tree.nodes
+
+    def node() -> TreeNode:
+        return nodes[data.draw(st.integers(0, n - 1))]
+
+    def some_id() -> int:
+        return data.draw(st.integers(-1, n + 1))
+
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(_BREAKS))
+        if kind == "duplicate id":
+            for _ in range(data.draw(st.integers(1, 4))):
+                node().id = data.draw(st.integers(0, n - 1))
+        elif kind == "sparse id":
+            node().id = n + data.draw(st.integers(0, 3))
+        elif kind == "swap order":
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            nodes[i], nodes[j] = nodes[j], nodes[i]
+        elif kind == "parent":
+            node().parent = data.draw(st.none() | st.integers(-1, n + 1))
+        elif kind == "no root":
+            nodes[0].parent = some_id()
+        elif kind == "drop child":
+            victim = node()
+            if victim.children:
+                victim.children.pop(data.draw(st.integers(0, len(victim.children) - 1)))
+        elif kind == "add child":
+            node().children.append(some_id())
+        elif kind == "duplicate child":
+            victim = node()
+            if victim.children:
+                victim.children.append(data.draw(st.sampled_from(victim.children)))
+        elif kind == "depth":
+            node().depth += data.draw(st.sampled_from([-2, -1, 1, 3]))
+        elif kind == "cycle" and n > 2:
+            # hang a non-root node a under one of its own descendants (or itself):
+            # both links stay consistent, and a's subtree is cut off from the root
+            a = data.draw(st.integers(1, n - 1))
+            below = [a]
+            for i in range(a + 1, n):  # parents[i] < i: one pass finds a's subtree
+                if parents[i] in below:
+                    below.append(i)
+            b = data.draw(st.sampled_from(below))
+            if a in nodes[parents[a]].children:
+                nodes[parents[a]].children.remove(a)
+            nodes[a].parent = b
+            nodes[b].children.append(a)
+        elif kind == "embedding":
+            value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.5]))
+            node().embedding = np.array([1.0, value])
+    depth_limit = data.draw(st.none() | st.integers(0, 4))
+    return TagTree(nodes=nodes), depth_limit
+
+
+class TestLinearValidation:
+    @given(st.data())
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    def test_matches_list_scan(self, data):
+        tree, depth_limit = _broken_tree(data)
+        expected = validate_by_list_scan(tree, depth_limit).entries
+        assert validate_tree(tree, depth_limit).entries == expected
+
+    def test_wide_trees_are_fast(self):
+        # the list-scanning validator took about 70 s on the 100,000-leaf star
+        tree = star_tree(100_000)
+        started = time.monotonic()
+        assert validate_tree(tree).ok
+        tree.nodes[-1].id = 7
+        assert validate_tree(tree).entries == [("error", "tree", "duplicate node ids: [7]")]
+        elapsed = time.monotonic() - started
+        assert elapsed < 10.0, f"validating a 100,000-leaf star took {elapsed:.1f}s"
