@@ -251,7 +251,11 @@ def cmd_sample(args) -> int:
         "output": args.output,
         "trace": args.trace,
     }
-    counters = {"full_rescores": trace.full_rescores, "rescored": trace.rescored}
+    counters = {
+        "full_rescores": trace.full_rescores,
+        "rescored": trace.rescored,
+        "blocks_visited": trace.blocks_visited,
+    }
     for path in (args.output, args.trace):
         _write_manifest(path, "sample", params, inputs, started, counters=counters)
     kl_text = "n/a" if trace.final_kl is None else format(trace.final_kl, ".6g")

@@ -9,7 +9,10 @@ Two sparse operators drive everything downstream:
   row-normalized with an implicit self-loop so every row sums to 1 and
   the diagonal entry is 1/(1+degree).
 
-Both are deterministic functions of the tree and reject invalid input.
+Both are deterministic functions of the tree, and the public builders
+reject invalid input. The private ``_ancestry_matrix`` and
+``_propagation_matrix`` skip that check, for a caller that has already
+validated the tree once.
 """
 from __future__ import annotations
 
@@ -79,6 +82,16 @@ def _require_valid(tree: TagTree) -> None:
 def build_ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     """Build the ancestor-or-self indicator matrix for a valid tree."""
     _require_valid(tree)
+    return _ancestry_matrix(tree)
+
+
+def build_propagation_matrix(tree: TagTree) -> PropagationMatrix:
+    """Build the neighbor-averaging operator for a valid tree."""
+    _require_valid(tree)
+    return _propagation_matrix(tree)
+
+
+def _ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     leaf_ids = tree.leaf_ids
     rows: list[int] = []
     cols: list[int] = []
@@ -94,9 +107,7 @@ def build_ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     return AncestryMatrix(matrix=matrix, leaf_ids=leaf_ids)
 
 
-def build_propagation_matrix(tree: TagTree) -> PropagationMatrix:
-    """Build the neighbor-averaging operator for a valid tree."""
-    _require_valid(tree)
+def _propagation_matrix(tree: TagTree) -> PropagationMatrix:
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []

@@ -20,19 +20,20 @@ same for every candidate and t_d is the candidate's leaf count, so among
 candidates with one t_d the argmax is that of the key
 gain_d + lambda * (H w)_d. The key never rises: phi is concave and the
 accumulated mass only grows, so the gain can only fall, and w_j, the KL
-drop of one more count on leaf j, falls as that count grows. Heaps hold
-(last key, candidate position): one per distinct t_d in aligned mode, and
-one in general mode, which is the lambda = 0 case. The tops whose bound
-could still reach the best exact joint of the iteration are re-scored;
-the best wins and the others go back with fresh keys. An iteration where
-some node's mass lies strictly between 0 and GRADIENT_FLOOR, where phi'
-is not monotone, scores every candidate instead. Everything runs on one
-thread.
+drop of one more count on leaf j, falls as that count grows. General mode
+is the lambda = 0 case. Each candidate's last key is kept in one array,
+grouped by leaf count and cut into blocks of _BLOCK candidates, next to
+the maximum of each block. An iteration visits the blocks whose bound
+could still reach the best exact joint found, highest bound first, and
+re-scores with numpy those of a block's candidates whose own bound
+reaches it. An iteration where some node's mass lies strictly between 0
+and GRADIENT_FLOOR, where phi' is not monotone, scores every candidate
+instead. Everything runs on one thread.
 """
 from __future__ import annotations
 
-import heapq
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -41,7 +42,7 @@ import scipy.sparse as sp
 
 from .anchoring import AnchoredPool, AnchoredRecord
 from .io import Instance, TargetDistribution, dumps_canonical
-from .matrices import build_ancestry_matrix, build_propagation_matrix
+from .matrices import _ancestry_matrix, _propagation_matrix, _require_valid
 from .objective import (
     GRADIENT_FLOOR,
     InfoState,
@@ -101,10 +102,11 @@ class Pick:
 class SelectionTrace:
     """Pick-by-pick record of a run plus final objective values.
 
-    ``full_rescores`` counts iterations that scored every candidate and
-    ``rescored`` the single-candidate re-scores of lazy iterations, in
-    either mode. They describe the work done, not the result, so the
-    trace file omits them.
+    ``full_rescores`` counts iterations that scored every candidate,
+    ``rescored`` the candidates re-scored in lazy iterations and
+    ``blocks_visited`` the blocks those re-scores came from, in either
+    mode. They describe the work done, not the result, so the trace file
+    omits them.
     """
 
     picks: list[Pick]
@@ -116,6 +118,7 @@ class SelectionTrace:
     mode: str
     full_rescores: int = 0
     rescored: int = 0
+    blocks_visited: int = 0
 
 
 def _distinct_leaves(record: AnchoredRecord, leaf_pos: dict[int, int]) -> set[int]:
@@ -134,8 +137,8 @@ def _candidate_setup(
 
     Usable rows hold at least one leaf. The order is composite score
     descending, then id ascending, so a first-occurrence argmax (or the
-    smallest position on a heap) picks the documented winner on exact
-    joint ties: a stable sort by score after a sort by id gives it, as
+    smallest position among lazy re-scores) picks the documented winner on
+    exact joint ties: a stable sort by score after a sort by id gives it, as
     -0.0 == 0.0 in both. The candidate x leaf indicator matrix holds each
     row's distinct leaf positions, ascending.
     """
@@ -182,68 +185,125 @@ def _candidate_setup(
 # above that, and a larger slack only costs re-scores of near-ties.
 _LAZY_SLACK = 1e-9
 
+# Candidates per block of the lazy argmax. A visit re-scores a block with a
+# fixed number of numpy calls, so larger blocks pay less per visit but
+# re-score more candidates that could not have won.
+_BLOCK = 512
 
-def _lazy_argmax(heaps, g, w, c, log_t, lam, row_start, row_leaves, s_of):
-    """Exact argmax of the joint over the candidates held in ``heaps``.
+# The lowest finite float: every unpicked candidate's bound reaches it, and
+# a picked candidate's key, -inf, does not.
+_LOWEST = -sys.float_info.max
 
-    ``heaps[t]`` holds (-key, position) for the candidates whose leaf
-    count has index t. A key from an earlier iteration bounds the joint
-    now, since joint = key - lam * (c + log_t[t]) up to rounding. Tops are
-    popped in order of that bound plus the slack and re-scored with the
-    full-scoring arithmetic (row sums in csr_matvec order from 0.0, then
-    kl = (c - H w) + log_t and joint = gain - lam * kl) while a bound
-    reaches the best joint found; exact ties go to the smallest position,
-    as np.argmax does. General mode passes ``w`` None, lam 0 and one heap.
-    Re-scored candidates other than the winner go back with fresh keys: at
-    once when their bound falls short of the best joint, at the end if not.
-    Returns (position, gain, kl, joint, number re-scored).
+
+class _BlockMaxima:
+    """Last keys of the unpicked candidates, in blocks that share a leaf count.
+
+    Candidate positions are grouped by leaf count t (ascending, as
+    np.unique orders them), ascending within a group, and each group is
+    cut into blocks of up to _BLOCK positions. A block keeps views of its
+    candidates' positions, scores, keys and leaf positions; the leaves
+    form a dense (rows x t) matrix, each row in CSR order. ``bmax`` holds
+    each block's largest key; a picked candidate's key is -inf.
     """
-    up = 1.0 + _LAZY_SLACK
-    lift = [
-        _LAZY_SLACK * lam * (abs(c) + abs(lt) + 1.0) - lam * (c + lt) for lt in log_t
-    ]
-    best_joint = -math.inf
-    idx = -1
-    best_gain = best_kl = None
-    held = []
-    rescored = 0
-    while True:
-        top, reach = -1, -math.inf
-        for group, heap in enumerate(heaps):
-            if heap:
-                bound = -heap[0][0] * up + lift[group]
-                if bound > reach:
-                    top, reach = group, bound
-        if top < 0 or reach < best_joint:
-            break
-        p = heapq.heappop(heaps[top])[1]
-        total = 0.0
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, s: np.ndarray):
+        counts = np.diff(indptr)
+        perm = np.argsort(counts, kind="stable")
+        t_sorted = counts[perm]
+        s_sorted = s[perm]
+        self.perm = perm
+        self.keys = np.empty(len(perm), dtype=np.float64)
+        self.blocks = []
+        starts, groups = [], []
+        edges = np.flatnonzero(np.diff(t_sorted, prepend=-1)).tolist() + [len(perm)]
+        for group, (g0, g1) in enumerate(zip(edges, edges[1:])):
+            t = int(t_sorted[g0])
+            leaves = indices[indptr[perm[g0:g1]][:, None] + np.arange(t)]
+            for lo in range(g0, g1, _BLOCK):
+                hi = min(lo + _BLOCK, g1)
+                starts.append(lo)
+                groups.append(group)
+                self.blocks.append((
+                    perm[lo:hi], s_sorted[lo:hi], self.keys[lo:hi],
+                    leaves[lo - g0 : hi - g0], group, t,
+                ))
+        self.starts = np.array(starts, dtype=np.int64)
+        self.group = np.array(groups, dtype=np.int64)
+        self.bmax = np.empty(len(starts), dtype=np.float64)
+        self.no_lift = np.zeros(len(edges) - 1, dtype=np.float64)
+
+    def reset(self, keys: np.ndarray, selected: np.ndarray) -> None:
+        """Take every candidate's key from a full scoring."""
+        np.take(keys, self.perm, out=self.keys)
+        self.keys[selected[self.perm]] = -np.inf
+        self.bmax[:] = np.maximum.reduceat(self.keys, self.starts)
+
+    def argmax(self, g, w=None, c=0.0, log_t=None, lam=0.0):
+        """Exact argmax of the joint over the unpicked candidates.
+
+        A key from an earlier iteration bounds the joint now, since
+        joint = key - lam * (c + log_t[t]) up to rounding. Blocks are
+        visited in order of their bound (largest key plus the slack) while
+        it reaches the best joint found. A visit re-scores the block's
+        candidates whose own bound reaches it, with the full-scoring
+        arithmetic: leaf columns summed onto 0.0 in CSR order, as
+        csr_matvec adds them, then kl = (c - H w) + log_t and
+        joint = gain - lam * kl. Exact ties go to the smallest position, as
+        np.argmax does. General mode passes ``w`` None and lam 0. The
+        winner's key becomes -inf, and the visited blocks' maxima are
+        recomputed. Returns (position, gain, kl, joint, number re-scored,
+        blocks visited).
+        """
+        up = 1.0 + _LAZY_SLACK
         if w is None:
-            for j in row_leaves[row_start[p] : row_start[p + 1]]:
-                total += g[j]
-            gain = joint = key = s_of[p] * total
-            kl = None
+            lift = self.no_lift
         else:
-            total_w = 0.0
-            for j in row_leaves[row_start[p] : row_start[p + 1]]:
-                total += g[j]
-                total_w += w[j]
-            gain = s_of[p] * total
-            kl = (c - total_w) + log_t[top]
-            joint = gain - lam * kl
-            key = gain + lam * total_w
-        rescored += 1
-        if joint > best_joint or (joint == best_joint and p < idx):
-            best_joint, idx, best_gain, best_kl = joint, p, gain, kl
-        if p != idx and key * up + lift[top] < best_joint:
-            # it cannot reach the best again, and neither can what lies below it
-            heapq.heappush(heaps[top], (-key, p))
-        else:
-            held.append((top, key, p))
-    for group, key, p in held:
-        if p != idx:
-            heapq.heappush(heaps[group], (-key, p))
-    return idx, best_gain, best_kl, best_joint, rescored
+            lift = _LAZY_SLACK * lam * (abs(c) + np.abs(log_t) + 1.0) - lam * (c + log_t)
+        bounds = self.bmax * up + lift[self.group]
+        lift = lift.tolist()
+        best_joint = -math.inf
+        best_pos = -1
+        visited = []
+        rescored = 0
+        while True:
+            b = int(bounds.argmax())
+            reach = max(best_joint, _LOWEST)
+            if bounds.item(b) < reach:
+                break
+            bounds[b] = -math.inf
+            visited.append(b)
+            perm, s, keys, leaves, group, t = self.blocks[b]
+            live = (keys * up + lift[group] >= reach).nonzero()[0]
+            cols = leaves[live]
+            vals = g[cols]
+            total = 0.0 + vals[:, 0]
+            for k in range(1, t):
+                total += vals[:, k]
+            gain = s[live] * total
+            if w is None:
+                kl = None
+                joint = key = gain
+            else:
+                vals = w[cols]
+                total_w = 0.0 + vals[:, 0]
+                for k in range(1, t):
+                    total_w += vals[:, k]
+                kl = (c - total_w) + log_t[group]
+                joint = gain - lam * kl
+                key = gain + lam * total_w
+            keys[live] = key
+            rescored += len(live)
+            j = int(joint.argmax())  # ties: the smallest position in the block
+            p, top = perm.item(live.item(j)), joint.item(j)
+            if top > best_joint or (top == best_joint and p < best_pos):
+                best_joint, best_pos = top, p
+                best_gain = gain.item(j)
+                best_kl = None if kl is None else kl.item(j)
+                winner = (keys, live.item(j))
+        winner[0][winner[1]] = -math.inf
+        for b in visited:
+            self.bmax[b] = self.blocks[b][2].max()
+        return best_pos, best_gain, best_kl, best_joint, rescored, len(visited)
 
 
 def sample(
@@ -265,14 +325,14 @@ def sample(
     converted to one first. The set-up works on the pool's columns, and
     records are rebuilt only for the picks.
 
+    The tree is validated once, and both operators are built from it.
     Iterations 1 and 2, and any iteration where some node's accumulated
     mass lies strictly between 0 and GRADIENT_FLOOR, score every
-    candidate. The others are lazy: heaps (one per distinct leaf count in
-    aligned mode, one in general mode) hold each unselected candidate's
-    last key gain + kl_weight * (H w), which never rises, and tops are
-    popped and re-scored while their bound could still reach the best
-    exact joint of the iteration. Both paths give the same picks, gains,
-    KL values and joints bit for bit.
+    candidate. The others are lazy: each unselected candidate's last key
+    gain + kl_weight * (H w), which never rises, is kept in blocks of one
+    leaf count with their maxima, and the blocks whose bound could still
+    reach the best exact joint of the iteration are re-scored. Both paths
+    give the same picks, gains, KL values and joints bit for bit.
     """
     obj = config.objective
     lam = obj.kl_weight
@@ -284,8 +344,9 @@ def sample(
     if not isinstance(pool, AnchoredPool):
         pool = AnchoredPool.from_records(records)
 
-    ancestry = build_ancestry_matrix(tree)
-    prop = build_propagation_matrix(tree)
+    _require_valid(tree)  # once for both operators
+    ancestry = _ancestry_matrix(tree)
+    prop = _propagation_matrix(tree)
     n_nodes, n_leaves = ancestry.shape
     to_leaves = ancestry.matrix.T
 
@@ -300,26 +361,21 @@ def sample(
         q_vals = q_dense[q_support]
         q_entropy_term = float(np.sum(q_vals * np.log(q_vals)))
         eps_total = obj.epsilon * n_leaves
-        # candidates sharing a leaf count t share log(L + eps*L + t): one
-        # lazy heap per distinct t, and log evaluated once per t
+        # candidates sharing a leaf count t share log(L + eps*L + t): it is
+        # evaluated once per distinct t, and the lazy blocks each hold one t
         t_values, t_group = np.unique(
             np.diff(indptr).astype(np.float64), return_inverse=True
         )
-    else:
-        c = 0.0
-        t_group = np.zeros(n, dtype=np.int64)
-        log_t = np.zeros(1, dtype=np.float64)
 
     state = InfoState.empty(n_nodes, n_leaves)
     selected = np.zeros(n, dtype=bool)
     picks: list[Pick] = []
     chosen: list[AnchoredRecord] = []
-    # Lazy iterations: heaps[t] holds (-key, position) entries, built from
-    # the keys of the last full scoring when first needed. The memoryviews
-    # index to Python numbers, far cheaper than numpy scalars per row.
-    heaps: list[list[tuple[float, int]]] | None = None
-    row_start, row_leaves, s_of = memoryview(indptr), memoryview(indices), memoryview(s)
-    full_rescores = rescored = 0
+    # Lazy iterations read their keys from ``blocks``, built when first
+    # needed and loaded from ``keys`` after every full scoring.
+    blocks: _BlockMaxima | None = None
+    keys = None
+    full_rescores = rescored = blocks_visited = 0
 
     for iteration in range(1, budget + 1):
         gradient = gradient_vector(state, prop, obj.gamma)
@@ -341,7 +397,6 @@ def sample(
         # except where a node leaves 0 for a value under the floor.
         if iteration <= 2 or np.any((acc > 0.0) & (acc < GRADIENT_FLOOR)):
             full_rescores += 1
-            heaps = None
             gains = s * (h_matrix @ g_leaf)
             if aligned:
                 hw = h_matrix @ w_vec
@@ -358,28 +413,18 @@ def sample(
             pick_joint = float(joint[idx])
             del gains, hw, kl, joint  # only keys outlives a full scoring
         else:
-            if heaps is None:  # keys still holds the last full scoring's
-                free = np.flatnonzero(~selected)
-                heaps = [[] for _ in range(len(log_t))]
-                for group, neg_key, p in zip(
-                    t_group[free].tolist(), (-keys[free]).tolist(), free.tolist()
-                ):
-                    heaps[group].append((neg_key, p))
-                for heap in heaps:
-                    heapq.heapify(heap)
-                del keys, free
-            idx, gain, pick_kl, pick_joint, n_rescored = _lazy_argmax(
-                heaps,
-                memoryview(g_leaf),
-                memoryview(w_vec) if aligned else None,
-                c,
-                log_t.tolist(),
-                lam,
-                row_start,
-                row_leaves,
-                s_of,
-            )
+            if keys is not None:  # the last full scoring's keys
+                if blocks is None:
+                    blocks = _BlockMaxima(indptr, indices, s)
+                blocks.reset(keys, selected)
+                keys = None
+            if aligned:
+                result = blocks.argmax(g_leaf, w_vec, c, log_t, lam)
+            else:
+                result = blocks.argmax(g_leaf)
+            idx, gain, pick_kl, pick_joint, n_rescored, n_visited = result
             rescored += n_rescored
+            blocks_visited += n_visited
         if not math.isfinite(pick_joint):
             break
 
@@ -418,6 +463,7 @@ def sample(
         mode="aligned" if aligned else "general",
         full_rescores=full_rescores,
         rescored=rescored,
+        blocks_visited=blocks_visited,
     )
     return chosen, trace
 

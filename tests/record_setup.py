@@ -51,8 +51,8 @@ def _rank_candidates(
     """Candidates in tie-break order plus their composite scores.
 
     The order is composite score descending, then id ascending, so a
-    first-occurrence argmax (or the smallest position on a heap) picks
-    the documented winner on exact joint ties.
+    first-occurrence argmax (or the smallest position among lazy
+    re-scores) picks the documented winner on exact joint ties.
     """
     scores = composite_score(
         np.array([r.quality for r in usable], dtype=np.float64),

@@ -389,6 +389,8 @@ class TestSample:
         assert rc == 0
         trace = json.loads(trace_path.read_text())
         assert "counters" not in trace and "full_rescores" not in trace
+        assert "blocks_visited" not in trace
+        assert all("blocks_visited" not in json.loads(row) for row in out.read_text().splitlines())
         picks = trace["selected"]
         candidates = trace["pool_size"] - trace["unanchorable"]
         for path in (out, trace_path):
@@ -400,6 +402,7 @@ class TestSample:
             else:
                 assert counters["full_rescores"] == 2
             assert 0 < counters["rescored"] < (picks - 2) * candidates
+            assert 0 < counters["blocks_visited"] <= counters["rescored"]
 
     def test_lambda_without_target(self, ws, tmp_path, capsys):
         rc = main([

@@ -3,18 +3,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tagforest import (
     AnchoredPool,
     AnchoredRecord,
     InfoState,
     Instance,
+    InvalidTreeError,
     ObjectiveConfig,
     SamplerConfig,
+    TagTree,
     TargetDistribution,
+    TreeNode,
     build_ancestry_matrix,
     build_propagation_matrix,
     composite_score,
@@ -24,12 +29,14 @@ from tagforest import (
     kl_penalty,
     load_instances,
     sample,
+    validate_tree,
     write_trace,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tagforest.oracle import _leaf_distribution_kl, exact_information, greedy_exact
-from tagforest.sampler import _candidate_setup
+from tagforest import matrices, sampler, tree as tree_module
+from tagforest.sampler import _BlockMaxima, _candidate_setup
 
 from conftest import make_tree, random_pool, random_tree, star_tree
 from full_rescoring import sample_full_rescoring
@@ -112,6 +119,41 @@ class TestSampleBasics:
             assert aligned.mode == "aligned" and aligned.final_kl is not None
             assert len(aligned.picks) == 3
             assert all(isinstance(p.kl, float) for p in aligned.picks)
+
+    def test_validates_the_tree_once(self, tiny_tree, worked_pool, monkeypatch):
+        calls = []
+
+        def counting(tree, *args, **kwargs):
+            calls.append(tree)
+            return validate_tree(tree, *args, **kwargs)
+
+        for module in (tree_module, matrices):
+            monkeypatch.setattr(module, "validate_tree", counting)
+        aligned = SamplerConfig(budget=4, objective=ObjectiveConfig(kl_weight=5.0))
+        target = TargetDistribution(weights={1: 0.5, 2: 0.5})
+        for config, tgt in ((SamplerConfig(budget=4), None), (aligned, target)):
+            calls.clear()
+            sample(worked_pool, tiny_tree, config, tgt)
+            assert calls == [tiny_tree]
+        # the public builders still check on their own
+        calls.clear()
+        build_ancestry_matrix(tiny_tree)
+        build_propagation_matrix(tiny_tree)
+        assert calls == [tiny_tree, tiny_tree]
+
+    def test_invalid_tree_rejected_with_its_report(self):
+        bad = TagTree(nodes=[
+            TreeNode(id=0, name="r", parent=None, children=[], depth=0),
+            TreeNode(id=1, name="x", parent=0, children=[], depth=1),
+        ])
+        pool = [AnchoredRecord(id="a", leaves=(1,), dropped=(), quality=0.5, complexity=0.5)]
+        with pytest.raises(InvalidTreeError) as raised:
+            sample(pool, bad, SamplerConfig(budget=1))
+        assert str(raised.value) == str(validate_tree(bad))
+        for build in (build_ancestry_matrix, build_propagation_matrix):
+            with pytest.raises(InvalidTreeError) as public:
+                build(bad)
+            assert str(public.value) == str(raised.value)
 
 
 class TestInvariances:
@@ -365,11 +407,12 @@ class TestLazyGreedy:
         )
         _, lazy = sample(pool, tree, config, target)
         _, full = sample_full_rescoring(pool, tree, config, target)
-        assert [(p.instance_id, p.gain, p.kl, p.joint) for p in lazy.picks] == [
-            (p.instance_id, p.gain, p.kl, p.joint) for p in full.picks
+        # repr tells -0.0 from 0.0
+        assert [repr((p.instance_id, p.gain, p.kl, p.joint)) for p in lazy.picks] == [
+            repr((p.instance_id, p.gain, p.kl, p.joint)) for p in full.picks
         ]
-        assert lazy.final_information == full.final_information
-        assert lazy.final_kl == full.final_kl
+        assert repr(lazy.final_information) == repr(full.final_information)
+        assert repr(lazy.final_kl) == repr(full.final_kl)
         assert lazy.mode == full.mode
         return lazy
 
@@ -500,6 +543,137 @@ class TestLazyGreedy:
         empty = InfoState.empty(3, 2)
         expected = kl_penalty(q, empty, np.array([0, 1], dtype=np.int64))
         np.testing.assert_allclose(first.kl, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_many_small_blocks(self, block, monkeypatch):
+        # several blocks per leaf count, and blocks holding only picked
+        # candidates, whose -inf keys must never be re-scored or re-picked
+        monkeypatch.setattr(sampler, "_BLOCK", block)
+        rng = np.random.default_rng(95 + block)
+        target_rng = np.random.default_rng(195 + block)
+        for trial in range(12):
+            tree = star_tree(int(rng.integers(4, 9)))
+            pool = random_pool(rng, tree, size=int(rng.integers(5, 40)), max_leaves_per_record=4)
+            if trial % 3 == 0:
+                pool = _quantised_scores(rng, pool)
+            # every third budget reaches past the usable pool
+            low = len(pool) if trial % 3 == 1 else 3
+            budget = int(rng.integers(low, len(pool) + 3))
+            for lazy in self._run_modes(target_rng, tree, pool, budget):
+                assert lazy.full_rescores == 2
+                assert 0 < lazy.blocks_visited <= lazy.rescored
+                if budget >= len(pool):
+                    assert len({p.instance_id for p in lazy.picks}) == len(pool)
+
+    def test_large_pool_default_blocks(self):
+        rng, target_rng = np.random.default_rng(96), np.random.default_rng(196)
+        tree = random_tree(rng, max_nodes=400)
+        pool = random_pool(rng, tree, size=3000, max_leaves_per_record=4)
+        for kl_weight, aligned in ((0.0, False), (5.0, True)):
+            target = _random_target(target_rng, tree) if aligned else None
+            lazy = self._assert_matches_full_rescoring(pool, tree, 40, kl_weight, target)
+            assert 0 < lazy.blocks_visited <= lazy.rescored
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_signed_zero_scores_and_mixed_leaf_counts(self, data):
+        n_leaves = data.draw(st.integers(4, 7), label="leaves")
+        parents = [None] + [0] * n_leaves
+        if data.draw(st.booleans(), label="deeper"):
+            parents += [1, 1]  # node 1 becomes an inner node with two leaves
+        tree = make_tree(parents)
+        leaf_ids = [int(x) for x in tree.leaf_ids]
+        level = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+        pool = [
+            AnchoredRecord(
+                id=f"r{i:02d}",
+                leaves=tuple(
+                    data.draw(
+                        st.lists(st.sampled_from(leaf_ids), min_size=1, max_size=4, unique=True),
+                        label=f"leaves {i}",
+                    )
+                ),
+                dropped=(),
+                quality=data.draw(level),
+                complexity=data.draw(level),
+            )
+            for i in range(data.draw(st.integers(1, 30), label="pool size"))
+        ]
+        kl_weight, aligned = data.draw(st.sampled_from(MODES), label="mode")
+        target = None
+        if aligned:
+            support = data.draw(
+                st.lists(st.sampled_from(leaf_ids), min_size=1, unique=True), label="support"
+            )
+            target = TargetDistribution(weights={leaf: 1 / len(support) for leaf in support})
+        budget = data.draw(st.integers(0, len(pool) + 2), label="budget")
+        block = data.draw(st.sampled_from([1, 2, 3, 512]), label="block")
+        with mock.patch.object(sampler, "_BLOCK", block):
+            self._assert_matches_full_rescoring(pool, tree, budget, kl_weight, target)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_block_argmax_with_signed_zero_gradients(self, data):
+        # real gradients are positive; here leaf gradients and scores may be
+        # +0.0 or -0.0, where summing from 0.0 in CSR order decides the sign
+        n_leaves = data.draw(st.integers(4, 6), label="leaves")
+        rows = data.draw(
+            st.lists(
+                st.lists(st.integers(0, n_leaves - 1), min_size=1, max_size=4, unique=True),
+                min_size=1, max_size=25,
+            ),
+            label="rows",
+        )
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        indices = np.array([j for r in rows for j in sorted(r)], dtype=np.int64)
+        n = len(rows)
+        h = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n_leaves))
+        s = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 1.0]),
+                                        min_size=n, max_size=n), label="scores"))
+        aligned = data.draw(st.booleans(), label="aligned")
+        lam = data.draw(st.sampled_from([0.0, 5.0, 1e3]), label="lambda") if aligned else 0.0
+        c = data.draw(st.sampled_from([0.0, -1.5, 2.0]), label="c")
+        t_values, t_group = np.unique(np.diff(indptr).astype(np.float64), return_inverse=True)
+        log_t = np.log(data.draw(st.sampled_from([0.5, 3.0, 40.0]), label="mass") + t_values)
+
+        def vector(values, upper, label):
+            drawn = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n_leaves,
+                                                max_size=n_leaves), label=label))
+            return drawn if upper is None else np.minimum(upper, drawn)
+
+        def full(g, w, selected):
+            gains = s * (h @ g)
+            if w is None:
+                kl, joint, keys = None, gains, gains
+            else:
+                hw = h @ w
+                kl = (c - hw) + log_t[t_group]
+                joint, keys = gains - lam * kl, gains + lam * hw
+            idx = int(np.argmax(np.where(selected, -np.inf, joint)))
+            pick_kl = None if kl is None else float(kl[idx])
+            return keys, (idx, float(gains[idx]), pick_kl, float(joint[idx]))
+
+        gradient_values, w_values = [-0.0, 0.0, 0.5, 2.0], [0.0, 0.25, 1.0]
+        g = vector(gradient_values, None, "g")
+        w = vector(w_values, None, "w") if aligned else None
+        selected = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                                      label="selected"))
+        selected[data.draw(st.integers(0, n - 1), label="free")] = False
+        block = data.draw(st.sampled_from([1, 2, 3, 512]), label="block")
+        with mock.patch.object(sampler, "_BLOCK", block):
+            blocks = _BlockMaxima(indptr, indices, s)
+        keys, _ = full(g, w, selected)
+        blocks.reset(keys, selected)
+        # keys never rise: later gradients and KL drops are no larger
+        for step in range(min(3, int(np.sum(~selected)))):
+            g = vector(gradient_values, g, f"g {step}")
+            args = (g,) if w is None else (g, vector(w_values, w, f"w {step}"), c, log_t, lam)
+            w = None if w is None else args[1]
+            _, expected = full(g, w, selected)
+            got = blocks.argmax(*args)
+            assert repr(got[:4]) == repr(expected)
+            assert 0 < got[5] <= got[4]
+            selected[got[0]] = True
 
 
 # ids that differ only in a non-ASCII character or a NUL
