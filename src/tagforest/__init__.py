@@ -20,6 +20,7 @@ from .io import (
     DuplicateIdError,
     EmbeddingTable,
     Instance,
+    InstancePool,
     TargetDistribution,
     dumps_canonical,
     fallback_embedding,
@@ -71,6 +72,7 @@ __all__ = [
     "GRADIENT_FLOOR",
     "InfoState",
     "Instance",
+    "InstancePool",
     "InvalidTreeError",
     "ObjectiveConfig",
     "Pick",

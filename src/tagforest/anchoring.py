@@ -5,27 +5,35 @@ similarity (an exact string match to a leaf name short-circuits with
 similarity 1.0). Matches below the similarity threshold are dropped and
 recorded. The surviving leaves are the record the sampler consumes.
 
-An anchored file is read back by :func:`load_anchored` into an
-:class:`AnchoredPool`, which holds the rows as columns (ids, a CSR-style
-leaf list, dropped tags, scores) and rebuilds an :class:`AnchoredRecord`
-only when a row is indexed or iterated.
+An anchored pool is held as an :class:`AnchoredPool`, which keeps the
+rows as columns (ids, a CSR-style leaf list, dropped tags, scores) and
+rebuilds an :class:`AnchoredRecord` only when a row is indexed or
+iterated. :func:`anchor_pool` builds one from an instance pool's columns:
+each distinct tag is resolved once, and each row's leaves, dropped tags
+and the counters come from array sorts and counts. :func:`write_anchored`
+formats each row from the columns, and :func:`load_anchored` reads the
+file back into columns.
 """
 from __future__ import annotations
 
-import json
+import math
 from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from .io import (
     FINITE_RANGE,
+    _NUMBER,
+    _STR,
     EmbeddingTable,
     Instance,
+    InstancePool,
+    _scan_once,
     _unit_rows,
-    dumps_canonical,
     fallback_embedding,
     loads_line,
 )
@@ -76,7 +84,9 @@ class AnchoredPool(Sequence):
 
     @classmethod
     def from_records(cls, records) -> AnchoredPool:
-        """The pool of a sequence of records, in their order."""
+        """The pool of a sequence of records, in their order; a pool is returned as is."""
+        if isinstance(records, AnchoredPool):
+            return records
         leaf_ptr = array("q", [0])
         leaf_ids = array("q")
         for record in records:
@@ -168,19 +178,26 @@ def _tag_vector(tag: str, embeddings: EmbeddingTable | None, dim: int) -> np.nda
     return np.asarray(vec, dtype=np.float64) / float(np.linalg.norm(vec))
 
 
+# Distinct tags per similarity block: 512 tags against 5,000 leaves is a
+# 20 MB block of float64.
+_SIMILARITY_CHUNK = 512
+# How a distinct tag resolved.
+_EXACT, _NEAREST, _DROPPED = 0, 1, 2
+
+
 def _resolve_tags(
-    pool: list[Instance],
+    distinct: list[str],
     tree: TagTree,
     embeddings: EmbeddingTable | None,
     min_similarity: float,
-):
-    """Yield (kept, dropped, exact) for each instance, in pool order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf id and kind (``_EXACT``, ``_NEAREST``, ``_DROPPED``) of each distinct tag.
 
-    ``kept`` maps each kept tag to its (leaf id, similarity); ``dropped``
-    lists tags below ``min_similarity`` in first-seen order; ``exact``
-    counts the kept tags that matched a leaf name. Each distinct
-    tag without an exact leaf-name match is resolved once for the whole
-    pool, in chunks to bound memory.
+    A tag that names a leaf resolves to it (the lowest leaf id on a name
+    collision). Any other tag resolves to its nearest leaf by cosine
+    similarity (ties: the lowest leaf id), or is dropped, with leaf id -1,
+    when that similarity is below ``min_similarity``. Similarities are
+    computed ``_SIMILARITY_CHUNK`` tags at a time to bound memory.
     """
     leaf_ids = tree.leaf_ids
     leaf_matrix = _leaf_vectors(tree, embeddings)
@@ -193,93 +210,143 @@ def _resolve_tags(
     for nid in leaf_ids:  # ascending ids: first writer wins on name collision
         name_to_leaf.setdefault(tree.node(int(nid)).name, int(nid))
 
-    unique_tags: list[str] = []
-    seen: set[str] = set()
-    for inst in pool:
-        for tag in inst.tags:
-            if tag not in seen and tag not in name_to_leaf:
-                seen.add(tag)
-                unique_tags.append(tag)
-    resolution: dict[str, tuple[int, float] | None] = {}
+    leaf = np.full(len(distinct), -1, dtype=np.int64)
+    kind = np.full(len(distinct), _EXACT, dtype=np.int64)
+    unnamed: list[int] = []
+    for k, tag in enumerate(distinct):
+        hit = name_to_leaf.get(tag)
+        if hit is None:
+            unnamed.append(k)
+        else:
+            leaf[k] = hit
     dim = leaf_matrix.shape[1]
-    chunk = 4096
-    for start in range(0, len(unique_tags), chunk):
-        batch = unique_tags[start : start + chunk]
-        mat = np.vstack([_tag_vector(t, embeddings, dim) for t in batch])
+    for start in range(0, len(unnamed), _SIMILARITY_CHUNK):
+        batch = unnamed[start : start + _SIMILARITY_CHUNK]
+        mat = np.vstack([_tag_vector(distinct[k], embeddings, dim) for k in batch])
         sims = mat @ leaf_matrix.T
         best = np.argmax(sims, axis=1)  # ties: first occurrence = lowest leaf id
-        for row, tag in enumerate(batch):
-            sim = float(sims[row, best[row]])
-            if sim < min_similarity:
-                resolution[tag] = None
-            else:
-                resolution[tag] = (int(leaf_ids[best[row]]), sim)
+        drop = sims[np.arange(len(batch)), best] < min_similarity
+        leaf[batch] = np.where(drop, -1, leaf_ids[best])
+        kind[batch] = np.where(drop, _DROPPED, _NEAREST)
+    return leaf, kind
 
-    for inst in pool:
-        kept: dict[str, tuple[int, float]] = {}
-        dropped: list[str] = []
-        exact = 0
-        for tag in dict.fromkeys(inst.tags):  # de-dup, keep order
-            if tag in name_to_leaf:
-                kept[tag] = (name_to_leaf[tag], 1.0)
-                exact += 1
-                continue
-            hit = resolution[tag]
-            if hit is None:
-                dropped.append(tag)
-            else:
-                kept[tag] = hit
-        yield kept, dropped, exact
+
+def _first_in_runs(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``keys`` that differ from the entry before."""
+    first = np.ones(len(keys[0]), dtype=bool)
+    first[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    return first
 
 
 def anchor_pool(
-    pool: list[Instance],
+    pool: Sequence[Instance],
     tree: TagTree,
     embeddings: EmbeddingTable | None,
     min_similarity: float = DEFAULT_MIN_SIMILARITY,
-) -> tuple[list[AnchoredRecord], AnchorReport]:
-    """Anchor every instance, batching tag lookups across the pool.
+) -> tuple[AnchoredPool, AnchorReport]:
+    """Anchor every instance, resolving each distinct tag once for the pool.
 
-    Output order follows the input pool. Instances whose tags all drop get
-    an empty leaf tuple and are listed in the report as unanchorable.
+    A row's leaves are the distinct leaves of its tags, ascending; its
+    dropped tags are listed once each, in first-seen order. Output order
+    follows the input pool, which may be any sequence of instances.
+    Instances whose tags all drop get no leaves and are listed in the
+    report as unanchorable. ``min_similarity`` must be finite.
     """
+    if not math.isfinite(min_similarity):
+        raise ValueError(f"min_similarity must be finite, got {min_similarity}")
+    pool = InstancePool.from_records(pool)
+    n = len(pool)
     report = AnchorReport()
-    records: list[AnchoredRecord] = []
-    resolved = _resolve_tags(pool, tree, embeddings, min_similarity)
-    for inst, (kept, dropped, exact) in zip(pool, resolved):
-        leaves = tuple(sorted({leaf for leaf, _ in kept.values()}))
-        report.exact_tags += exact
-        report.nearest_tags += len(kept) - exact
-        report.dropped_tags.update(dropped)
-        if leaves:
-            report.anchored += 1
-        else:
-            report.unanchorable_ids.append(inst.id)
-        records.append(
-            AnchoredRecord(
-                id=inst.id,
-                leaves=leaves,
-                dropped=tuple(dropped),
-                quality=inst.quality,
-                complexity=inst.complexity,
-            )
-        )
-    return records, report
+    if not n:
+        return AnchoredPool.from_records([]), report
+
+    index: dict[str, int] = {}  # tag -> code, in first-seen order
+    codes = np.fromiter(
+        (index.setdefault(tag, len(index)) for tag in pool.tags),
+        dtype=np.int64,
+        count=len(pool.tags),
+    )
+    distinct = list(index)
+    leaf, kind = _resolve_tags(distinct, tree, embeddings, min_similarity)
+
+    # each row's distinct tags, at their first position in the row
+    rows = np.repeat(np.arange(n), np.diff(pool.tag_ptr))
+    order = np.lexsort((np.arange(len(codes)), codes, rows))
+    order = order[_first_in_runs(rows[order], codes[order])]
+    pair_row, pair_code = rows[order], codes[order]
+    pair_kind = kind[pair_code]
+    counts = np.bincount(pair_kind, minlength=3)
+    report.exact_tags = int(counts[_EXACT])
+    report.nearest_tags = int(counts[_NEAREST])
+
+    # each row's distinct leaves, ascending
+    kept = pair_kind != _DROPPED
+    kept_row, kept_leaf = pair_row[kept], leaf[pair_code[kept]]
+    by_leaf = np.lexsort((kept_leaf, kept_row))
+    kept_row, kept_leaf = kept_row[by_leaf], kept_leaf[by_leaf]
+    distinct_leaf = _first_in_runs(kept_row, kept_leaf)
+    leaf_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kept_row[distinct_leaf], minlength=n), out=leaf_ptr[1:])
+
+    # dropped tags in pool order; a tag's first drop is its first occurrence,
+    # so code order is the order in which each tag was first dropped
+    drop_pos = np.sort(order[pair_kind == _DROPPED])
+    dropped: list[tuple[str, ...]] = [()] * n
+    for pos, row in zip(drop_pos.tolist(), rows[drop_pos].tolist()):
+        dropped[row] += (pool.tags[pos],)
+    drops = np.bincount(codes[drop_pos], minlength=len(distinct))
+    report.dropped_tags = Counter(
+        {distinct[k]: drops[k].item() for k in np.flatnonzero(drops)}
+    )
+
+    unanchorable = np.flatnonzero(leaf_ptr[1:] == leaf_ptr[:-1])
+    report.unanchorable_ids = [pool.ids[i] for i in unanchorable.tolist()]
+    report.anchored = n - len(unanchorable)
+    anchored = AnchoredPool(
+        ids=pool.ids,
+        leaf_ptr=leaf_ptr,
+        leaf_ids=kept_leaf[distinct_leaf],
+        dropped=dropped,
+        quality=pool.quality,
+        complexity=pool.complexity,
+    )
+    return anchored, report
 
 
-def write_anchored(records: list[AnchoredRecord], path) -> None:
-    """Write anchored rows (id, leaves, dropped, quality, complexity)."""
+# One anchored row; "%.17g" formats a float as format(x, ".17g") does.
+_ANCHORED_ROW = (
+    '{"id":%s,"leaves":[%s],"dropped":[%s],"quality":%.17g,"complexity":%.17g}\n'
+)
+
+
+def write_anchored(records: Sequence[AnchoredRecord], path) -> None:
+    """Write anchored rows (id, leaves, dropped, quality, complexity).
+
+    ``records`` is an :class:`AnchoredPool` or any sequence of records,
+    converted once. Each row is formatted from the columns directly, in
+    the bytes :func:`io.dumps_canonical` would write for it. A non-finite
+    score raises before the file is opened.
+    """
+    pool = AnchoredPool.from_records(records)
+    scores = np.column_stack((pool.quality, pool.complexity)).ravel()
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise ValueError(f"cannot serialize non-finite number: {scores[bad[0]].item()!r}")
+    ptr = pool.leaf_ptr.tolist()
+    leaves = list(map(str, pool.leaf_ids.tolist()))
+    rows = zip(pool.ids, pool.dropped, pool.quality.tolist(), pool.complexity.tolist())
     with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            row = {
-                "id": record.id,
-                "leaves": list(record.leaves),
-                "dropped": list(record.dropped),
-                "quality": record.quality,
-                "complexity": record.complexity,
-            }
-            f.write(dumps_canonical(row))
-            f.write("\n")
+        f.writelines(
+            _ANCHORED_ROW
+            % (
+                encode_basestring(rid),
+                ",".join(leaves[ptr[i] : ptr[i + 1]]),
+                ",".join(map(encode_basestring, tags)),
+                quality,
+                complexity,
+            )
+            for i, (rid, tags, quality, complexity) in enumerate(rows)
+        )
 
 
 def _row_problem(row, required: tuple[str, ...]) -> str | None:
@@ -368,12 +435,7 @@ def _checked_fields(text: str, lineno: int, seen: set[str]):
     return row["id"], row["leaves"], row["dropped"], quality, complexity
 
 
-# The decoder json.loads uses. On a stripped line, a value that ends at the
-# end of the text is exactly what json.loads would return; anything else
-# (no value, trailing data, a leading BOM, an over-long integer, deep
-# nesting) raises or stops short, and the line is refused.
-_scan_once = json.JSONDecoder().scan_once
-_INT, _STR, _NUMBER = {int}, {str}, (int, float)
+_INT = {int}
 
 
 def load_anchored(path) -> AnchoredPool:

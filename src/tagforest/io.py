@@ -1,9 +1,17 @@
 """File formats and parsing: instance pools, embeddings, trees, targets.
 
-All JSON emitted by this package goes through :func:`dumps_canonical`,
-which formats floats with 17 significant digits so that every value
-round-trips exactly and re-serialization of a loaded artifact is
-byte-identical.
+A pool file is read by :func:`load_instances` in one pass into an
+:class:`InstancePool`, which holds the rows as columns (ids, texts, a
+CSR-style tag list, score arrays) and rebuilds an :class:`Instance` only
+when a row is indexed or iterated. :func:`normalize_scores` rescales the
+score columns with numpy.
+
+All JSON emitted by this package formats floats with 17 significant
+digits, so that every value round-trips exactly and re-serialization of a
+loaded artifact is byte-identical. Manifests, traces and targets go
+through the general :func:`dumps_canonical`; tree files (here) and
+anchored files (:mod:`tagforest.anchoring`) have fixed-shape writers that
+format each row's known keys directly and write the same bytes.
 """
 from __future__ import annotations
 
@@ -11,7 +19,9 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -20,6 +30,7 @@ from .tree import InvalidTreeError, TagTree, TreeNode, ValidationReport, validat
 
 __all__ = [
     "Instance",
+    "InstancePool",
     "EmbeddingTable",
     "TargetDistribution",
     "DuplicateIdError",
@@ -193,71 +204,222 @@ def _parse_instance(obj: dict) -> Instance:
     )
 
 
-def load_instances(path) -> tuple[list[Instance], ValidationReport]:
-    """Parse a JSONL pool file.
+@dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
+class InstancePool(Sequence):
+    """A pool held as columns: a read-only sequence of :class:`Instance`.
 
-    Parsing is total over lines: every line yields either an Instance or a
-    located error entry in the report, so len(instances) + len(errors)
-    equals the line count. A duplicate id is a hard error and raises
-    :class:`DuplicateIdError` immediately.
+    Row ``i`` has id ``ids[i]``, query ``queries[i]``, response
+    ``responses[i]``, the tags ``tags[tag_ptr[i]:tag_ptr[i + 1]]`` as given
+    (duplicates and order kept) and the scores ``quality[i]`` and
+    ``complexity[i]``. ``tag_ptr`` is an int64 array, ``quality`` and
+    ``complexity`` float64 arrays. Indexing and iteration rebuild each
+    row's instance.
     """
-    instances: list[Instance] = []
+
+    ids: list[str]
+    queries: list[str]
+    responses: list[str]
+    tag_ptr: np.ndarray
+    tags: list[str]
+    quality: np.ndarray
+    complexity: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> InstancePool:
+        """The pool of a sequence of instances, in their order; a pool is returned as is."""
+        if isinstance(records, InstancePool):
+            return records
+        tags: list[str] = []
+        tag_ptr = array("q", [0])
+        for inst in records:
+            tags.extend(inst.tags)
+            tag_ptr.append(len(tags))
+        return cls(
+            ids=[r.id for r in records],
+            queries=[r.query for r in records],
+            responses=[r.response for r in records],
+            tag_ptr=np.frombuffer(tag_ptr, dtype=np.int64),
+            tags=tags,
+            quality=np.array([r.quality for r in records], dtype=np.float64),
+            complexity=np.array([r.complexity for r in records], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self.ids))[index]]
+        i = range(len(self.ids))[index]  # negative indices; IndexError past the end
+        return Instance(
+            id=self.ids[i],
+            query=self.queries[i],
+            response=self.responses[i],
+            tags=tuple(self.tags[self.tag_ptr.item(i) : self.tag_ptr.item(i + 1)]),
+            quality=self.quality.item(i),
+            complexity=self.complexity.item(i),
+        )
+
+    def __iter__(self):
+        ptr = self.tag_ptr.tolist()
+        rows = zip(
+            self.ids,
+            self.queries,
+            self.responses,
+            self.quality.tolist(),
+            self.complexity.tolist(),
+        )
+        for i, (rid, query, response, quality, complexity) in enumerate(rows):
+            yield Instance(
+                id=rid,
+                query=query,
+                response=response,
+                tags=tuple(self.tags[ptr[i] : ptr[i + 1]]),
+                quality=quality,
+                complexity=complexity,
+            )
+
+
+def _checked_instance(text: str, location: str, report: ValidationReport):
+    """The instance of one stripped line under the full rules, or None.
+
+    A line that breaks a rule (blank, invalid JSON, not an object, then
+    :func:`_parse_instance`) adds its located entry to ``report``.
+    """
+    if not text:
+        report.error(location, "blank line")
+        return None
+    try:
+        obj = loads_line(text)
+    except ValueError as exc:
+        report.error(location, str(exc))
+        return None
+    if not isinstance(obj, dict):
+        report.error(location, "record is not a JSON object")
+        return None
+    try:
+        return _parse_instance(obj)
+    except ValueError as exc:
+        report.error(location, str(exc))
+        return None
+
+
+# The decoder json.loads uses. On a stripped line, a value that ends at the
+# end of the text is exactly what json.loads would return; anything else
+# (no value, trailing data, a leading BOM, an over-long integer, deep
+# nesting) raises or stops short, and the line is refused.
+_scan_once = json.JSONDecoder().scan_once
+_STR, _NUMBER = {str}, {int, float}  # exact types: a JSON true is a bool, not an int
+
+
+def load_instances(path) -> tuple[InstancePool, ValidationReport]:
+    """Parse a JSONL pool file into an :class:`InstancePool`.
+
+    Parsing is total over lines: every line yields either a row or a
+    located error entry in the report, so len(pool) + len(errors) equals
+    the line count. A duplicate id is a hard error and raises
+    :class:`DuplicateIdError` immediately. The file is read in one pass
+    straight into columns, with the rules of :func:`_parse_instance`
+    checked inline on the parsed object. A line those checks refuse goes
+    through :func:`loads_line` and :func:`_parse_instance`, which report
+    the rule it breaks.
+    """
+    ids: list[str] = []
+    queries: list[str] = []
+    responses: list[str] = []
+    tags: list[str] = []
+    tag_ptr = array("q", [0])
+    quality = array("d")
+    complexity = array("d")
     report = ValidationReport()
     seen: set[str] = set()
+    lo, hi = FINITE_RANGE
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             text = line.strip()
-            location = f"line {lineno}"
-            if not text:
-                report.error(location, "blank line")
-                continue
             try:
-                obj = loads_line(text)
-            except ValueError as exc:
-                report.error(location, str(exc))
-                continue
-            if not isinstance(obj, dict):
-                report.error(location, "record is not a JSON object")
-                continue
-            try:
-                inst = _parse_instance(obj)
-            except ValueError as exc:
-                report.error(location, str(exc))
-                continue
-            if inst.id in seen:
-                raise DuplicateIdError(f"{location}: duplicate instance id '{inst.id}'")
-            seen.add(inst.id)
-            instances.append(inst)
-    return instances, report
+                obj, end = _scan_once(text, 0)
+                rid, query, response = obj["id"], obj["query"], obj["response"]
+                row_tags, q, c = obj["tags"], obj["quality"], obj["complexity"]
+            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+                end = -1  # TypeError: the value is not an object; -1 refuses the line
+            if not (
+                end == len(text)
+                and type(rid) is str
+                and rid
+                and type(query) is str
+                and type(response) is str
+                and type(row_tags) is list
+                and _STR.issuperset(map(type, row_tags))
+                and type(q) in _NUMBER
+                and lo <= q <= hi
+                and type(c) in _NUMBER
+                and lo <= c <= hi
+            ):
+                inst = _checked_instance(text, f"line {lineno}", report)
+                if inst is None:
+                    continue
+                rid, query, response = inst.id, inst.query, inst.response
+                row_tags, q, c = inst.tags, inst.quality, inst.complexity
+            if rid in seen:
+                raise DuplicateIdError(f"line {lineno}: duplicate instance id '{rid}'")
+            seen.add(rid)
+            ids.append(rid)
+            queries.append(query)
+            responses.append(response)
+            tags.extend(row_tags)
+            tag_ptr.append(len(tags))
+            quality.append(q)
+            complexity.append(c)
+    pool = InstancePool(
+        ids=ids,
+        queries=queries,
+        responses=responses,
+        tag_ptr=np.frombuffer(tag_ptr, dtype=np.int64),
+        tags=tags,
+        quality=np.frombuffer(quality, dtype=np.float64),
+        complexity=np.frombuffer(complexity, dtype=np.float64),
+    )
+    return pool, report
 
 
-def normalize_scores(pool: list[Instance]) -> list[Instance]:
+def _unit_column(values: np.ndarray) -> np.ndarray:
+    """Min-max rescale of one finite, non-empty score column."""
+    # argmin and argmax return the first extreme in pool order, as Python's
+    # min and max do: of tied 0.0 and -0.0 the first wins, and that decides
+    # whether a -0.0 score comes out as 0.0 or -0.0
+    lo, hi = values[values.argmin()], values[values.argmax()]
+    if hi == lo:
+        return np.full(len(values), 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
+        return (values - lo) / (hi - lo)
+
+
+def normalize_scores(pool: Sequence[Instance]) -> InstancePool:
     """Rescale quality and complexity independently onto [0, 1].
 
     Min-max per field; a constant field maps to 0.5 everywhere. Non-finite
-    input raises with the offending instance id. Idempotent: applying it
-    to its own output changes nothing (already-spanning fields keep their
-    endpoints, constants stay at 0.5).
+    input raises with the first offending instance id. Idempotent: applying
+    it to its own output changes nothing (already-spanning fields keep
+    their endpoints, constants stay at 0.5). Any sequence of instances is
+    accepted; the result is an :class:`InstancePool` sharing the input's
+    other columns.
     """
-    if not pool:
+    pool = InstancePool.from_records(pool)
+    if not len(pool):
         raise ValueError("cannot normalize an empty pool")
-    for inst in pool:
-        if not math.isfinite(inst.quality) or not math.isfinite(inst.complexity):
-            raise ValueError(f"non-finite score on instance '{inst.id}'")
-
-    def _column(values: list[float]) -> list[float]:
-        lo, hi = min(values), max(values)
-        if hi == lo:
-            return [0.5] * len(values)
-        span = hi - lo
-        return [(v - lo) / span for v in values]
-
-    qualities = _column([i.quality for i in pool])
-    complexities = _column([i.complexity for i in pool])
-    return [
-        replace(inst, quality=q, complexity=c)
-        for inst, q, c in zip(pool, qualities, complexities)
-    ]
+    finite = np.isfinite(pool.quality) & np.isfinite(pool.complexity)
+    if not finite.all():
+        raise ValueError(f"non-finite score on instance '{pool.ids[finite.argmin()]}'")
+    return InstancePool(
+        ids=pool.ids,
+        queries=pool.queries,
+        responses=pool.responses,
+        tag_ptr=pool.tag_ptr,
+        tags=pool.tags,
+        quality=_unit_column(pool.quality),
+        complexity=_unit_column(pool.complexity),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +532,52 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
 # tree serialization
 
 
+# One tree node; "%.17g" formats a float as format(x, ".17g") does.
+_TREE_NODE = '{"id":%d,"name":%s,"parent":%s,"children":[%s],"depth":%d,"embedding":%s}'
+
+
 def save_tree(tree: TagTree, path) -> None:
-    """Write tree JSON; rejects invalid trees rather than persisting them."""
+    """Write tree JSON; rejects invalid trees rather than persisting them.
+
+    Each node is formatted directly, in the bytes :func:`dumps_canonical`
+    would write for it; validation has already refused non-finite
+    embedding components.
+    """
     report = validate_tree(tree)
     if not report.ok:
         raise InvalidTreeError(report)
-    payload = {
-        "nodes": [
-            {
-                "id": n.id,
-                "name": n.name,
-                "parent": n.parent,
-                "children": list(n.children),
-                "depth": n.depth,
-                "embedding": None if n.embedding is None else n.embedding,
-            }
-            for n in tree.nodes
-        ]
-    }
+    nodes = []
+    for n in tree.nodes:
+        if n.embedding is None:
+            embedding = "null"
+        else:
+            values = tuple(np.asarray(n.embedding, dtype=np.float64).tolist())
+            embedding = "[" + ",".join(["%.17g"] * len(values)) % values + "]"
+        nodes.append(
+            _TREE_NODE
+            % (
+                n.id,
+                encode_basestring(n.name),
+                "null" if n.parent is None else str(n.parent),
+                ",".join(map(str, n.children)),
+                n.depth,
+                embedding,
+            )
+        )
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(payload))
-        f.write("\n")
+        f.write('{"nodes":[')
+        f.write(",".join(nodes))
+        f.write("]}\n")
+
+
+def _node_embedding(value, i: int) -> np.ndarray:
+    """Node entry ``i``'s embedding: a flat, non-empty array of JSON numbers."""
+    if type(value) is list and value and _NUMBER.issuperset(map(type, value)):
+        try:
+            return np.array(value, dtype=np.float64)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ValueError(f"node entry {i}: 'embedding' must be an array of numbers")
 
 
 def load_tree(path) -> TagTree:
@@ -424,12 +611,7 @@ def load_tree(path) -> TagTree:
                     )
         emb = obj.get("embedding")
         if emb is not None:
-            try:
-                emb = np.array(emb, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):  # overflow: a huge int
-                raise ValueError(
-                    f"node entry {i}: 'embedding' must be an array of numbers"
-                ) from None
+            emb = _node_embedding(emb, i)
         nodes.append(
             TreeNode(
                 id=obj["id"],

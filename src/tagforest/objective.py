@@ -59,13 +59,14 @@ class ObjectiveConfig:
     epsilon: float = 1e-9
 
     def __post_init__(self):
+        # every rule is written so that NaN fails it
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.kl_weight < 0.0:
+        if not self.kl_weight >= 0.0:
             raise ValueError(f"kl_weight must be >= 0, got {self.kl_weight}")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 

@@ -340,9 +340,7 @@ def sample(
     if lam > 0.0 and not aligned:
         raise ValueError("kl_weight > 0 requires a target distribution")
 
-    pool = records
-    if not isinstance(pool, AnchoredPool):
-        pool = AnchoredPool.from_records(records)
+    pool = AnchoredPool.from_records(records)
 
     _require_valid(tree)  # once for both operators
     ancestry = _ancestry_matrix(tree)
@@ -486,7 +484,7 @@ def derive_target(records: Sequence[AnchoredRecord], tree: TagTree) -> TargetDis
 def export_subset(
     selected: list[AnchoredRecord],
     trace: SelectionTrace,
-    pool: list[Instance] | None,
+    pool: Sequence[Instance] | None,
     path,
 ) -> None:
     """Write selected rows in pick order.

@@ -159,7 +159,8 @@ def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationRe
     Checks: non-empty node list, dense unique 0-based ids, exactly one
     root, parent/children consistency in both directions, reachability
     (which also rules out cycles), correct depth labels, at least one
-    leaf, finite embeddings, and optionally a maximum depth.
+    leaf, flat finite embeddings of one dimension, and optionally a
+    maximum depth.
     """
     report = ValidationReport()
     nodes = tree.nodes
@@ -187,6 +188,7 @@ def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationRe
     elif len(roots) > 1:
         report.error("tree", f"multiple roots: {sorted(r.id for r in roots)}")
 
+    dimension = None  # of the first embedding, in id order
     for n in nodes:
         if n.parent is not None:
             if n.parent not in by_id:
@@ -202,8 +204,20 @@ def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationRe
                 report.error(f"node {n.id}", f"child {c} does not exist")
             elif by_id[c].parent != n.id:
                 report.error(f"node {n.id}", f"child {c} has parent {by_id[c].parent}")
-        if n.embedding is not None and not np.all(np.isfinite(n.embedding)):
+        if n.embedding is None:
+            continue
+        if np.ndim(n.embedding) != 1 or len(n.embedding) == 0:
+            report.error(f"node {n.id}", "embedding must be a flat, non-empty array")
+            continue
+        if not np.all(np.isfinite(n.embedding)):
             report.error(f"node {n.id}", "embedding has non-finite components")
+        if dimension is None:
+            dimension = len(n.embedding)
+        elif len(n.embedding) != dimension:
+            report.error(
+                f"node {n.id}",
+                f"embedding has dimension {len(n.embedding)}, expected {dimension}",
+            )
 
     if not report.ok:
         return report

@@ -57,13 +57,14 @@ class TreeBuildConfig:
     kmeans_restarts: int = 8
 
     def __post_init__(self):
-        if self.depth_limit < 1:
+        # every rule is written so that NaN fails it
+        if not self.depth_limit >= 1:
             raise ValueError(f"depth_limit must be >= 1, got {self.depth_limit}")
-        if self.branching <= 1.0:
+        if not self.branching > 1.0:
             raise ValueError(f"branching must be > 1, got {self.branching}")
-        if self.kmeans_iters < 1:
+        if not self.kmeans_iters >= 1:
             raise ValueError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
-        if self.kmeans_restarts < 1:
+        if not self.kmeans_restarts >= 1:
             raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tagforest.anchoring import DEFAULT_MIN_SIMILARITY, _resolve_tags
+from record_pool import DEFAULT_MIN_SIMILARITY, _resolve_tags
 from tagforest.io import EmbeddingTable, Instance
 from tagforest.matrices import AncestryMatrix, PropagationMatrix, build_ancestry_matrix
 from tagforest.tree import TagTree

@@ -605,6 +605,38 @@ class TestBadAnchoredInput:
         assert "Traceback" not in err
 
 
+class TestNonFiniteOptions:
+    """A NaN option fails its rule before any output is written."""
+
+    @pytest.mark.parametrize(
+        "command, option, value, message",
+        [
+            ("anchor", "--min-sim", "nan", "min_similarity must be finite, got nan"),
+            ("anchor", "--min-sim", "inf", "min_similarity must be finite, got inf"),
+            ("sample", "--lambda", "nan", "kl_weight must be >= 0, got nan"),
+            ("sample", "--epsilon", "nan", "epsilon must be > 0, got nan"),
+            ("build-tree", "--branching", "nan", "branching must be > 1, got nan"),
+        ],
+    )
+    def test_refused_without_output(
+        self, ws, tmp_path, capsys, command, option, value, message
+    ):
+        argv = {
+            "anchor": ["--tree", ws["tree"], "--pool", ws["pool"]],
+            "sample": [
+                "--anchored", ws["anchored"], "--tree", ws["tree"], "--budget", "3",
+                "--trace", str(tmp_path / "t.json"),
+            ],
+            "build-tree": ["--tags", ws["tags"], "--embeddings", ws["emb"]],
+        }[command]
+        rc = main([command, *argv, option, value, "-o", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+
 class TestSeedOnlyWhereUsed:
     def test_manifests(self, ws, tmp_path):
         out = tmp_path / "s.jsonl"
@@ -720,6 +752,11 @@ class TestBadTreeFile:
             ("depth", 1.0),
             ("embedding", {}),
             ("embedding", [10**400]),
+            ("embedding", 7),
+            ("embedding", [[1.0, 0.0, 0.0, 0.0]]),
+            ("embedding", []),
+            ("embedding", [True, 0.0, 0.0, 0.0]),
+            ("embedding", ["1.5", 0.0, 0.0, 0.0]),
         ],
     )
     def test_bad_node_field(self, ws, tmp_path, capsys, key, value):
@@ -733,6 +770,20 @@ class TestBadTreeFile:
         err = capsys.readouterr().err
         assert f"node entry 1: '{key}' must" in err
         assert "Traceback" not in err
+
+    def test_embedding_dimensions_differ(self, ws, tmp_path, capsys):
+        with open(ws["tree"], encoding="utf-8") as f:
+            payload = json.load(f)
+        payload["nodes"][1]["embedding"] = [1.0, 0.0, 0.0]
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "a.jsonl"
+        rc = main(["anchor", "--tree", str(bad), "--pool", ws["pool"], "-o", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: node 1: embedding has dimension 3, expected 4" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["stats", "sample"])
     def test_deep_nesting(self, ws, tmp_path, capsys, command):

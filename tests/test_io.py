@@ -114,7 +114,7 @@ class TestLoadInstances:
             '{"id":"a","query":"q","response":"r","tags":["t"],"quality":1e999,"complexity":0}\n'
         )
         pool, report = load_instances(p)
-        assert pool == [] and len(report.errors) == 1
+        assert len(pool) == 0 and len(report.errors) == 1
 
     def test_int_beyond_float_range_rejected_per_line(self, tmp_path):
         p = tmp_path / "pool.jsonl"
@@ -123,7 +123,7 @@ class TestLoadInstances:
             % ("0" * 400)
         )
         pool, report = load_instances(p)
-        assert pool == [] and report.errors[0][2] == "scores must be finite"
+        assert len(pool) == 0 and report.errors[0][2] == "scores must be finite"
 
     def test_unreadable_lines_located_and_skipped(self, tmp_path):
         # an int past the int-string digit limit and nesting past the

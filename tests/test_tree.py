@@ -117,6 +117,20 @@ class TestValidateTree:
         report = validate_tree(tiny_tree)
         assert any("non-finite" in msg for _, _, msg in report.errors)
 
+    @pytest.mark.parametrize(
+        "embedding, message",
+        [
+            (np.array([[1.0, 0.0]]), "embedding must be a flat, non-empty array"),
+            (np.array(7.0), "embedding must be a flat, non-empty array"),
+            (np.array([]), "embedding must be a flat, non-empty array"),
+            (np.array([1.0, 0.0, 0.0]), "embedding has dimension 3, expected 2"),
+        ],
+    )
+    def test_embedding_shape(self, tiny_tree, embedding, message):
+        tiny_tree.nodes[1].embedding = np.array([1.0, 0.0])
+        tiny_tree.nodes[2].embedding = embedding
+        assert validate_tree(tiny_tree).entries == [("error", "node 2", message)]
+
     def test_depth_limit(self):
         tree = chain_tree(4)
         assert validate_tree(tree, depth_limit=4).ok
