@@ -83,8 +83,9 @@ def _write_manifest(
         "wall_clock_seconds": time.time() - started,
     }
     manifest.update(extra)
+    text = dumps_canonical(manifest)  # before opening: a refused value leaves no file
     with open(f"{output_path}.manifest.json", "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(manifest))
+        f.write(text)
         f.write("\n")
 
 
@@ -206,15 +207,15 @@ def cmd_sample(args) -> int:
     if args.target:
         target = load_target(_require_file(args.target, "target file"), tree)
         inputs["target"] = args.target
-    if args.kl_weight > 0.0 and target is None:
-        raise UserError("--lambda > 0 requires --target")
-
     objective = ObjectiveConfig(
         alpha=args.alpha,
         gamma=args.gamma,
         kl_weight=args.kl_weight,
         epsilon=args.epsilon,
     )
+    if args.kl_weight > 0.0 and target is None:
+        raise UserError("--lambda > 0 requires --target")
+
     config = SamplerConfig(
         budget=args.budget,
         objective=objective,

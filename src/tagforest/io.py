@@ -388,11 +388,14 @@ def _unit_column(values: np.ndarray) -> np.ndarray:
     # argmin and argmax return the first extreme in pool order, as Python's
     # min and max do: of tied 0.0 and -0.0 the first wins, and that decides
     # whether a -0.0 score comes out as 0.0 or -0.0
-    lo, hi = values[values.argmin()], values[values.argmax()]
+    lo, hi = float(values[values.argmin()]), float(values[values.argmax()])
     if hi == lo:
         return np.full(len(values), 0.5)
-    with np.errstate(over="ignore", invalid="ignore"):  # as silent as Python floats
-        return (values - lo) / (hi - lo)
+    span = hi - lo
+    if math.isfinite(span):
+        return (values - lo) / span
+    # the span overflows, as from -1e308 to 1e308: halve every term first
+    return (values * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5)
 
 
 def normalize_scores(pool: Sequence[Instance]) -> InstancePool:

@@ -20,6 +20,7 @@ with the candidate included, epsilon-smoothed so it is always finite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,12 @@ class ObjectiveConfig:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if not self.kl_weight >= 0.0:
             raise ValueError(f"kl_weight must be >= 0, got {self.kl_weight}")
+        if not math.isfinite(self.kl_weight):
+            raise ValueError(f"kl_weight must be finite, got {self.kl_weight}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
 
 
 def composite_score(quality, complexity, alpha: float = ObjectiveConfig.alpha):

@@ -11,20 +11,30 @@ limit stops the recursion.
 
 Everything is deterministic given (tags, embeddings, config): K-Means
 draws from a generator seeded by (seed, level), assignment ties take the
-lowest cluster index, and centroid sums reduce in fixed input order.
+lowest cluster index, and centroid sums reduce in fixed input order (one
+sparse cluster x point product, which adds each cluster's members onto
+0.0 in input order).
 
 K-Means++ seeding and the refinement's reassignment are pruned: a point's
 direct distance to a center is computed only where a dot-product estimate
 with a rounding margin says it could reach the point's best distance so
 far, so every distance, draw and assignment is the one a full pass gives.
-Lloyd's assignment scores all centers in one expanded-form product.
+A level's restarts are seeded in lock-step, a batch at a time: each
+restart draws from its own copy of the generator, replayed to the state
+that restart would start from, and one product scores every restart's
+new center per step. A restart that draws less than the replay assumed
+has its successors in the batch seeded again from its real end state,
+so every restart draws what it would have drawn alone. Lloyd's
+assignment scores all centers in one expanded-form product.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .io import EmbeddingTable, _unit_rows, fallback_embedding
 from .tree import TagTree, TreeNode, ValidationReport
@@ -62,6 +72,8 @@ class TreeBuildConfig:
             raise ValueError(f"depth_limit must be >= 1, got {self.depth_limit}")
         if not self.branching > 1.0:
             raise ValueError(f"branching must be > 1, got {self.branching}")
+        if not math.isfinite(self.branching):
+            raise ValueError(f"branching must be finite, got {self.branching}")
         if not self.kmeans_iters >= 1:
             raise ValueError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
         if not self.kmeans_restarts >= 1:
@@ -79,9 +91,9 @@ class ClusterLevel:
 
 # A pruned pass computes the direct sum((x - c)**2) only for the points
 # that could come out at or below their best squared distance so far, d2.
-# The estimate |x|^2 + |c|^2 - 2 x.c, from one matrix-vector product, is
-# off the real value by at most (2 * dim + 6) * 2**-53 * (|x|^2 + |c|^2),
-# in whatever order BLAS sums, and the direct sum by a relative
+# The estimate |x|^2 + |c|^2 - 2 x.c, from one matrix product, is off the
+# real value by at most (2 * dim + 6) * 2**-53 * (|x|^2 + |c|^2), in
+# whatever order BLAS sums, and the direct sum by a relative
 # dim * 2**-53. So where the estimate exceeds d2 by the margin below, the
 # direct sum comes out strictly above d2 (for dim up to a million) and the
 # unpruned pass's np.minimum or argmin could not have taken c.
@@ -90,19 +102,37 @@ class ClusterLevel:
 _PRUNE_SLACK = 1e-9
 _PRUNE_FLOOR = 1e-300
 
+# K-means++ restarts seeded together. Bounds the (restarts, points) blocks
+# of distances and estimates that one seeding step works on.
+_SEED_BATCH = 8
+
+
+def _within(
+    points: np.ndarray, sq: np.ndarray, c: np.ndarray, c_sq, d2: np.ndarray
+) -> np.ndarray:
+    """Mask of the rows of ``points`` (squared norms ``sq``) whose direct
+    squared distance to ``c`` (squared norm ``c_sq``) can come out at or
+    below ``d2``. ``c`` is one center with ``d2`` of shape (n,), or a block
+    of centers (B, dim) with ``c_sq`` (B, 1) and ``d2`` (B, n)."""
+    est = c @ points.T
+    est *= -2.0
+    est += sq
+    est += c_sq
+    margin = d2 + sq
+    margin += c_sq
+    margin *= _PRUNE_SLACK
+    margin += _PRUNE_FLOOR
+    margin += d2
+    return est <= margin
+
 
 def _rows_within(
     points: np.ndarray, sq: np.ndarray, c: np.ndarray, d2: np.ndarray
 ) -> np.ndarray:
     """Indices of the rows of ``points`` (squared norms ``sq``) whose
-    direct squared distance to ``c`` can come out at or below ``d2``."""
-    c_sq = float(c @ c)
-    est = points @ c
-    est *= -2.0
-    est += sq
-    est += c_sq
-    margin = (d2 + sq + c_sq) * _PRUNE_SLACK + _PRUNE_FLOOR
-    return np.flatnonzero(est <= d2 + margin)
+    direct squared distance to the one center ``c`` can come out at or
+    below ``d2``."""
+    return np.flatnonzero(_within(points, sq, c, float(c @ c), d2))
 
 
 def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
@@ -116,36 +146,59 @@ def _weighted_draw(weights: np.ndarray, total: float, rng: np.random.Generator) 
 
 
 def _plus_plus_init(
-    points: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standard D^2-weighted seeding; falls back to the lowest unused index
-    when every remaining point coincides with a chosen center.
+    points: np.ndarray, k: int, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D^2-weighted seeding of ``len(rngs)`` restarts in lock-step.
 
-    Returns the centers and each point's squared distance to the nearest.
-    A new center's distance is computed only for the rows
-    :func:`_rows_within` keeps; elsewhere ``np.minimum`` would have kept
-    the old distance, so the distances, draws and centers are those of a
-    full pass.
+    Restart b draws from ``rngs[b]``, which it advances as a restart of its
+    own would: one ``integers(n)``, then one ``random()`` per step whose
+    total is positive. Once every point coincides with one of its centers,
+    a step takes the lowest unused index instead. Each step scores the new
+    centers of every restart in one product; a new center's direct
+    distance is computed only for the points :func:`_within` keeps, and
+    elsewhere ``np.minimum`` would have kept the old distance, so the
+    distances, draws and centers are those of a full pass per restart.
+
+    Returns each restart's chosen point indices, shape (B, k), each
+    point's squared distance to its restart's nearest center, (B, n), and
+    the number of ``random()`` calls each restart made, (B,).
     """
     n = len(points)
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    taken = {first}
-    centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    chosen = np.empty((len(rngs), k), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    draws = np.zeros(len(rngs), dtype=np.intp)
+    d2 = np.vstack([np.sum((points - points[first]) ** 2, axis=1) for first in chosen[:, 0]])
+    flat = d2.reshape(-1)
     sq = np.sum(points**2, axis=1)
     for i in range(1, k):
-        total = float(d2.sum())
-        if total > 0.0:
-            idx = _weighted_draw(d2, total, rng)
-        else:
-            idx = next(j for j in range(n) if j not in taken)
-        taken.add(idx)
-        centers[i] = points[idx]
-        rows = _rows_within(points, sq, centers[i], d2)
-        near = np.sum((points[rows] - centers[i]) ** 2, axis=1)
-        d2[rows] = np.minimum(d2[rows], near)
-    return centers, d2
+        for b, rng in enumerate(rngs):
+            total = float(d2[b].sum())
+            if total > 0.0:
+                chosen[b, i] = _weighted_draw(d2[b], total, rng)
+                draws[b] += 1
+            else:  # the lowest index not yet a center
+                chosen[b, i] = np.setdiff1d(np.arange(n), chosen[b, :i])[0]
+        new = chosen[:, i]
+        c = points[new]
+        kept = np.flatnonzero(_within(points, sq, c, sq[new, None], d2))
+        rows, cols = np.divmod(kept, n)
+        near = np.sum((points[cols] - c[rows]) ** 2, axis=1)
+        flat[kept] = np.minimum(flat[kept], near)
+    return chosen, d2, draws
+
+
+def _replay(
+    rng: np.random.Generator, n: int, draws: int, count: int
+) -> list[np.random.Generator]:
+    """Copies of ``rng`` at the start of each of the next ``count``
+    restarts, if each restart makes ``draws`` ``random()`` calls."""
+    rngs = [copy.deepcopy(rng)]
+    for _ in range(count - 1):
+        ahead = copy.deepcopy(rngs[-1])
+        ahead.integers(n)
+        ahead.random(draws)
+        rngs.append(ahead)
+    return rngs
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -159,25 +212,29 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _centroids(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    dim = points.shape[1]
-    sums = np.zeros((k, dim), dtype=np.float64)
-    np.add.at(sums, labels, points)  # fixed input order, worker-independent
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    safe = np.where(counts == 0.0, 1.0, counts)
-    return sums / safe[:, None]
+    # A cluster x point CSR matrix with each row's columns in point order:
+    # the product adds a cluster's members onto 0.0 in input order, the
+    # sums np.add.at gives.
+    counts = np.bincount(labels, minlength=k)
+    indptr = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    members = sparse.csr_array(
+        (np.ones(len(labels)), np.argsort(labels, kind="stable"), indptr),
+        shape=(k, len(labels)),
+    )
+    safe = np.where(counts == 0, 1.0, counts)
+    return (members @ points) / safe[:, None]
 
 
 def _cluster_sse(points: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: int):
     d2 = np.sum((points - centers[labels]) ** 2, axis=1)
-    sse = np.zeros(k, dtype=np.float64)
-    np.add.at(sse, labels, d2)
-    return sse, d2
+    return np.bincount(labels, weights=d2, minlength=k), d2
 
 
 def _lloyd(
-    points: np.ndarray, k: int, rng: np.random.Generator, iters: int
+    points: np.ndarray, centers: np.ndarray, iters: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    centers, _ = _plus_plus_init(points, k, rng)
+    k = len(centers)
     labels = np.full(len(points), -1, dtype=np.int64)
     for _ in range(iters):
         new_labels = _assign(points, centers)
@@ -211,14 +268,26 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Seeded k-means++ plus Lloyd iterations on unit-normalized rows.
 
-    Runs ``restarts`` independent initializations drawn sequentially from
-    one seeded generator and keeps the lowest-SSE run (strictly-better
+    Runs ``restarts`` initializations drawn one after another from one
+    seeded generator and keeps the lowest-SSE run (strictly-better
     comparison: the earliest best run wins ties), so a single unlucky
     D^2 draw cannot strand the result in a poor local optimum. Empty
     clusters are repaired by splitting the cluster with the highest SSE
     at its farthest member; when duplicates make that impossible the
     empty cluster is left for the caller to drop. Returns (labels,
     centroids, total SSE).
+
+    Only seeding draws, so the generator state at the start of each
+    restart is replayed on copies of the generator, and up to
+    ``_SEED_BATCH`` restarts are seeded in lock-step. The replay assumes
+    each restart draws at every seeding step. A restart stops drawing
+    once every point coincides with one of its centers (fewer distinct
+    points than k); it then ends short of the next restart's replayed
+    start, so the restarts after it in its batch are thrown away and
+    seeded again from its real end state, replayed with its number of
+    draws. Lloyd then runs once per restart, in restart order, so the
+    draws, centers and result are those of seeding each restart on its
+    own. Cluster sums are one sparse product, added in input order.
     """
     points = _unit_rows(np.asarray(points, dtype=np.float64))
     n = len(points)
@@ -228,10 +297,20 @@ def kmeans(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for _ in range(restarts):
-        labels, centers, sse = _lloyd(points, k, rng, iters)
-        if best is None or sse < best[2]:
-            best = (labels, centers, sse)
+    draws = k - 1  # a restart's random() calls when it draws at every step
+    pending = range(restarts)
+    while pending:
+        rngs = _replay(rng, n, draws, min(_SEED_BATCH, len(pending)))
+        chosen, _, made = _plus_plus_init(points, k, rngs)
+        # restart b + 1 started where restart b ended only if b drew as replayed
+        seeded = next((b + 1 for b in range(len(rngs) - 1) if made[b] != draws), len(rngs))
+        for b in range(seeded):
+            labels, centers, sse = _lloyd(points, points[chosen[b]], iters)
+            if best is None or sse < best[2]:
+                best = (labels, centers, sse)
+        rng.bit_generator.state = rngs[seeded - 1].bit_generator.state
+        draws = int(made[seeded - 1])
+        pending = pending[seeded:]
     assert best is not None
     return best
 

@@ -17,7 +17,7 @@ from tagforest import (
     load_tree,
     sha256_file,
 )
-from tagforest.cli import main
+from tagforest.cli import _write_manifest, main
 
 TAG_NAMES = [
     "algebra", "geometry", "calculus",
@@ -226,6 +226,19 @@ class TestAnchor:
         assert "dimension 3" in err and "dimension 4" in err
         assert "matmul" not in err
         assert "Traceback" not in err
+
+    def test_scores_spanning_more_than_the_float_range(self, ws, tmp_path):
+        # -1e308 to 1e308 overflows the span; the rows still scale onto [0, 1]
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text("".join(
+            json.dumps({"id": f"q{i}", "query": "q", "response": "r",
+                        "tags": ["algebra"], "quality": q, "complexity": 0.5}) + "\n"
+            for i, q in enumerate([-1e308, 0.0, 1e308])
+        ), encoding="utf-8")
+        out = tmp_path / "a.jsonl"
+        assert main(["anchor", "--tree", ws["tree"], "--pool", str(pool), "-o", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [r["quality"] for r in rows] == [0.0, 0.5, 1.0]
 
     def test_junk_pool_lines_reported_but_tolerated(self, ws, tmp_path, capsys):
         pool = tmp_path / "pool.jsonl"
@@ -606,7 +619,8 @@ class TestBadAnchoredInput:
 
 
 class TestNonFiniteOptions:
-    """A NaN option fails its rule before any output is written."""
+    """A NaN or infinite option fails its rule before any output or
+    manifest is written."""
 
     @pytest.mark.parametrize(
         "command, option, value, message",
@@ -616,6 +630,9 @@ class TestNonFiniteOptions:
             ("sample", "--lambda", "nan", "kl_weight must be >= 0, got nan"),
             ("sample", "--epsilon", "nan", "epsilon must be > 0, got nan"),
             ("build-tree", "--branching", "nan", "branching must be > 1, got nan"),
+            ("build-tree", "--branching", "inf", "branching must be finite, got inf"),
+            ("sample", "--epsilon", "inf", "epsilon must be finite, got inf"),
+            ("sample", "--lambda", "inf", "kl_weight must be finite, got inf"),
         ],
     )
     def test_refused_without_output(
@@ -635,6 +652,15 @@ class TestNonFiniteOptions:
         assert f"error: {message}" in err
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
+
+
+def test_manifest_refused_value_leaves_no_file(tmp_path):
+    # the sidecar is serialized before it is opened, so a value it cannot
+    # hold leaves no empty manifest behind
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="non-finite"):
+        _write_manifest(str(out), "build-tree", {"branching": float("inf")}, {}, 0.0)
+    assert os.listdir(tmp_path) == []
 
 
 class TestSeedOnlyWhereUsed:

@@ -8,6 +8,8 @@ raised text, and the bytes written.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,6 +188,21 @@ def _normalized(fn, pool):
     return [repr(inst) for inst in fn(pool)]
 
 
+def _reference_scaling(pool):
+    """``ref.normalize_scores``, except where a column's span overflows:
+    there the reference's top row comes out inf / inf = NaN, and the
+    expected values are those of halving every term first, which keeps
+    them in [0, 1]."""
+    out = ref.normalize_scores(pool)
+    for field in ("quality", "complexity"):
+        values = [getattr(inst, field) for inst in pool]
+        lo, hi = min(values), max(values)
+        if hi - lo == math.inf:
+            scaled = [(v * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5) for v in values]
+            out = [replace(inst, **{field: v}) for inst, v in zip(out, scaled)]
+    return out
+
+
 class TestNormalizeScores:
     @_SETTINGS
     @given(st.data())
@@ -196,7 +213,7 @@ class TestNormalizeScores:
         # float ahead of an int too large for a float raises first there
         if 10**400 in scores:
             assume(all(s == s and abs(s) != float("inf") for s in scores))
-        want = _outcome(_normalized, ref.normalize_scores, pool)
+        want = _outcome(_normalized, _reference_scaling, pool)
         assert _outcome(_normalized, normalize_scores, pool) == want
         if want[0] == "returned":
             columns = InstancePool.from_records(pool)
@@ -216,6 +233,12 @@ class TestNormalizeScores:
         assert isinstance(out, InstancePool)
         assert [repr(i.quality) for i in out] == expected
         assert [repr(i.quality) for i in ref.normalize_scores(pool)] == expected
+
+    def test_overflowing_span_scales_to_unit_interval(self):
+        pool = [Instance(f"i{k}", "q", "r", (), s, 0.5) for k, s in
+                enumerate([-1e308, 0.0, 1e308])]
+        assert [i.quality for i in normalize_scores(pool)] == [0.0, 0.5, 1.0]
+        assert math.isnan(ref.normalize_scores(pool)[2].quality)  # the old overflow
 
     def test_non_finite_names_first_instance(self):
         pool = [Instance(f"i{k}", "q", "r", (), 0.5, s) for k, s in

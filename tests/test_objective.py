@@ -75,6 +75,10 @@ class TestObjectiveConfig:
             ObjectiveConfig(kl_weight=-1.0)
         with pytest.raises(ValueError):
             ObjectiveConfig(epsilon=0.0)
+        with pytest.raises(ValueError, match="kl_weight must be finite, got inf"):
+            ObjectiveConfig(kl_weight=float("inf"))
+        with pytest.raises(ValueError, match="epsilon must be finite, got inf"):
+            ObjectiveConfig(epsilon=float("inf"))
 
 
 class TestInformation:

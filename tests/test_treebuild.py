@@ -18,9 +18,11 @@ from tagforest import (
 )
 from tagforest.io import _unit_rows
 from tagforest.treebuild import (
+    _SEED_BATCH,
     ClusterLevel,
     _assign,
     _centroids,
+    _cluster_sse,
     _plus_plus_init,
     _rows_within,
     _weighted_draw,
@@ -28,6 +30,7 @@ from tagforest.treebuild import (
     refine_clusters,
 )
 
+import sequential_kmeans as sequential
 import unpruned_kmeans as unpruned
 
 SQUARE = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
@@ -247,7 +250,8 @@ class TestPrunedPasses:
         k = data.draw(st.integers(1, len(points)), label="k")
         seed = data.draw(st.integers(0, 1000), label="rng seed")
         fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        centers, d2 = _plus_plus_init(points, k, fast_rng)
+        (chosen,), (d2,), _ = _plus_plus_init(points, k, [fast_rng])
+        centers = points[chosen]
         ref_centers, ref_d2 = unpruned.plus_plus_init(points, k, ref_rng)
         np.testing.assert_array_equal(centers, ref_centers)
         np.testing.assert_array_equal(d2, ref_d2)
@@ -334,6 +338,112 @@ class TestPrunedPasses:
         assert len(rows) < len(points) // 4
 
 
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal dtype, shape and bytes: unlike assert_array_equal, tells
+    -0.0 from 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestLockStepKmeans:
+    """Lock-step seeding, replayed generators and sparse cluster sums
+    against the sequential k-means in ``sequential_kmeans``, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_kmeans_matches_sequential(self, data):
+        # restarts cross the batch size and leave a short last batch; with
+        # fewer distinct points than k every restart stops drawing partway,
+        # so the rest of its batch is seeded again
+        points = _draw_points(data)
+        k = data.draw(st.integers(1, len(points)), label="k")
+        restarts = data.draw(st.integers(1, 20), label="restarts")
+        seed = data.draw(st.integers(0, 1000), label="rng seed")
+        fast_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        labels, centers, sse = kmeans(points, k, fast_rng, restarts=restarts)
+        ref_labels, ref_centers, ref_sse = sequential.kmeans(
+            points, k, ref_rng, restarts=restarts
+        )
+        _assert_same_bits(labels, ref_labels)
+        _assert_same_bits(centers, ref_centers)
+        _assert_same_bits(sse, ref_sse)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("restarts", [1, _SEED_BATCH, 2 * _SEED_BATCH + 3])
+    def test_restarts_that_stop_drawing_match_sequential(self, restarts):
+        # 4 distinct rows, k = 6: each restart draws 3 times instead of 5, so
+        # the first batch keeps only its first restart, and the rest are
+        # seeded again, replayed with 3 draws each
+        rng = np.random.default_rng(5)
+        points = _unit_rows(rng.normal(size=(4, 3)))[rng.integers(0, 4, size=30)]
+        fast_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = kmeans(points, 6, fast_rng, restarts=restarts)
+        want = sequential.kmeans(points, 6, ref_rng, restarts=restarts)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kmeans_matches_sequential_at_size(self, seed):
+        # pairwise sums over more than one 128-element block, and a last
+        # batch of one restart
+        rng = np.random.default_rng(seed)
+        points = _unit_rows(rng.normal(size=(40, 16))[rng.integers(0, 40, size=2000)]
+                            + 0.2 * rng.normal(size=(2000, 16)))
+        got = kmeans(points, 150, [seed, 1], restarts=_SEED_BATCH + 1)
+        want = sequential.kmeans(points, 150, [seed, 1], restarts=_SEED_BATCH + 1)
+        for g, w in zip(got, want):
+            _assert_same_bits(g, w)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_batched_seeding_matches_each_restart(self, data):
+        points = _draw_points(data)
+        k = data.draw(st.integers(1, len(points)), label="k")
+        seeds = data.draw(st.lists(st.integers(0, 1000), min_size=1,
+                                   max_size=2 * _SEED_BATCH), label="seeds")
+        rngs = [np.random.default_rng(s) for s in seeds]
+        chosen, d2, draws = _plus_plus_init(points, k, rngs)
+        distinct = len(np.unique(points, axis=0))
+        for b, s in enumerate(seeds):
+            ref_rng = np.random.default_rng(s)
+            ref_centers, ref_d2 = unpruned.plus_plus_init(points, k, ref_rng)
+            _assert_same_bits(points[chosen[b]], ref_centers)
+            _assert_same_bits(d2[b], ref_d2)
+            assert rngs[b].bit_generator.state == ref_rng.bit_generator.state
+            assert draws[b] == min(k, distinct) - 1
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_cluster_sums_match_add_at(self, data):
+        points = _draw_points(data)
+        n, dim = points.shape
+        negative_zero = np.array(
+            data.draw(st.lists(st.booleans(), min_size=n * dim, max_size=n * dim),
+                      label="-0.0"),
+        ).reshape(n, dim)
+        points = np.where(negative_zero, -0.0, points)
+        k = data.draw(st.integers(1, n + 3), label="k")  # k > n leaves clusters empty
+        labels = np.array(
+            data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n),
+                      label="labels"),
+            dtype=np.int64,
+        )
+        centers = _centroids(points, labels, k)
+        _assert_same_bits(centers, sequential._centroids(points, labels, k))
+        for got, want in zip(_cluster_sse(points, labels, centers, k),
+                             sequential._cluster_sse(points, labels, centers, k)):
+            _assert_same_bits(got, want)
+
+    def test_all_negative_zero_cluster_sums_to_zero(self):
+        # np.add.at adds onto 0.0, so a cluster of -0.0 rows sums to +0.0
+        points = np.array([[-0.0, 1.0], [-0.0, -1.0], [1.0, -0.0]])
+        labels = np.array([0, 0, 2])
+        centers = _centroids(points, labels, 3)
+        _assert_same_bits(centers, sequential._centroids(points, labels, 3))
+        assert not np.signbit(centers[:, 0]).any()
+
 def _grid_case(s: int):
     rng = np.random.default_rng(s)
     n = int(rng.integers(10, 300))
@@ -364,6 +474,39 @@ def test_tie_heavy_grid_tree_bytes_pinned(seed, tmp_path):
     path = tmp_path / "tree.json"
     save_tree(build_tree(*_grid_case(seed)), path)
     assert sha256_file(path) == GRID_TREE_SHA256[seed]
+
+
+def _blob_case(seed: int, restarts: int = TreeBuildConfig.kmeans_restarts):
+    rng = np.random.default_rng(1000 + seed)
+    dim = 32
+    centers = rng.normal(size=(60, dim))
+    points = centers[rng.integers(0, 60, size=1500)] + 0.3 * rng.normal(size=(1500, dim))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    table = EmbeddingTable(dimension=dim)
+    tags = [f"b{i}" for i in range(len(points))]
+    for tag, vec in zip(tags, points):
+        table.entries[tag] = vec
+    return tags, table, TreeBuildConfig(seed=seed, branching=10.0, kmeans_restarts=restarts)
+
+
+# save_tree digests of 1,500 unit tags around 60 centers in 32 dimensions,
+# keyed by (seed, kmeans_restarts), recorded from the k-means that seeded
+# each restart on its own. With 11 restarts seed 4 keeps a restart
+# of the second batch; with 8 it builds a different tree.
+BLOB_TREE_SHA256 = {
+    (0, 8): "023b61dcbb6441f44b079fd88c1ed814953a52178951d6e3bbdd24c4f5dd5e9e",
+    (1, 8): "a057ad74a48fb99c4822977cc5453d256e2a655034b1eb31edbc1d6d8fdc5838",
+    (2, 8): "52c4398fa99021321f5085e9a506779711d2a6fa63b5a470945bf15403e06382",
+    (3, 8): "52a1763b012182656379bfde4c4a2ee089402556ba673967830c19e879c4014d",
+    (4, 11): "507b52f03cc4833d3eeea5aa524fff0af98c8067e5c2656d085c78b91044cd87",
+}
+
+
+@pytest.mark.parametrize("seed, restarts", sorted(BLOB_TREE_SHA256))
+def test_blob_tree_bytes_pinned(seed, restarts, tmp_path):
+    path = tmp_path / "tree.json"
+    save_tree(build_tree(*_blob_case(seed, restarts)), path)
+    assert sha256_file(path) == BLOB_TREE_SHA256[seed, restarts]
 
 
 class TestBuildTree:
