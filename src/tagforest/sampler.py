@@ -9,12 +9,12 @@ leaf distribution is given, and general otherwise.
 
 Set-up reads the anchored pool's columns (see
 :class:`tagforest.anchoring.AnchoredPool`): one composite-score call over
-the usable rows, a sort into the tie-break order, and the candidate x leaf
-indicator matrix in CSR form, built from a node id -> leaf position lookup.
+the usable rows, a sort into the tie-break order, and each candidate's
+distinct leaf positions in CSR form, built from a node id -> leaf position
+lookup.
 
-Iterations 1 and 2 score every candidate with one sparse matrix-vector
-product. After that both modes run Minoux's accelerated ("lazy") greedy,
-which is exact here. In aligned mode the joint is
+Both modes run Minoux's accelerated ("lazy") greedy, which is exact here.
+In aligned mode the joint is
 gain_d - lambda * ((c - (H w)_d) + log(L + eps*L + t_d)), where c is the
 same for every candidate and t_d is the candidate's leaf count, so among
 candidates with one t_d the argmax is that of the key
@@ -26,9 +26,11 @@ grouped by leaf count and cut into blocks of _BLOCK candidates, next to
 the maximum of each block. An iteration visits the blocks whose bound
 could still reach the best exact joint found, highest bound first, and
 re-scores with numpy those of a block's candidates whose own bound
-reaches it. An iteration where some node's mass lies strictly between 0
-and GRADIENT_FLOOR, where phi' is not monotone, scores every candidate
-instead. Everything runs on one thread.
+reaches it. Where no earlier key bounds the joint, every unpicked key is
+marked stale (+inf) first, so the same argmax re-scores every candidate:
+at iterations 1 and 2, and wherever some node's mass lies strictly between
+0 and GRADIENT_FLOOR, where phi' is not monotone. Everything runs on one
+thread.
 """
 from __future__ import annotations
 
@@ -38,10 +40,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .anchoring import AnchoredPool, AnchoredRecord
-from .io import Instance, TargetDistribution, dumps_canonical
+from .io import Instance, InstancePool, TargetDistribution, dumps_canonical
 from .matrices import _ancestry_matrix, _propagation_matrix, _require_valid
 from .objective import (
     GRADIENT_FLOOR,
@@ -102,11 +103,11 @@ class Pick:
 class SelectionTrace:
     """Pick-by-pick record of a run plus final objective values.
 
-    ``full_rescores`` counts iterations that scored every candidate,
-    ``rescored`` the candidates re-scored in lazy iterations and
-    ``blocks_visited`` the blocks those re-scores came from, in either
-    mode. They describe the work done, not the result, so the trace file
-    omits them.
+    ``full_rescores`` counts iterations that began with every key stale,
+    so that they re-scored every candidate; ``rescored`` counts the
+    candidates re-scored in the other iterations and ``blocks_visited``
+    the blocks those re-scores came from, in either mode. They describe
+    the work done, not the result, so the trace file omits them.
     """
 
     picks: list[Pick]
@@ -132,14 +133,15 @@ def _distinct_leaves(record: AnchoredRecord, leaf_pos: dict[int, int]) -> set[in
 
 def _candidate_setup(
     pool: AnchoredPool, tree: TagTree, alpha: float
-) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rows of the usable candidates in tie-break order, their scores and leaves.
 
     Usable rows hold at least one leaf. The order is composite score
     descending, then id ascending, so a first-occurrence argmax (or the
     smallest position among lazy re-scores) picks the documented winner on
     exact joint ties: a stable sort by score after a sort by id gives it, as
-    -0.0 == 0.0 in both. The candidate x leaf indicator matrix holds each
+    -0.0 == 0.0 in both. The leaves are the index arrays ``indptr`` and
+    ``indices`` of the candidate x leaf indicator matrix in CSR form: each
     row's distinct leaf positions, ascending.
     """
     counts = np.diff(pool.leaf_ptr)
@@ -172,11 +174,7 @@ def _candidate_setup(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rank_of_key, minlength=n), out=indptr[1:])
     indices = keys - rank_of_key * n_leaves
-    h_matrix = sp.csr_matrix(
-        (np.ones(len(indices), dtype=np.float64), indices, indptr),
-        shape=(n, n_leaves),
-    )
-    return rows, s, h_matrix
+    return rows, s, indptr, indices
 
 
 # Rounding slack of a lazy bound, relative to the magnitudes it is built
@@ -198,12 +196,13 @@ _LOWEST = -sys.float_info.max
 class _BlockMaxima:
     """Last keys of the unpicked candidates, in blocks that share a leaf count.
 
-    Candidate positions are grouped by leaf count t (ascending, as
-    np.unique orders them), ascending within a group, and each group is
-    cut into blocks of up to _BLOCK positions. A block keeps views of its
-    candidates' positions, scores, keys and leaf positions; the leaves
-    form a dense (rows x t) matrix, each row in CSR order. ``bmax`` holds
-    each block's largest key; a picked candidate's key is -inf.
+    Candidate positions are grouped by leaf count t, ascending, and the
+    distinct counts are ``t_values``; positions ascend within a group, and
+    each group is cut into blocks of up to _BLOCK positions. A block keeps
+    views of its candidates' positions, scores, keys and leaf positions;
+    the leaves form a dense (rows x t) matrix, each row in CSR order.
+    ``bmax`` holds each block's largest key. A picked candidate's key is
+    -inf; every other key starts stale, at +inf.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, s: np.ndarray):
@@ -211,58 +210,59 @@ class _BlockMaxima:
         perm = np.argsort(counts, kind="stable")
         t_sorted = counts[perm]
         s_sorted = s[perm]
-        self.perm = perm
-        self.keys = np.empty(len(perm), dtype=np.float64)
+        self.keys = np.full(len(perm), np.inf)
         self.blocks = []
-        starts, groups = [], []
+        groups = []
         edges = np.flatnonzero(np.diff(t_sorted, prepend=-1)).tolist() + [len(perm)]
+        self.t_values = t_sorted[edges[:-1]].astype(np.float64)
         for group, (g0, g1) in enumerate(zip(edges, edges[1:])):
             t = int(t_sorted[g0])
             leaves = indices[indptr[perm[g0:g1]][:, None] + np.arange(t)]
             for lo in range(g0, g1, _BLOCK):
                 hi = min(lo + _BLOCK, g1)
-                starts.append(lo)
                 groups.append(group)
                 self.blocks.append((
                     perm[lo:hi], s_sorted[lo:hi], self.keys[lo:hi],
                     leaves[lo - g0 : hi - g0], group, t,
                 ))
-        self.starts = np.array(starts, dtype=np.int64)
         self.group = np.array(groups, dtype=np.int64)
-        self.bmax = np.empty(len(starts), dtype=np.float64)
+        self.bmax = np.full(len(groups), np.inf)
         self.no_lift = np.zeros(len(edges) - 1, dtype=np.float64)
 
-    def reset(self, keys: np.ndarray, selected: np.ndarray) -> None:
-        """Take every candidate's key from a full scoring."""
-        np.take(keys, self.perm, out=self.keys)
-        self.keys[selected[self.perm]] = -np.inf
-        self.bmax[:] = np.maximum.reduceat(self.keys, self.starts)
+    def stale(self) -> None:
+        """Mark every unpicked key, and every block holding one, stale (+inf)."""
+        self.keys[self.keys != -np.inf] = np.inf
+        self.bmax[self.bmax != -np.inf] = np.inf
 
     def argmax(self, g, w=None, c=0.0, log_t=None, lam=0.0):
         """Exact argmax of the joint over the unpicked candidates.
 
         A key from an earlier iteration bounds the joint now, since
-        joint = key - lam * (c + log_t[t]) up to rounding. Blocks are
-        visited in order of their bound (largest key plus the slack) while
-        it reaches the best joint found. A visit re-scores the block's
-        candidates whose own bound reaches it, with the full-scoring
-        arithmetic: leaf columns summed onto 0.0 in CSR order, as
+        joint = key - lam * (c + log_t[t]) up to rounding; a stale key is
+        +inf and bounds anything. Blocks are visited in order of their
+        bound (largest key plus the slack) while it reaches the best joint
+        found. A visit re-scores the block's candidates whose own bound
+        reaches it: leaf columns summed onto 0.0 in CSR order, as
         csr_matvec adds them, then kl = (c - H w) + log_t and
         joint = gain - lam * kl. Exact ties go to the smallest position, as
         np.argmax does. General mode passes ``w`` None and lam 0. The
         winner's key becomes -inf, and the visited blocks' maxima are
         recomputed. Returns (position, gain, kl, joint, number re-scored,
-        blocks visited).
+        blocks visited); the joint is NaN where a bound is not finite, and
+        -inf where no joint is above -inf, with no winner.
         """
         up = 1.0 + _LAZY_SLACK
         if w is None:
             lift = self.no_lift
         else:
             lift = _LAZY_SLACK * lam * (abs(c) + np.abs(log_t) + 1.0) - lam * (c + log_t)
+            if not np.isfinite(lift).all():
+                return -1, math.nan, None, math.nan, 0, 0
         bounds = self.bmax * up + lift[self.group]
         lift = lift.tolist()
         best_joint = -math.inf
         best_pos = -1
+        best_gain = best_kl = winner = None
         visited = []
         rescored = 0
         while True:
@@ -300,7 +300,8 @@ class _BlockMaxima:
                 best_gain = gain.item(j)
                 best_kl = None if kl is None else kl.item(j)
                 winner = (keys, live.item(j))
-        winner[0][winner[1]] = -math.inf
+        if winner is not None:
+            winner[0][winner[1]] = -math.inf
         for b in visited:
             self.bmax[b] = self.blocks[b][2].max()
         return best_pos, best_gain, best_kl, best_joint, rescored, len(visited)
@@ -326,13 +327,15 @@ def sample(
     records are rebuilt only for the picks.
 
     The tree is validated once, and both operators are built from it.
+    Every iteration runs one lazy argmax: each unselected candidate's last
+    key gain + kl_weight * (H w), which never rises, is kept in blocks of
+    one leaf count with their maxima, and the blocks whose bound could
+    still reach the best exact joint of the iteration are re-scored.
     Iterations 1 and 2, and any iteration where some node's accumulated
-    mass lies strictly between 0 and GRADIENT_FLOOR, score every
-    candidate. The others are lazy: each unselected candidate's last key
-    gain + kl_weight * (H w), which never rises, is kept in blocks of one
-    leaf count with their maxima, and the blocks whose bound could still
-    reach the best exact joint of the iteration are re-scored. Both paths
-    give the same picks, gains, KL values and joints bit for bit.
+    mass lies strictly between 0 and GRADIENT_FLOOR, first mark every key
+    stale, so they re-score every candidate. An iteration whose bounds or
+    best joint are not finite, as a huge ``kl_weight`` makes them, raises
+    ``ValueError``.
     """
     obj = config.objective
     lam = obj.kl_weight
@@ -348,10 +351,10 @@ def sample(
     n_nodes, n_leaves = ancestry.shape
     to_leaves = ancestry.matrix.T
 
-    cand, s, h_matrix = _candidate_setup(pool, tree, obj.alpha)
-    indptr, indices = h_matrix.indptr, h_matrix.indices
+    cand, s, indptr, indices = _candidate_setup(pool, tree, obj.alpha)
     n = len(cand)
     budget = min(config.budget, n)
+    blocks = _BlockMaxima(indptr, indices, s)
 
     if aligned:
         q_dense = target.dense(ancestry.leaf_ids)
@@ -359,28 +362,27 @@ def sample(
         q_vals = q_dense[q_support]
         q_entropy_term = float(np.sum(q_vals * np.log(q_vals)))
         eps_total = obj.epsilon * n_leaves
-        # candidates sharing a leaf count t share log(L + eps*L + t): it is
-        # evaluated once per distinct t, and the lazy blocks each hold one t
-        t_values, t_group = np.unique(
-            np.diff(indptr).astype(np.float64), return_inverse=True
-        )
 
     state = InfoState.empty(n_nodes, n_leaves)
-    selected = np.zeros(n, dtype=bool)
     picks: list[Pick] = []
     chosen: list[AnchoredRecord] = []
-    # Lazy iterations read their keys from ``blocks``, built when first
-    # needed and loaded from ``keys`` after every full scoring.
-    blocks: _BlockMaxima | None = None
-    keys = None
     full_rescores = rescored = blocks_visited = 0
 
     for iteration in range(1, budget + 1):
         gradient = gradient_vector(state, prop, obj.gamma)
         g_leaf = np.asarray(to_leaves @ gradient)
+        acc = state.accumulated
+        # phi' falls as mass grows, so gains never rise after iteration 2,
+        # except where a node leaves 0 for a value under the floor.
+        full = iteration <= 2 or bool(np.any((acc > 0.0) & (acc < GRADIENT_FLOOR)))
+        if full:
+            blocks.stale()
+            full_rescores += 1
         if aligned:
             # kl_d = (c - (H w)_d) + log_t: c is common to all candidates and
-            # w_j, the KL drop of one more count on leaf j, falls as it grows
+            # w_j, the KL drop of one more count on leaf j, falls as it grows;
+            # candidates sharing a leaf count t share log(L + eps*L + t), and
+            # each block holds one t
             counts_supp = state.leaf_counts[q_support].astype(np.float64)
             base = float(np.sum(q_vals * np.log(counts_supp + obj.epsilon)))
             w_vec = np.zeros(n_leaves, dtype=np.float64)
@@ -389,44 +391,19 @@ def sample(
                 - np.log(counts_supp + obj.epsilon)
             )
             c = q_entropy_term - base
-            log_t = np.log((float(state.total_leaf_mass) + eps_total) + t_values)
-        acc = state.accumulated
-        # phi' falls as mass grows, so gains never rise after iteration 2,
-        # except where a node leaves 0 for a value under the floor.
-        if iteration <= 2 or np.any((acc > 0.0) & (acc < GRADIENT_FLOOR)):
-            full_rescores += 1
-            gains = s * (h_matrix @ g_leaf)
-            if aligned:
-                hw = h_matrix @ w_vec
-                kl = (c - hw) + log_t[t_group]
-                joint = gains - lam * kl
-                keys = gains + lam * hw
-            else:
-                hw = kl = None
-                joint = keys = gains
-            joint = np.where(selected, -np.inf, joint)
-            idx = int(np.argmax(joint))  # ties: first occurrence in candidate order
-            gain = float(gains[idx])
-            pick_kl = None if kl is None else float(kl[idx])
-            pick_joint = float(joint[idx])
-            del gains, hw, kl, joint  # only keys outlives a full scoring
+            log_t = np.log((float(state.total_leaf_mass) + eps_total) + blocks.t_values)
+            result = blocks.argmax(g_leaf, w_vec, c, log_t, lam)
         else:
-            if keys is not None:  # the last full scoring's keys
-                if blocks is None:
-                    blocks = _BlockMaxima(indptr, indices, s)
-                blocks.reset(keys, selected)
-                keys = None
-            if aligned:
-                result = blocks.argmax(g_leaf, w_vec, c, log_t, lam)
-            else:
-                result = blocks.argmax(g_leaf)
-            idx, gain, pick_kl, pick_joint, n_rescored, n_visited = result
+            result = blocks.argmax(g_leaf)
+        idx, gain, pick_kl, pick_joint, n_rescored, n_visited = result
+        if not math.isfinite(pick_joint):
+            raise ValueError(
+                f"iteration {iteration}: the joint is not finite at kl_weight {lam!r}"
+            )
+        if not full:
             rescored += n_rescored
             blocks_visited += n_visited
-        if not math.isfinite(pick_joint):
-            break
 
-        selected[idx] = True
         record = pool[int(cand[idx])]
         chosen.append(record)
         picks.append(
@@ -497,15 +474,18 @@ def export_subset(
     """
     if len(selected) != len(trace.picks):
         raise ValueError("selected records and trace picks must align")
-    by_id = {inst.id: inst for inst in pool} if pool is not None else None
+    if pool is not None:
+        ids = pool.ids if isinstance(pool, InstancePool) else (inst.id for inst in pool)
+        row_of = {rid: i for i, rid in enumerate(ids)}  # the last duplicate wins
     with open(path, "w", encoding="utf-8") as f:
         for record, pick in zip(selected, trace.picks):
             if record.id != pick.instance_id:
                 raise ValueError("selected order does not match trace order")
-            if by_id is not None:
-                inst = by_id.get(record.id)
-                if inst is None:
+            if pool is not None:
+                i = row_of.get(record.id)
+                if i is None:
                     raise ValueError(f"id '{record.id}' missing from original pool")
+                inst = pool[i]
                 row = {
                     "id": inst.id,
                     "query": inst.query,

@@ -653,6 +653,21 @@ class TestNonFiniteOptions:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_joint_refused_without_output(self, ws, tmp_path, capsys):
+        # a finite but huge lambda overflows the joint: no silent empty subset
+        rc = main([
+            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"], "--budget", "3",
+            "--target", ws["target"], "--lambda", "1e308",
+            "-o", str(tmp_path / "out"), "--trace", str(tmp_path / "t.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error: iteration 1: the joint is not finite at kl_weight 1e+308" in err
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
 
 def test_manifest_refused_value_leaves_no_file(tmp_path):
     # the sidecar is serialized before it is opened, so a value it cannot

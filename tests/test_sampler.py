@@ -565,6 +565,29 @@ class TestLazyGreedy:
                 if budget >= len(pool):
                     assert len({p.instance_id for p in lazy.picks}) == len(pool)
 
+    def test_counters_pinned(self):
+        # mass at the gradient floor's scale makes iterations after 2 start
+        # stale too; those count as full rescores only, never in the lazy
+        # counters (values recorded from the two-path loop)
+        rng = np.random.default_rng(101)
+        tree = random_tree(rng, max_nodes=40)
+        pool = _scaled_scores(random_pool(rng, tree, size=40, max_leaves_per_record=4), 1e-6)
+        target = _random_target(rng, tree)
+        with mock.patch.object(sampler, "_BLOCK", 2):
+            general = self._assert_matches_full_rescoring(pool, tree, 12, 0.0, None)
+            aligned = self._assert_matches_full_rescoring(pool, tree, 12, 5.0, target)
+        counters = [(t.full_rescores, t.rescored, t.blocks_visited) for t in (general, aligned)]
+        assert counters == [(5, 16, 12), (7, 45, 34)]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_block_argmax_without_a_finite_joint(self):
+        # no winner is reported, not raised: the caller refuses the joint
+        blocks = _BlockMaxima(np.array([0, 1, 3]), np.array([0, 0, 1]), np.array([1.0, 0.5]))
+        log_t = np.log(100.0 + blocks.t_values)
+        got = blocks.argmax(np.zeros(2), np.zeros(2), 0.0, log_t, 1e308)  # the bound overflows
+        assert got[0] == -1 and math.isnan(got[3])
+        assert blocks.argmax(np.full(2, -np.inf)) == (-1, None, None, -math.inf, 2, 2)
+
     def test_large_pool_default_blocks(self):
         rng, target_rng = np.random.default_rng(96), np.random.default_rng(196)
         tree = random_tree(rng, max_nodes=400)
@@ -662,17 +685,25 @@ class TestLazyGreedy:
         block = data.draw(st.sampled_from([1, 2, 3, 512]), label="block")
         with mock.patch.object(sampler, "_BLOCK", block):
             blocks = _BlockMaxima(indptr, indices, s)
-        keys, _ = full(g, w, selected)
-        blocks.reset(keys, selected)
-        # keys never rise: later gradients and KL drops are no larger
-        for step in range(min(3, int(np.sum(~selected)))):
-            g = vector(gradient_values, g, f"g {step}")
-            args = (g,) if w is None else (g, vector(w_values, w, f"w {step}"), c, log_t, lam)
-            w = None if w is None else args[1]
+        assert blocks.t_values.tobytes() == t_values.tobytes()
+        # earlier picks hold -inf, every other key a finite one far below
+        # any joint: the stale step must re-score all of those
+        for b, (perm, _, keys, *_) in enumerate(blocks.blocks):
+            keys[:] = np.where(selected[perm], -np.inf, -1e300)
+            blocks.bmax[b] = keys.max()
+        blocks.stale()
+        # then lazy steps; keys never rise: later gradients and KL drops
+        # are no larger
+        for step in range(min(4, int(np.sum(~selected)))):
+            if step:
+                g = vector(gradient_values, g, f"g {step}")
+                w = None if w is None else vector(w_values, w, f"w {step}")
             _, expected = full(g, w, selected)
-            got = blocks.argmax(*args)
+            got = blocks.argmax(*((g,) if w is None else (g, w, c, log_t, lam)))
             assert repr(got[:4]) == repr(expected)
             assert 0 < got[5] <= got[4]
+            if not step:
+                assert got[4] == np.sum(~selected)
             selected[got[0]] = True
 
 
@@ -730,13 +761,12 @@ class TestColumnarSetup:
                 sample(pool, tree, SamplerConfig(budget=1, objective=ObjectiveConfig(alpha=alpha)))
             assert str(got.value) == str(exc)
             return
-        rows, got_s, got = _candidate_setup(pool, tree, alpha)
+        rows, got_s, indptr, indices = _candidate_setup(pool, tree, alpha)
         assert repr([pool[i] for i in rows.tolist()]) == repr(cand)
         assert got_s.dtype == s.dtype and got_s.tobytes() == s.tobytes()
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        # scipy may hold the reference's index arrays as int32
+        for a, b in ((indptr, want.indptr), (indices, want.indices)):
+            assert a.dtype == np.int64 and a.tobytes() == b.astype(np.int64).tobytes()
 
         kl_weight, aligned = data.draw(st.sampled_from(MODES), label="mode")
         target = TargetDistribution(weights={leaf_ids[0]: 1.0}) if aligned else None
