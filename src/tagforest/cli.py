@@ -270,6 +270,7 @@ def cmd_sample(args) -> int:
 
 def cmd_stats(args) -> int:
     started = time.time()
+    epsilon = ObjectiveConfig(epsilon=args.epsilon).epsilon
     tree = load_tree(_require_file(args.tree, "tree file"))
     path = _require_file(args.input, "input file")
     try:  # anchored or exported subset rows
@@ -331,7 +332,7 @@ def cmd_stats(args) -> int:
             target.dense(leaf_ids),
             state,
             np.zeros(0, dtype=np.int64),
-            args.epsilon,
+            epsilon,
         )
         print(f"KL(target || selection): {kl:.6g}")
     print(f"done in {time.time() - started:.2f}s")

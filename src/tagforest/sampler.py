@@ -392,7 +392,10 @@ def sample(
             )
             c = q_entropy_term - base
             log_t = np.log((float(state.total_leaf_mass) + eps_total) + blocks.t_values)
-            result = blocks.argmax(g_leaf, w_vec, c, log_t, lam)
+            # a huge lam overflows the bounds and joints; the check below
+            # refuses a joint that is not finite, so numpy need not warn
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = blocks.argmax(g_leaf, w_vec, c, log_t, lam)
         else:
             result = blocks.argmax(g_leaf)
         idx, gain, pick_kl, pick_joint, n_rescored, n_visited = result

@@ -9,6 +9,12 @@ centroid and drops clusters left empty; the clusters become the next
 level's nodes. A synthetic root caps whatever remains when the depth
 limit stops the recursion.
 
+Each level is held as arrays: its node names, an (n, dim) embedding
+matrix and, above the leaves, the member lists that index the level
+below. Node ids come from those member lists: walking the levels top
+down, a level's breadth-first order is the member lists of the level
+above, concatenated, so each node's children take consecutive ids.
+
 Everything is deterministic given (tags, embeddings, config): K-Means
 draws from a generator seeded by (seed, level), assignment ties take the
 lowest cluster index, and centroid sums reduce in fixed input order (one
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -341,23 +347,19 @@ def cluster_level(
         raise ValueError(f"k must be < number of nodes ({len(names)}), got {k}")
     labels, centroids, _ = kmeans(embeddings, k, seed, iters, restarts)
     members: list[list[int]] = []
-    kept_centroids: list[np.ndarray] = []
+    kept: list[int] = []
     for c in range(k):
         idx = np.nonzero(labels == c)[0]
         if len(idx) == 0:
             continue
         members.append([int(i) for i in idx])
-        kept_centroids.append(centroids[c])
-    level = ClusterLevel(
-        members=members,
-        centroids=np.vstack(kept_centroids),
-        names=[""] * len(members),
-    )
+        kept.append(c)
     unit = _unit_rows(np.asarray(embeddings, dtype=np.float64))
-    level.names = [
-        _medoid_name(names, unit, m, level.centroids[i]) for i, m in enumerate(level.members)
-    ]
-    return level
+    return ClusterLevel(
+        members=members,
+        centroids=centroids[kept],
+        names=[_medoid_name(names, unit, m, centroids[c]) for m, c in zip(members, kept)],
+    )
 
 
 def _medoid_name(
@@ -422,16 +424,6 @@ def refine_clusters(
     )
 
 
-@dataclass
-class _Draft:
-    """Node-in-progress during bottom-up construction."""
-
-    name: str
-    vector: np.ndarray
-    embedding: np.ndarray
-    children: list["_Draft"] = field(default_factory=list)
-
-
 def build_tree(
     tags: list[str],
     embeddings: EmbeddingTable | None,
@@ -451,71 +443,61 @@ def build_tree(
         raise ValueError("cannot build a tree from an empty tag list")
     dim = embeddings.dimension if embeddings is not None else 32
 
-    current: list[_Draft] = []
+    rows = []
     for tag in tags:
         vec = embeddings.get(tag) if embeddings is not None else None
-        if vec is None or float(np.linalg.norm(vec)) == 0.0:
+        norm = 0.0 if vec is None else float(np.linalg.norm(vec))
+        if norm == 0.0:
             if report is not None:
                 report.warning(f"tag '{tag}'", "no embedding; using hashed fallback")
             vec = fallback_embedding(tag, dim)
-        unit = np.asarray(vec, dtype=np.float64)
-        unit = unit / float(np.linalg.norm(unit))
-        current.append(_Draft(name=tag, vector=unit, embedding=unit))
+            norm = float(np.linalg.norm(vec))
+        rows.append(np.asarray(vec, dtype=np.float64) / norm)
+    names = tags
+    embedding = vectors = np.vstack(rows)
 
-    levels_built = 0
-    while len(current) > 1 and levels_built + 1 < config.depth_limit:
-        k = max(1, math.ceil(len(current) / config.branching))
-        k = min(k, len(current) - 1)
-        names = [d.name for d in current]
-        vectors = np.vstack([d.vector for d in current])
+    # One (names, embeddings, members) layer per level, leaves first; a
+    # layer's member lists index the layer below it.
+    layers = [(names, embedding, [()] * len(names))]
+    while len(names) > 1 and len(layers) < config.depth_limit:
+        k = max(1, math.ceil(len(names) / config.branching))
+        k = min(k, len(names) - 1)
         level = cluster_level(
             names,
             vectors,
             k,
-            seed=[config.seed, levels_built],
+            seed=[config.seed, len(layers) - 1],
             iters=config.kmeans_iters,
             restarts=config.kmeans_restarts,
         )
         level = refine_clusters(level, names, vectors)
-        next_level: list[_Draft] = []
-        for ci, member_idx in enumerate(level.members):
-            children = [current[i] for i in member_idx]
-            emb = np.mean(np.vstack([c.embedding for c in children]), axis=0)
-            next_level.append(
-                _Draft(
-                    name=level.names[ci],
-                    vector=_unit_rows(emb[None, :])[0],
-                    embedding=emb,
-                    children=children,
+        names = level.names
+        embedding = np.vstack([np.mean(embedding[m], axis=0) for m in level.members])
+        vectors = _unit_rows(embedding)
+        layers.append((names, embedding, level.members))
+    if len(names) > 1:
+        layers.append(([ROOT_NAME], np.mean(embedding, axis=0)[None, :], [range(len(names))]))
+
+    # Breadth-first ids, top layer down: each node's members take the next
+    # consecutive ids below it.
+    nodes: list[TreeNode] = []
+    order = [0]
+    for depth, (names, embedding, members) in enumerate(reversed(layers)):
+        child_id = len(nodes) + len(order)
+        for i in order:
+            nodes.append(
+                TreeNode(
+                    id=len(nodes),
+                    name=names[i],
+                    parent=None,
+                    children=list(range(child_id, child_id + len(members[i]))),
+                    depth=depth,
+                    embedding=embedding[i].copy(),
                 )
             )
-        current = next_level
-        levels_built += 1
-
-    if len(current) > 1:
-        emb = np.mean(np.vstack([d.embedding for d in current]), axis=0)
-        root = _Draft(name=ROOT_NAME, vector=emb, embedding=emb, children=current)
-    else:
-        root = current[0]
-
-    # Breadth-first ids over the finished shape: a child's id is the
-    # queue length when it is enqueued, so children are wired in one pass.
-    nodes: list[TreeNode] = []
-    queue: list[tuple[_Draft, int | None, int]] = [(root, None, 0)]
-    node_id = 0
-    while node_id < len(queue):
-        draft, parent_id, depth = queue[node_id]
-        children = list(range(len(queue), len(queue) + len(draft.children)))
-        queue.extend((child, node_id, depth + 1) for child in draft.children)
-        nodes.append(
-            TreeNode(
-                id=node_id,
-                name=draft.name,
-                parent=parent_id,
-                children=children,
-                depth=depth,
-                embedding=draft.embedding.copy(),
-            )
-        )
-        node_id += 1
+            child_id += len(members[i])
+        order = [j for i in order for j in members[i]]
+    for node in nodes:
+        for c in node.children:
+            nodes[c].parent = node.id
     return TagTree(nodes=nodes)

@@ -101,6 +101,17 @@ def ws(tmp_path_factory):
     return paths
 
 
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -m tagforest`` in a child that imports the same package
+    as this process, installed or not."""
+    src = os.path.dirname(os.path.dirname(tagforest.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "tagforest", *argv], capture_output=True, text=True, env=env
+    )
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -109,18 +120,7 @@ class TestParser:
         assert capsys.readouterr().out.strip() == __version__
 
     def test_module_entry_point(self):
-        # The child imports the same package as this process, installed or not.
-        src = os.path.dirname(os.path.dirname(tagforest.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "tagforest", "--version"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = _run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.strip() == __version__
 
@@ -619,8 +619,8 @@ class TestBadAnchoredInput:
 
 
 class TestNonFiniteOptions:
-    """A NaN or infinite option fails its rule before any output or
-    manifest is written."""
+    """A NaN, infinite or out-of-range option fails its rule before any
+    output or manifest is written."""
 
     @pytest.mark.parametrize(
         "command, option, value, message",
@@ -653,19 +653,30 @@ class TestNonFiniteOptions:
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_overflowing_joint_refused_without_output(self, ws, tmp_path, capsys):
-        # a finite but huge lambda overflows the joint: no silent empty subset
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_stats_epsilon_refused_before_output(self, ws, capsys, value):
         rc = main([
+            "stats", "--input", ws["anchored"], "--tree", ws["tree"],
+            "--target", ws["target"], "--epsilon", value,
+        ])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: epsilon must be " in err
+        assert "Traceback" not in err
+
+    def test_overflowing_joint_refused_without_output(self, ws, tmp_path):
+        # a finite but huge lambda overflows the joint: no silent empty
+        # subset, and no numpy warning on stderr before the error line
+        proc = _run_module(
             "sample", "--anchored", ws["anchored"], "--tree", ws["tree"], "--budget", "3",
             "--target", ws["target"], "--lambda", "1e308",
             "-o", str(tmp_path / "out"), "--trace", str(tmp_path / "t.json"),
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "error: iteration 1: the joint is not finite at kl_weight 1e+308" in err
-        assert "Traceback" not in err
+        )
+        assert proc.returncode == 2
+        assert "error: iteration 1: the joint is not finite at kl_weight 1e+308" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert os.listdir(tmp_path) == []
 
 

@@ -476,7 +476,11 @@ def test_tie_heavy_grid_tree_bytes_pinned(seed, tmp_path):
     assert sha256_file(path) == GRID_TREE_SHA256[seed]
 
 
-def _blob_case(seed: int, restarts: int = TreeBuildConfig.kmeans_restarts):
+def _blob_case(
+    seed: int,
+    restarts: int = TreeBuildConfig.kmeans_restarts,
+    depth_limit: int = TreeBuildConfig.depth_limit,
+):
     rng = np.random.default_rng(1000 + seed)
     dim = 32
     centers = rng.normal(size=(60, dim))
@@ -486,7 +490,10 @@ def _blob_case(seed: int, restarts: int = TreeBuildConfig.kmeans_restarts):
     tags = [f"b{i}" for i in range(len(points))]
     for tag, vec in zip(tags, points):
         table.entries[tag] = vec
-    return tags, table, TreeBuildConfig(seed=seed, branching=10.0, kmeans_restarts=restarts)
+    config = TreeBuildConfig(
+        seed=seed, branching=10.0, kmeans_restarts=restarts, depth_limit=depth_limit
+    )
+    return tags, table, config
 
 
 # save_tree digests of 1,500 unit tags around 60 centers in 32 dimensions,
@@ -507,6 +514,41 @@ def test_blob_tree_bytes_pinned(seed, restarts, tmp_path):
     path = tmp_path / "tree.json"
     save_tree(build_tree(*_blob_case(seed, restarts)), path)
     assert sha256_file(path) == BLOB_TREE_SHA256[seed, restarts]
+
+
+# save_tree digests of builds cut by the depth limit, so a synthetic root
+# caps the last level, recorded from the builder that linked draft nodes.
+# Blob cases are keyed by (seed, depth_limit); the hashed cases build 300
+# tags with no embedding table, so every leaf is a fallback vector, keyed
+# by depth_limit (1 puts the root straight over the leaves).
+CAPPED_BLOB_TREE_SHA256 = {
+    (0, 2): "1dbf521bf772a19587c85008e0a842ec3bf14ef5a75996f1336ad1b758bbcc28",
+    (0, 3): "ddfcc0bc1381761f90951f6c9c81ff187172a51b70781d676d5eb5f7ad4ba90c",
+    (2, 3): "892d30ee5998b4c1309f685b9f597ed430dcbb52198cf9132c07ba471d86481b",
+}
+HASHED_TREE_SHA256 = {
+    1: "c56ac67d3c72e4097add3abc08426df8ec808811e3eebc59e8baa30637033c56",
+    3: "cb86675786b42e5707cf51d91dc71175a8eb2ea63ae85b709a8e26d51f595f9b",
+}
+
+
+@pytest.mark.parametrize("seed, depth_limit", sorted(CAPPED_BLOB_TREE_SHA256))
+def test_capped_blob_tree_bytes_pinned(seed, depth_limit, tmp_path):
+    path = tmp_path / "tree.json"
+    tree = build_tree(*_blob_case(seed, depth_limit=depth_limit))
+    assert tree.node(tree.root_id).name == "root"
+    save_tree(tree, path)
+    assert sha256_file(path) == CAPPED_BLOB_TREE_SHA256[seed, depth_limit]
+
+
+@pytest.mark.parametrize("depth_limit", sorted(HASHED_TREE_SHA256))
+def test_hashed_tree_bytes_pinned(depth_limit, tmp_path):
+    path = tmp_path / "tree.json"
+    tags = [f"h{i}" for i in range(300)]
+    tree = build_tree(tags, None, TreeBuildConfig(seed=5, branching=6.0, depth_limit=depth_limit))
+    assert tree.node(tree.root_id).name == "root"
+    save_tree(tree, path)
+    assert sha256_file(path) == HASHED_TREE_SHA256[depth_limit]
 
 
 class TestBuildTree:
@@ -618,3 +660,7 @@ class TestBuildTree:
         tree = build_tree(tags, None, TreeBuildConfig(seed=4, branching=4.0))
         depths = [n.depth for n in tree.nodes]
         assert depths == sorted(depths)  # BFS ids: depth non-decreasing in id
+        # each node's children are consecutive ids, and in id order these
+        # runs follow one another with no gaps
+        runs = [c for n in tree.nodes for c in n.children]
+        assert runs == list(range(1, len(tree.nodes)))
