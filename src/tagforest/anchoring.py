@@ -12,15 +12,20 @@ iterated. :func:`anchor_pool` builds one from an instance pool's columns:
 each distinct tag is resolved once, and each row's leaves, dropped tags
 and the counters come from array sorts and counts. :func:`write_anchored`
 formats each row from the columns, and :func:`load_anchored` reads the
-file back into columns.
+file back into columns: in blocks with one pattern when every row has the
+shape :func:`write_anchored` writes, and line by line otherwise.
 """
 from __future__ import annotations
 
 import math
+import re
+import sys
 from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import compress, repeat
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -115,6 +120,24 @@ class AnchoredPool(Sequence):
             dropped=self.dropped[i],
             quality=self.quality.item(i),
             complexity=self.complexity.item(i),
+        )
+
+    def take(self, rows) -> AnchoredPool:
+        """The pool of the rows at positions ``rows`` (non-negative), in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lo = self.leaf_ptr[rows]
+        counts = self.leaf_ptr[rows + 1] - lo
+        leaf_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(counts, out=leaf_ptr[1:])
+        gather = np.arange(leaf_ptr[-1]) + np.repeat(lo - leaf_ptr[:-1], counts)
+        picked = rows.tolist()
+        return AnchoredPool(
+            ids=[self.ids[i] for i in picked],
+            leaf_ptr=leaf_ptr,
+            leaf_ids=self.leaf_ids[gather],
+            dropped=[self.dropped[i] for i in picked],
+            quality=self.quality[rows],
+            complexity=self.complexity[rows],
         )
 
     def __iter__(self):
@@ -438,16 +461,13 @@ def _checked_fields(text: str, lineno: int, seen: set[str]):
 _INT = {int}
 
 
-def load_anchored(path) -> AnchoredPool:
-    """Read anchored rows into a pool; raises with the line number on malformed input.
+def _read_lines(f) -> AnchoredPool:
+    """Read an open anchored file line by line; raises with the line number on malformed input.
 
-    Rows follow :func:`read_rows` and carry all five keys. Scores must be
-    finite and in [0, 1], as ``anchor`` writes them, ids must be unique
-    and leaf ids must fit in 64 bits. The file is read in one pass
-    straight into columns, with the rules checked inline on the parsed
-    row and no record built. A line those checks refuse goes through
-    :func:`_checked_fields`, which raises the located error of the first
-    rule it breaks.
+    The file is read in one pass straight into columns, with the rules
+    checked inline on the parsed row and no record built. A line those
+    checks refuse goes through :func:`_checked_fields`, which raises the
+    located error of the first rule it breaks.
     """
     ids: list[str] = []
     dropped: list[tuple[str, ...]] = []
@@ -456,45 +476,44 @@ def load_anchored(path) -> AnchoredPool:
     leaf_ids = array("q")
     quality = array("d")
     complexity = array("d")
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                row, end = _scan_once(text, 0)
-                rid, leaves, tags = row["id"], row["leaves"], row["dropped"]
-                q, c = row["quality"], row["complexity"]
-            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
-                end = -1  # TypeError: the value is not an object; -1 refuses the line
-            if not (
-                end == len(text)
-                and type(rid) is str
-                and rid
-                and rid not in seen
-                and type(leaves) is list
-                and _INT.issuperset(map(type, leaves))
-                and type(tags) is list
-                and _STR.issuperset(map(type, tags))
-                and type(q) in _NUMBER
-                and 0.0 <= q <= 1.0
-                and type(c) in _NUMBER
-                and 0.0 <= c <= 1.0
-            ):
-                rid, leaves, tags, q, c = _checked_fields(text, lineno, seen)
-            try:
-                leaf_ids.extend(leaves)
-            except OverflowError:
-                big = next(x for x in leaves if not -(2**63) <= x < 2**63)
-                raise ValueError(
-                    f"line {lineno}: 'leaves' must hold 64-bit integers, got {big}"
-                ) from None
-            leaf_ptr.append(len(leaf_ids))
-            seen.add(rid)
-            ids.append(rid)
-            dropped.append(tuple(tags))
-            quality.append(q)
-            complexity.append(c)
+    for lineno, line in enumerate(f, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            row, end = _scan_once(text, 0)
+            rid, leaves, tags = row["id"], row["leaves"], row["dropped"]
+            q, c = row["quality"], row["complexity"]
+        except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
+            end = -1  # TypeError: the value is not an object; -1 refuses the line
+        if not (
+            end == len(text)
+            and type(rid) is str
+            and rid
+            and rid not in seen
+            and type(leaves) is list
+            and _INT.issuperset(map(type, leaves))
+            and type(tags) is list
+            and _STR.issuperset(map(type, tags))
+            and type(q) in _NUMBER
+            and 0.0 <= q <= 1.0
+            and type(c) in _NUMBER
+            and 0.0 <= c <= 1.0
+        ):
+            rid, leaves, tags, q, c = _checked_fields(text, lineno, seen)
+        try:
+            leaf_ids.extend(leaves)
+        except OverflowError:
+            big = next(x for x in leaves if not -(2**63) <= x < 2**63)
+            raise ValueError(
+                f"line {lineno}: 'leaves' must hold 64-bit integers, got {big}"
+            ) from None
+        leaf_ptr.append(len(leaf_ids))
+        seen.add(rid)
+        ids.append(rid)
+        dropped.append(tuple(tags))
+        quality.append(q)
+        complexity.append(c)
     return AnchoredPool(
         ids=ids,
         leaf_ptr=np.frombuffer(leaf_ptr, dtype=np.int64),
@@ -503,3 +522,120 @@ def load_anchored(path) -> AnchoredPool:
         quality=np.frombuffer(quality, dtype=np.float64),
         complexity=np.frombuffer(complexity, dtype=np.float64),
     )
+
+
+# Characters read per block by the fixed-shape reader; a block is then cut
+# after its last newline. 64K characters keep a block's matches small
+# next to the pool's columns.
+_BLOCK_CHARS = 1 << 16
+
+# One row exactly as write_anchored (and json.dumps with compact separators)
+# writes it, on a line of its own: an id and dropped tags without escapes or
+# control characters, leaf ids of at most 18 digits (so they fit in int64)
+# and scores that are JSON numbers, where a minus sign needs a fraction or
+# an exponent: json reads "-0" as the int 0, but float("-0") is -0.0. A
+# backtrack never leads to a match in this grammar, so every quantifier is
+# possessive where Python has them (3.11 on), which halves the match time;
+# without them the same rows match.
+_P = "+" if sys.version_info >= (3, 11) else ""
+_CHAR = r'[^"\\\x00-\x1f]'
+_LEAF = rf"-?{_P}(?:0|[1-9][0-9]{{0,17}}{_P})"
+_SCORE = (
+    rf"(?:-(?=[0-9]+{_P}[.eE]))?{_P}(?:0|[1-9][0-9]*{_P})"
+    rf"(?:\.[0-9]+{_P})?{_P}(?:[eE][-+]?{_P}[0-9]+{_P})?{_P}"
+)
+_ROW_SHAPE = re.compile(
+    rf'^\{{"id":"({_CHAR}+{_P})",'
+    rf'"leaves":\[((?:{_LEAF}(?:,{_LEAF})*{_P})?{_P})\],'
+    rf'"dropped":\[((?:"{_CHAR}*{_P}"(?:,"{_CHAR}*{_P}")*{_P})?{_P})\],'
+    rf'"quality":({_SCORE}),"complexity":({_SCORE})\}}\n',
+    re.MULTILINE,
+)
+
+
+def _blocks(f):
+    """The text of ``f`` in blocks of whole lines, each ending in a newline."""
+    parts: list[str] = []
+    for chunk in iter(partial(f.read, _BLOCK_CHARS), ""):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            parts.append(chunk[:cut])
+            yield "".join(parts)
+            parts = [chunk[cut:]]
+        else:  # a line longer than a block
+            parts.append(chunk)
+    tail = "".join(parts)
+    if tail:
+        yield tail + "\n"
+
+
+def _read_fixed_shape(f) -> AnchoredPool | None:
+    """Read an open anchored file whose every line is one row of ``_ROW_SHAPE``.
+
+    Each block is parsed with one ``findall``, and its captures become
+    columns: leaf ids through ``int``, scores through ``float``, as
+    ``json`` parses the same tokens. Returns None, having read no further,
+    at the first block with a line of any other shape (a blank line
+    included), and at the end when an id repeats or a score lies outside
+    [0, 1].
+    """
+    ids: list[str] = []
+    dropped: list[tuple[str, ...]] = []
+    counts, leaves, quality, complexity = [], [], [], []
+    for block in _blocks(f):
+        rows = _ROW_SHAPE.findall(block)
+        if len(rows) != block.count("\n"):  # every block holds a newline
+            return None
+        block_ids, leaf_text, tag_text, q, c = zip(*rows)
+        n = len(rows)
+        offset = len(ids)
+        ids.extend(block_ids)
+        dropped.extend([()] * n)
+        for i in compress(range(n), tag_text):
+            dropped[offset + i] = tuple(tag_text[i][1:-1].split('","'))
+        counts.append(
+            np.fromiter(map(str.count, leaf_text, repeat(",")), np.int64, n)
+            + np.fromiter(map(bool, leaf_text), np.int64, n)
+        )
+        tokens = ",".join(filter(None, leaf_text)).split(",") if any(leaf_text) else []
+        leaves.append(np.fromiter(map(int, tokens), np.int64, len(tokens)))
+        quality.append(np.fromiter(map(float, q), np.float64, n))
+        complexity.append(np.fromiter(map(float, c), np.float64, n))
+
+    def column(parts, dtype):
+        return np.concatenate([np.zeros(0, dtype=dtype), *parts])
+
+    leaf_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(column(counts, np.int64), out=leaf_ptr[1:])
+    pool = AnchoredPool(
+        ids=ids,
+        leaf_ptr=leaf_ptr,
+        leaf_ids=column(leaves, np.int64),
+        dropped=dropped,
+        quality=column(quality, np.float64),
+        complexity=column(complexity, np.float64),
+    )
+    scores = np.concatenate((pool.quality, pool.complexity))
+    if not ((scores >= 0.0) & (scores <= 1.0)).all() or len(set(ids)) != len(ids):
+        return None
+    return pool
+
+
+def load_anchored(path) -> AnchoredPool:
+    """Read anchored rows into a pool; raises with the line number on malformed input.
+
+    Rows follow :func:`read_rows` and carry all five keys. Scores must be
+    finite and in [0, 1], as ``anchor`` writes them, ids must be unique
+    and leaf ids must fit in 64 bits. A file whose every line is a row in
+    the one shape ``write_anchored`` writes is read in blocks by
+    :func:`_read_fixed_shape`, with Python code per row only to split a
+    non-empty ``dropped`` list. Any other file,
+    and any file that breaks a rule, is read again from its start, through
+    the same handle, by :func:`_read_lines`, which words the error.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        pool = _read_fixed_shape(f)
+        if pool is None:
+            f.seek(0)
+            pool = _read_lines(f)
+    return pool

@@ -65,11 +65,16 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
+def _digests(inputs: dict[str, str]) -> dict[str, str]:
+    """Input path -> SHA-256 of the file, for a manifest's ``inputs``."""
+    return {path: sha256_file(path) for path in inputs.values()}
+
+
 def _write_manifest(
     output_path: str,
     command: str,
     parameters: dict,
-    inputs: dict[str, str],
+    digests: dict[str, str],
     started: float,
     **extra,
 ) -> None:
@@ -77,7 +82,7 @@ def _write_manifest(
     manifest = {
         "command": command,
         "parameters": parameters,
-        "inputs": {path: sha256_file(path) for path in inputs.values()},
+        "inputs": digests,
         "version": __version__,
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "wall_clock_seconds": time.time() - started,
@@ -134,7 +139,9 @@ def cmd_build_tree(args) -> int:
         "kmeans_restarts": args.kmeans_restarts,
         "output": args.output,
     }
-    _write_manifest(args.output, "build-tree", params, inputs, started, seed=args.seed)
+    _write_manifest(
+        args.output, "build-tree", params, _digests(inputs), started, seed=args.seed
+    )
     n_leaves = len(tree.leaf_ids)
     print(
         f"built tree: {tree.n_nodes} nodes, {n_leaves} leaves, "
@@ -170,7 +177,9 @@ def cmd_anchor(args) -> int:
         "nearest": anchor_report.nearest_tags,
         "dropped": sum(anchor_report.dropped_tags.values()),
     }
-    _write_manifest(args.output, "anchor", params, inputs, started, counters=counters)
+    _write_manifest(
+        args.output, "anchor", params, _digests(inputs), started, counters=counters
+    )
     print(
         f"anchored {anchor_report.anchored}/{len(pool)} instances "
         f"({len(anchor_report.unanchorable_ids)} unanchorable, "
@@ -192,7 +201,7 @@ def cmd_derive_target(args) -> int:
     save_target(target, tree, args.output)
     params = {"anchored": args.anchored, "tree": args.tree, "output": args.output}
     inputs = {"anchored": args.anchored, "tree": args.tree}
-    _write_manifest(args.output, "derive-target", params, inputs, started)
+    _write_manifest(args.output, "derive-target", params, _digests(inputs), started)
     print(f"derived target over {len(target.weights)} leaves -> {args.output}")
     return 0
 
@@ -257,8 +266,9 @@ def cmd_sample(args) -> int:
         "rescored": trace.rescored,
         "blocks_visited": trace.blocks_visited,
     }
+    digests = _digests(inputs)  # once for both manifests
     for path in (args.output, args.trace):
-        _write_manifest(path, "sample", params, inputs, started, counters=counters)
+        _write_manifest(path, "sample", params, digests, started, counters=counters)
     kl_text = "n/a" if trace.final_kl is None else format(trace.final_kl, ".6g")
     print(
         f"selected {len(selected)} of {len(records)} "

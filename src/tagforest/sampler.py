@@ -38,11 +38,18 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from .anchoring import AnchoredPool, AnchoredRecord
-from .io import Instance, InstancePool, TargetDistribution, dumps_canonical
+from .io import (
+    Instance,
+    InstancePool,
+    TargetDistribution,
+    _fmt_number,
+    dumps_canonical,
+)
 from .matrices import _ancestry_matrix, _propagation_matrix, _require_valid
 from .objective import (
     GRADIENT_FLOOR,
@@ -323,10 +330,13 @@ def sample(
 
     ``records`` is used as it is when it is an :class:`AnchoredPool`, as
     :func:`load_anchored` returns it; any other sequence of records is
-    converted to one first. The set-up works on the pool's columns, and
-    records are rebuilt only for the picks.
+    converted to one first. The set-up works on the pool's columns, the
+    loop keeps each pick as its pool row, and the picked records are
+    built once, after the loop, from those rows only.
 
-    The tree is validated once, and both operators are built from it.
+    The tree is validated once, and both operators are built from it;
+    the loop multiplies by a float64 copy of the ancestry matrix. A budget
+    of 0 builds no block maxima.
     Every iteration runs one lazy argmax: each unselected candidate's last
     key gain + kl_weight * (H w), which never rises, is kept in blocks of
     one leaf count with their maxima, and the blocks whose bound could
@@ -349,12 +359,16 @@ def sample(
     ancestry = _ancestry_matrix(tree)
     prop = _propagation_matrix(tree)
     n_nodes, n_leaves = ancestry.shape
-    to_leaves = ancestry.matrix.T
+    # a float64 copy for the products of the loop, which scipy would
+    # otherwise cast from int64 on every call; 0/1 entries convert exactly
+    paths = ancestry.matrix.astype(np.float64)
+    to_leaves = paths.T
 
     cand, s, indptr, indices = _candidate_setup(pool, tree, obj.alpha)
     n = len(cand)
     budget = min(config.budget, n)
-    blocks = _BlockMaxima(indptr, indices, s)
+    if budget:
+        blocks = _BlockMaxima(indptr, indices, s)
 
     if aligned:
         q_dense = target.dense(ancestry.leaf_ids)
@@ -365,7 +379,7 @@ def sample(
 
     state = InfoState.empty(n_nodes, n_leaves)
     picks: list[Pick] = []
-    chosen: list[AnchoredRecord] = []
+    picked_rows: list[int] = []
     full_rescores = rescored = blocks_visited = 0
 
     for iteration in range(1, budget + 1):
@@ -407,12 +421,12 @@ def sample(
             rescored += n_rescored
             blocks_visited += n_visited
 
-        record = pool[int(cand[idx])]
-        chosen.append(record)
+        row = cand.item(idx)
+        picked_rows.append(row)
         picks.append(
             Pick(
                 iteration=iteration,
-                instance_id=record.id,
+                instance_id=pool.ids[row],
                 gain=gain,
                 kl=pick_kl,
                 joint=pick_joint,
@@ -422,7 +436,7 @@ def sample(
         positions = indices[indptr[idx] : indptr[idx + 1]]
         leaf_vec = np.zeros(n_leaves, dtype=np.float64)
         leaf_vec[positions] = 1.0
-        info_vec = s[idx] * np.asarray(ancestry.matrix @ leaf_vec)
+        info_vec = s[idx] * np.asarray(paths @ leaf_vec)
         state.add_contribution(prop, info_vec, positions)
 
     final_info = state_information(state, obj.gamma)
@@ -443,7 +457,7 @@ def sample(
         rescored=rescored,
         blocks_visited=blocks_visited,
     )
-    return chosen, trace
+    return list(pool.take(picked_rows)), trace
 
 
 def derive_target(records: Sequence[AnchoredRecord], tree: TagTree) -> TargetDistribution:
@@ -461,6 +475,45 @@ def derive_target(records: Sequence[AnchoredRecord], tree: TagTree) -> TargetDis
     )
 
 
+def _json(value) -> str:
+    """The text :func:`io.dumps_canonical` writes for ``value``.
+
+    A plain float, int or str is formatted here; any other value, a
+    numpy scalar or None say, goes through ``dumps_canonical``. A
+    non-finite float raises its ``ValueError``.
+    """
+    kind = type(value)
+    if kind is float:
+        return _fmt_number(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return encode_basestring(value)
+    return dumps_canonical(value)
+
+
+def _json_list(values) -> str:
+    return ",".join(map(_json, values))
+
+
+# Rows of subset.jsonl, without and with the pool's fields, and one pick of
+# trace.json in the bytes dumps_canonical writes for them: every value is
+# formatted by _json beforehand.
+_SUBSET_ROW = (
+    '{"id":%s,"quality":%s,"complexity":%s,'
+    '"leaves":[%s],"iteration":%s,"gain":%s,"joint":%s}\n'
+)
+_POOL_ROW = (
+    '{"id":%s,"query":%s,"response":%s,"tags":[%s],"quality":%s,"complexity":%s,'
+    '"leaves":[%s],"iteration":%s,"gain":%s,"joint":%s}\n'
+)
+_TRACE_PICK = '{"iteration":%s,"id":%s,"gain":%s,"kl":%s,"joint":%s}'
+_TRACE = (
+    '{"mode":%s,"budget_requested":%s,"pool_size":%s,"unanchorable":%s,'
+    '"selected":%s,"final_information":%s,"final_kl":%s,"picks":[%s]}\n'
+)
+
+
 def export_subset(
     selected: list[AnchoredRecord],
     trace: SelectionTrace,
@@ -474,64 +527,61 @@ def export_subset(
     annotations; without it, rows echo the anchored fields. Per-pick KL
     values live in the trace file only, keeping this file identical
     between general mode and aligned mode at kl_weight 0.
+
+    Each row is formatted with one format string, in the bytes
+    :func:`io.dumps_canonical` would write for it. Every row is formatted
+    before the file is opened, so a refused row (an id out of order or
+    missing from ``pool``, a non-finite number) leaves no file.
     """
     if len(selected) != len(trace.picks):
         raise ValueError("selected records and trace picks must align")
     if pool is not None:
         ids = pool.ids if isinstance(pool, InstancePool) else (inst.id for inst in pool)
         row_of = {rid: i for i, rid in enumerate(ids)}  # the last duplicate wins
+    lines = []
+    for record, pick in zip(selected, trace.picks):
+        if record.id != pick.instance_id:
+            raise ValueError("selected order does not match trace order")
+        if pool is None:
+            row = _SUBSET_ROW
+            fields = (_json(record.id), _json(record.quality), _json(record.complexity))
+        else:
+            i = row_of.get(record.id)
+            if i is None:
+                raise ValueError(f"id '{record.id}' missing from original pool")
+            inst = pool[i]
+            row = _POOL_ROW
+            fields = (
+                _json(inst.id), _json(inst.query), _json(inst.response),
+                _json_list(inst.tags), _json(inst.quality), _json(inst.complexity),
+            )
+        lines.append(row % (
+            *fields, _json_list(record.leaves),
+            _json(pick.iteration), _json(pick.gain), _json(pick.joint),
+        ))
     with open(path, "w", encoding="utf-8") as f:
-        for record, pick in zip(selected, trace.picks):
-            if record.id != pick.instance_id:
-                raise ValueError("selected order does not match trace order")
-            if pool is not None:
-                i = row_of.get(record.id)
-                if i is None:
-                    raise ValueError(f"id '{record.id}' missing from original pool")
-                inst = pool[i]
-                row = {
-                    "id": inst.id,
-                    "query": inst.query,
-                    "response": inst.response,
-                    "tags": list(inst.tags),
-                    "quality": inst.quality,
-                    "complexity": inst.complexity,
-                }
-            else:
-                row = {
-                    "id": record.id,
-                    "quality": record.quality,
-                    "complexity": record.complexity,
-                }
-            row["leaves"] = list(record.leaves)
-            row["iteration"] = pick.iteration
-            row["gain"] = pick.gain
-            row["joint"] = pick.joint
-            f.write(dumps_canonical(row))
-            f.write("\n")
+        f.writelines(lines)
 
 
 def write_trace(trace: SelectionTrace, path) -> None:
-    """Write the full trace, including per-pick KL values when present."""
-    payload = {
-        "mode": trace.mode,
-        "budget_requested": trace.budget_requested,
-        "pool_size": trace.pool_size,
-        "unanchorable": trace.unanchorable,
-        "selected": len(trace.picks),
-        "final_information": trace.final_information,
-        "final_kl": trace.final_kl,
-        "picks": [
-            {
-                "iteration": p.iteration,
-                "id": p.instance_id,
-                "gain": p.gain,
-                "kl": p.kl,
-                "joint": p.joint,
-            }
-            for p in trace.picks
-        ],
-    }
+    """Write the full trace, including per-pick KL values when present.
+
+    Each pick is formatted with one format string, in the bytes
+    :func:`io.dumps_canonical` would write for the payload, before the file
+    is opened.
+    """
+    head = (
+        _json(trace.mode), _json(trace.budget_requested), _json(trace.pool_size),
+        _json(trace.unanchorable), _json(len(trace.picks)),
+        _json(trace.final_information), _json(trace.final_kl),
+    )
+    picks = ",".join(
+        _TRACE_PICK % (
+            _json(p.iteration), _json(p.instance_id), _json(p.gain), _json(p.kl),
+            _json(p.joint),
+        )
+        for p in trace.picks
+    )
+    text = _TRACE % (*head, picks)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(dumps_canonical(payload))
-        f.write("\n")
+        f.write(text)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from tagforest import (
     AnchoredPool,
+    AnchoredRecord,
     EmbeddingTable,
     Instance,
     anchor_pool,
@@ -19,6 +21,7 @@ from tagforest import (
     load_anchored,
     write_anchored,
 )
+from tagforest import anchoring
 
 from conftest import make_tree, random_tree
 from path_lifting import anchor_instance
@@ -331,3 +334,229 @@ class TestAnchoredFile:
         )
         with pytest.raises(ValueError, match="line 2: 'complexity'"):
             load_anchored(p)
+
+
+def _read_lines(path) -> AnchoredPool:
+    """The line reader alone, on a file opened as ``load_anchored`` opens it."""
+    with open(path, "r", encoding="utf-8") as f:
+        return anchoring._read_lines(f)
+
+
+def _assert_same_pool(got, want):
+    assert isinstance(got, AnchoredPool) and isinstance(want, AnchoredPool)
+    assert got.ids == want.ids
+    assert got.dropped == want.dropped
+    for column in ("leaf_ptr", "leaf_ids", "quality", "complexity"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype, column
+        assert a.tobytes() == b.tobytes(), column
+
+
+def _refuse_fallback(f):
+    raise AssertionError("the line reader ran")
+
+
+def _mostly(good, edge):
+    """``good`` 14 times in 15, else ``edge``: most lines of a file stay valid."""
+    return st.integers(0, 14).flatmap(lambda k: edge if k == 7 else good)
+
+
+# Field texts of a row, each either valid in the fixed shape or an edge
+# case: ids and tags with \u escapes, raw non-ASCII and characters that
+# must be escaped, repeated ids, leaf ids near and past int64, and score
+# tokens json and float() read alike or that break a rule.
+_PLAIN_NAME = st.text(alphabet="abcé名 ", max_size=3)
+_NAME_EDGE = st.builds(
+    lambda name, how: how(name),
+    st.sampled_from(["a", "é", 'q"', "\\", "\x01", "\u2028"]) | st.text(max_size=3),
+    st.sampled_from([json.dumps, lambda s: json.dumps(s, ensure_ascii=False)]),
+)
+_ID_TEXT = _mostly(_PLAIN_NAME.filter(bool).map(lambda s: f'"{s}"'), _NAME_EDGE)
+_TAG_TEXT = _mostly(_PLAIN_NAME.map(lambda s: f'"{s}"'), _NAME_EDGE)
+_LEAF_TEXT = _mostly(
+    st.integers(-3, 40).map(str)
+    | st.sampled_from(["-0", "999999999999999999", "-999999999999999999"]),
+    st.sampled_from([
+        "01", str(10**18), str(2**63 - 1), str(-(2**63)), str(2**63), str(-(2**63) - 1),
+        "1.0", "true", "",
+    ]),
+)
+_SCORE_TEXT = _mostly(
+    st.floats(0.0, 1.0).map(repr)
+    | st.floats(0.0, 1.0).map(lambda x: "%.17g" % x)
+    | st.sampled_from([
+        "0", "1", "-0.0", "0.0", "1.0", "1E+00", "1e0", "0e-5", "-0e0", "-0E+00",
+        "5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308", "1e-400",
+        "-1e-400", "0.99999999999999999999",
+    ]),
+    st.floats().map(json.dumps)
+    | st.sampled_from([
+        "-0", "-5e-324", "1.0000000000000002", "1.5", "-0.5", "2", "1e400", "01", ".5",
+        "0.", "1E", "-", "true", '"0.5"', "1" * 5000,
+    ]),
+)
+_SHAPED_ROW = '{"id":%s,"leaves":[%s],"dropped":[%s],"quality":%s,"complexity":%s}'
+_FIELDS = st.tuples(
+    _ID_TEXT,
+    st.lists(_LEAF_TEXT, max_size=3).map(",".join),
+    st.lists(_TAG_TEXT, max_size=2).map(",".join),
+    _SCORE_TEXT,
+    _SCORE_TEXT,
+)
+# a valid row in the fixed shape: unique ids are drawn by the caller
+_FAST_ROW = st.tuples(
+    st.lists(st.integers(-(10**18) + 1, 10**18 - 1), max_size=4),
+    st.lists(st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs"),
+                                            blacklist_characters='"\\'), max_size=3),
+             max_size=2),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestFixedShapeReader:
+    """``load_anchored`` reads files of the fixed row shape in blocks and
+    falls back to the line reader for any other file; both give the same
+    columns, or the same error text."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        lines=st.lists(
+            _mostly(_FIELDS, _VALID_ROW.map(json.dumps)
+                    | st.sampled_from(["", "  ", "\t", "not json"])),
+            max_size=6,
+        ),
+        unique=_mostly(st.just(True), st.just(False)),
+        newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        bom=_mostly(st.just(False), st.just(True)),
+        final_newline=st.booleans(),
+        block=st.sampled_from([1, 2, 7, 50, 1 << 16]),
+    )
+    def test_matches_line_reader(
+        self, tmp_path_factory, lines, unique, newline, bom, final_newline, block
+    ):
+        for i, line in enumerate(lines):
+            if isinstance(line, tuple):
+                rid, *rest = line
+                if unique:  # "<i>:" after the quote makes the ids differ
+                    rid = f'"{i}:{rid[1:]}'
+                lines[i] = _SHAPED_ROW % (rid, *rest)
+        path = tmp_path_factory.mktemp("rows") / "a.jsonl"
+        text = newline.join(lines) + (newline if final_newline and lines else "")
+        path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+        with mock.patch.object(anchoring, "_BLOCK_CHARS", block):
+            with open(path, "r", encoding="utf-8") as f:
+                fast = anchoring._read_fixed_shape(f)
+            got = _load_or_error(load_anchored, path)
+        want = _load_or_error(_read_lines, path)
+        if fast is not None:  # the fast path only accepts what the line reader does
+            _assert_same_pool(fast, want)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            _assert_same_pool(got, want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_FAST_ROW, max_size=8), st.sampled_from([1, 3, 64, 1 << 16]))
+    def test_write_anchored_output_takes_the_fast_path(self, tmp_path_factory, rows, block):
+        records = [
+            AnchoredRecord(id=f"r{i}é", leaves=tuple(leaves), dropped=tuple(tags),
+                           quality=q, complexity=c)
+            for i, (leaves, tags, q, c) in enumerate(rows)
+        ]
+        path = tmp_path_factory.mktemp("rows") / "a.jsonl"
+        write_anchored(records, path)
+        want = _read_lines(path)
+        with mock.patch.object(anchoring, "_BLOCK_CHARS", block), \
+                mock.patch.object(anchoring, "_read_lines", _refuse_fallback):
+            got = load_anchored(path)
+        _assert_same_pool(got, want)
+
+    def test_generator_rows_take_the_fast_path(self, tmp_path):
+        # rows as json.dumps writes them with compact separators: shortest
+        # float repr, ASCII escapes; more than one block, so rows straddle
+        # a block boundary
+        rng = np.random.default_rng(3)
+        path = tmp_path / "a.jsonl"
+        with open(path, "w", encoding="utf-8") as f:
+            for i in range(2000):
+                row = {
+                    "id": f"c{i:06d}",
+                    "leaves": sorted(rng.choice(1000, size=1 + i % 3, replace=False).tolist()),
+                    "dropped": ["x y", ""] if i % 7 == 0 else [],
+                    "quality": float(rng.random()),
+                    "complexity": [0.0, 1.0, 0.5, float(rng.random())][i % 4],
+                }
+                f.write(json.dumps(row, separators=(",", ":")) + "\n")
+        assert path.stat().st_size > 2 * anchoring._BLOCK_CHARS
+        want = _read_lines(path)
+        with mock.patch.object(anchoring, "_read_lines", _refuse_fallback):
+            got = load_anchored(path)
+        _assert_same_pool(got, want)
+        assert got[7].dropped == ("x y", "")
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.0, 1.0), st.sampled_from(["%r", "%.17g", "%.3e", "%.5f"]))
+    def test_scores_parse_to_the_json_bits(self, tmp_path_factory, x, fmt):
+        token = fmt % x
+        path = tmp_path_factory.mktemp("rows") / "a.jsonl"
+        path.write_text(
+            '{"id":"a","leaves":[1],"dropped":[],"quality":%s,"complexity":%s}\n'
+            % (token, token)
+        )
+        with open(path, "r", encoding="utf-8") as f:
+            got = anchoring._read_fixed_shape(f)
+        bits = np.array([json.loads(token)], dtype=np.float64).tobytes()
+        assert got.quality.tobytes() == bits and got.complexity.tobytes() == bits
+
+    @pytest.mark.parametrize(
+        "token, fast, sign",
+        [("0", True, 1.0), ("1", True, 1.0), ("-0.0", True, -1.0), ("1E+00", True, 1.0),
+         ("5e-324", True, 1.0), ("-0e0", True, -1.0),
+         ("-0", False, 1.0)],  # json reads the integer -0 as +0.0
+    )
+    def test_score_tokens(self, tmp_path, token, fast, sign):
+        path = tmp_path / "a.jsonl"
+        path.write_text(
+            '{"id":"a","leaves":[1],"dropped":[],"quality":%s,"complexity":0.5}\n' % token
+        )
+        with open(path, "r", encoding="utf-8") as f:
+            assert (anchoring._read_fixed_shape(f) is not None) == fast
+        got = load_anchored(path)
+        _assert_same_pool(got, _read_lines(path))
+        assert math.copysign(1.0, got.quality[0]) == sign
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            '{"id":"a","leaves":[1],"dropped":[],"quality":0.5,"complexity":0.5}',  # duplicate
+            '{"id":"b","leaves":[1],"dropped":[],"quality":1.5,"complexity":0.5}',
+            '{"id":"b","leaves":[%d],"dropped":[],"quality":0.5,"complexity":0.5}' % 2**63,
+            '{"id":"b","leaves":[%d],"dropped":[],"quality":0.5,"complexity":0.5}'
+            % -(2**63),
+            '{"id":"b\\"","leaves":[1],"dropped":[],"quality":0.5,"complexity":0.5}',
+            '{"id":"b", "leaves":[1],"dropped":[],"quality":0.5,"complexity":0.5}',
+            "",
+        ],
+    )
+    def test_other_files_fall_back(self, tmp_path, second):
+        path = tmp_path / "a.jsonl"
+        first = '{"id":"a","leaves":[1],"dropped":[],"quality":0.5,"complexity":0.5}'
+        path.write_text(first + "\n" + second + "\n" + first.replace('"a"', '"c"') + "\n")
+        with open(path, "r", encoding="utf-8") as f:
+            assert anchoring._read_fixed_shape(f) is None
+        want = _load_or_error(_read_lines, path)
+        got = _load_or_error(load_anchored, path)
+        if isinstance(want, str):
+            assert got == want and want.startswith("line 2: ")
+        else:
+            _assert_same_pool(got, want)
+
+    def test_take_matches_indexing(self):
+        pool = AnchoredPool.from_records([
+            AnchoredRecord(id=f"r{i}", leaves=tuple(range(i % 3)), dropped=("t",) * (i % 2),
+                           quality=i / 10, complexity=1 - i / 10)
+            for i in range(7)
+        ])
+        for rows in ([], [3], [6, 0, 2, 2], list(range(7))):
+            assert repr(list(pool.take(rows))) == repr([pool[i] for i in rows])

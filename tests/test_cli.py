@@ -417,6 +417,32 @@ class TestSample:
             assert 0 < counters["rescored"] < (picks - 2) * candidates
             assert 0 < counters["blocks_visited"] <= counters["rescored"]
 
+    def test_inputs_hashed_once_for_both_manifests(self, ws, tmp_path, monkeypatch):
+        hashed = []
+
+        def counting_sha256(path):
+            hashed.append(path)
+            return sha256_file(path)
+
+        monkeypatch.setattr("tagforest.cli.sha256_file", counting_sha256)
+        out = tmp_path / "subset.jsonl"
+        trace_path = tmp_path / "trace.json"
+        rc = main([
+            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],
+            "--budget", "3", "--lambda", "5", "--target", ws["target"],
+            "--pool", ws["pool"], "-o", str(out), "--trace", str(trace_path),
+        ])
+        assert rc == 0
+        assert sorted(hashed) == sorted([ws["anchored"], ws["tree"], ws["target"], ws["pool"]])
+        manifests = [
+            json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            for name in ("subset.jsonl", "trace.json")
+        ]
+        for manifest in manifests:
+            assert manifest["inputs"] == {path: sha256_file(path) for path in hashed}
+            del manifest["wall_clock_seconds"]
+        assert manifests[0] == manifests[1]
+
     def test_lambda_without_target(self, ws, tmp_path, capsys):
         rc = main([
             "sample", "--anchored", ws["anchored"], "--tree", ws["tree"],

@@ -14,9 +14,12 @@ from tagforest import (
     AnchoredRecord,
     InfoState,
     Instance,
+    InstancePool,
     InvalidTreeError,
     ObjectiveConfig,
+    Pick,
     SamplerConfig,
+    SelectionTrace,
     TagTree,
     TargetDistribution,
     TreeNode,
@@ -38,6 +41,7 @@ from tagforest.oracle import _leaf_distribution_kl, exact_information, greedy_ex
 from tagforest import matrices, sampler, tree as tree_module
 from tagforest.sampler import _BlockMaxima, _candidate_setup
 
+import canonical_writers
 from conftest import make_tree, random_pool, random_tree, star_tree
 from full_rescoring import sample_full_rescoring
 from path_lifting import marginal_gain_approx, raw_info_vector
@@ -947,3 +951,159 @@ class TestExport:
         assert payload["selected"] == 2
         assert all(p["kl"] is not None for p in payload["picks"])
         assert payload["final_kl"] == trace.final_kl
+
+
+def _write_or_error(write, *args):
+    """The bytes a writer leaves at its path (the last argument), or its error."""
+    path = args[-1]
+    try:
+        write(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc), path.exists()
+    return path.read_bytes()
+
+
+# scores and gains as library callers may pass them: ints, bools, numpy
+# scalars, -0.0, subnormals and the non-finite floats
+_NUMBER = (
+    st.floats()
+    | st.integers()
+    | st.booleans()
+    | st.floats().map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, 10**20])
+)
+_TEXT = st.text(max_size=4) | st.sampled_from(['a"b', "a\\b", "\n\t\x00", "é名", " "])
+
+
+class TestWritersMatchReference:
+    """``export_subset`` and ``write_trace`` write the bytes of the
+    ``dumps_canonical`` writers in ``canonical_writers``, and refuse what
+    they refuse with the same error. They refuse before opening the file."""
+
+    def _compare(self, tmp_path, selected, trace, pool):
+        for name in ("export_subset", "write_trace"):
+            args = (selected, trace, pool) if name == "export_subset" else (trace,)
+            got = _write_or_error(getattr(sampler, name), *args, tmp_path / f"new_{name}")
+            want = _write_or_error(getattr(canonical_writers, name), *args,
+                                   tmp_path / f"ref_{name}")
+            if isinstance(want, tuple):
+                assert got[:2] == want[:2]
+                assert not got[2]  # refused before the file was opened
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("aligned", [False, True])
+    @pytest.mark.parametrize("with_pool", [False, True])
+    def test_runs(self, tmp_path, aligned, with_pool):
+        rng = np.random.default_rng(7)
+        tree = random_tree(rng, max_nodes=40)
+        records = random_pool(rng, tree, 60)
+        # an id that needs escaping, and integer scores from a library caller
+        records[3] = replace(records[3], id='q"\\\n\x01é', quality=1, complexity=0)
+        target = None
+        objective = ObjectiveConfig()
+        if aligned:
+            target = TargetDistribution(
+                weights={int(leaf): 1.0 / len(tree.leaf_ids) for leaf in tree.leaf_ids}
+            )
+            objective = ObjectiveConfig(kl_weight=2.0)
+        selected, trace = sample(records, tree, SamplerConfig(budget=25, objective=objective),
+                                 target)
+        assert (trace.final_kl is None) == (not aligned)
+        assert all((p.kl is None) == (not aligned) for p in trace.picks)
+        pool = None
+        if with_pool:
+            pool = [
+                Instance(id=r.id, query=f"Q\t{r.id}", response="R ", tags=("t", 'x"'),
+                         quality=i, complexity=float(i) / 3)
+                for i, r in enumerate(records)
+            ]
+        self._compare(tmp_path, selected, trace, pool)
+        self._compare(tmp_path, selected, trace, InstancePool.from_records(pool) if pool else None)
+
+    def test_negative_zero_and_none(self, tmp_path):
+        records = [AnchoredRecord(id="a", leaves=(1, 2), dropped=(), quality=-0.0,
+                                  complexity=0.5)]
+        picks = [Pick(iteration=1, instance_id="a", gain=-0.0, kl=None, joint=-0.0)]
+        trace = SelectionTrace(picks=picks, final_information=-0.0, final_kl=None,
+                               budget_requested=1, pool_size=1, unanchorable=0,
+                               mode="general")
+        self._compare(tmp_path, records, trace, None)
+        assert b'"gain":-0,"kl":null,"joint":-0' in (tmp_path / "new_write_trace").read_bytes()
+
+    @pytest.mark.parametrize("where", ["quality", "leaves", "gain", "joint", "final"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_refused_before_opening(self, tmp_path, where, bad):
+        records = [
+            AnchoredRecord(id=i, leaves=(1,), dropped=(), quality=0.5, complexity=0.5)
+            for i in ("a", "b")
+        ]
+        picks = [Pick(iteration=k + 1, instance_id=r.id, gain=0.25, kl=0.5, joint=0.5)
+                 for k, r in enumerate(records)]
+        if where == "quality":
+            records[1] = replace(records[1], quality=bad)
+        elif where == "leaves":
+            records[1] = replace(records[1], leaves=(1, bad))
+        elif where != "final":
+            picks[1] = replace(picks[1], **{where: bad})
+        trace = SelectionTrace(picks=picks, final_information=bad if where == "final" else 1.0,
+                               final_kl=math.nan, budget_requested=2, pool_size=2,
+                               unanchorable=0, mode="aligned")
+        self._compare(tmp_path, records, trace, None)
+        with pytest.raises(ValueError, match="cannot serialize non-finite number"):
+            write_trace(trace, tmp_path / "t.json")
+        assert not (tmp_path / "t.json").exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(_TEXT, st.lists(st.integers(-3, 2**64) | _NUMBER, max_size=3),
+                      _NUMBER, _NUMBER, _NUMBER, _NUMBER | st.none(), _NUMBER,
+                      st.integers(0, 10)),
+            max_size=4,
+        ),
+        st.sampled_from([None, "list", "pool", "missing"]),
+        st.booleans(),
+        _NUMBER,
+        _NUMBER | st.none(),
+    )
+    def test_arbitrary_values(self, tmp_path_factory, rows, pool_kind, reorder, info, kl):
+        records, picks, instances = [], [], []
+        for k, (rid, leaves, q, c, gain, pick_kl, joint, step) in enumerate(rows):
+            records.append(AnchoredRecord(id=rid, leaves=tuple(leaves), dropped=(),
+                                          quality=q, complexity=c))
+            picks.append(Pick(iteration=step, instance_id=rid, gain=gain, kl=pick_kl,
+                              joint=joint))
+            instances.append(Instance(id=rid, query=rid * 2, response="r", tags=(rid, "t"),
+                                      quality=c, complexity=q))
+        if reorder and len(picks) > 1:
+            picks.reverse()
+        pool = {
+            None: None,
+            "list": instances,
+            "pool": InstancePool.from_records(instances),
+            "missing": instances[1:],
+        }[pool_kind]
+        trace = SelectionTrace(picks=picks, final_information=info, final_kl=kl,
+                               budget_requested=len(rows), pool_size=len(rows),
+                               unanchorable=0, mode="general")
+        self._compare(tmp_path_factory.mktemp("w"), records, trace, pool)
+
+
+class TestSampleSetup:
+    def test_budget_zero_builds_no_blocks(self, tiny_tree, worked_pool):
+        with mock.patch.object(sampler, "_BlockMaxima", side_effect=AssertionError):
+            selected, trace = sample(worked_pool, tiny_tree, SamplerConfig(budget=0))
+        assert selected == [] and trace.picks == []
+
+    def test_float_paths_give_the_int_products(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            tree = random_tree(rng, max_nodes=80)
+            matrix = build_ancestry_matrix(tree).matrix
+            paths = matrix.astype(np.float64)
+            x = rng.normal(size=matrix.shape[0]) * 10.0 ** rng.integers(-300, 300)
+            y = (rng.random(matrix.shape[1]) < 0.3).astype(np.float64)
+            assert (paths.T @ x).tobytes() == (matrix.T @ x).tobytes()
+            assert (paths @ y).tobytes() == (matrix @ y).tobytes()
