@@ -12,8 +12,8 @@ iterated. :func:`anchor_pool` builds one from an instance pool's columns:
 each distinct tag is resolved once, and each row's leaves, dropped tags
 and the counters come from array sorts and counts. :func:`write_anchored`
 formats each row from the columns, and :func:`load_anchored` reads the
-file back into columns: in blocks with one pattern when every row has the
-shape :func:`write_anchored` writes, and line by line otherwise.
+file back into columns: in blocks with one pattern when every row has one
+fixed shape, and otherwise line by line, through :func:`read_rows`'s rules.
 """
 from __future__ import annotations
 
@@ -32,12 +32,9 @@ import numpy as np
 
 from .io import (
     FINITE_RANGE,
-    _NUMBER,
-    _STR,
     EmbeddingTable,
     Instance,
     InstancePool,
-    _scan_once,
     _unit_rows,
     fallback_embedding,
     loads_line,
@@ -390,16 +387,20 @@ def _row_problem(row, required: tuple[str, ...]) -> str | None:
     return None
 
 
-def _parse_row(text: str, lineno: int, required: tuple[str, ...]) -> dict:
-    """The row of one stripped, non-blank line; raises ``ValueError`` naming the line."""
-    try:
-        row = loads_line(text)
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
-    problem = _row_problem(row, required)
-    if problem is not None:
-        raise ValueError(f"line {lineno}: {problem}")
-    return row
+def _rows(lines, required: tuple[str, ...]):
+    """Yield (line number, row) for each non-blank line of ``lines``, as :func:`read_rows` does."""
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            row = loads_line(text)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        problem = _row_problem(row, required)
+        if problem is not None:
+            raise ValueError(f"line {lineno}: {problem}")
+        yield lineno, row
 
 
 def read_rows(path, required: tuple[str, ...]):
@@ -412,10 +413,7 @@ def read_rows(path, required: tuple[str, ...]):
     exported subset files both follow this.
     """
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            text = line.strip()
-            if text:
-                yield lineno, _parse_row(text, lineno, required)
+        yield from _rows(f, required)
 
 
 _UNIT_INTERVAL = (0.0, 1.0)
@@ -439,35 +437,12 @@ def read_score(row: dict, key: str, lineno: int, unit_interval: bool = False) ->
     return float(value)
 
 
-ANCHORED_KEYS = ("id", "leaves", "dropped", "quality", "complexity")
-
-
-def _checked_fields(text: str, lineno: int, seen: set[str]):
-    """(id, leaves, dropped, quality, complexity) of a line under the full rules.
-
-    The rules run in order: :func:`_parse_row`, :func:`read_score` with
-    ``unit_interval`` for ``quality`` and then ``complexity``, then the
-    unique-id rule against ``seen``. The first broken rule raises its
-    located ``ValueError``.
-    """
-    row = _parse_row(text, lineno, ANCHORED_KEYS)
-    quality = read_score(row, "quality", lineno, unit_interval=True)
-    complexity = read_score(row, "complexity", lineno, unit_interval=True)
-    if row["id"] in seen:
-        raise ValueError(f"line {lineno}: duplicate id '{row['id']}'")
-    return row["id"], row["leaves"], row["dropped"], quality, complexity
-
-
-_INT = {int}
-
-
 def _read_lines(f) -> AnchoredPool:
     """Read an open anchored file line by line; raises with the line number on malformed input.
 
-    The file is read in one pass straight into columns, with the rules
-    checked inline on the parsed row and no record built. A line those
-    checks refuse goes through :func:`_checked_fields`, which raises the
-    located error of the first rule it breaks.
+    Rows come from :func:`_rows`, as :func:`read_rows` reads them; then
+    ``quality``, ``complexity``, the unique id and the 64-bit leaf ids are
+    checked in that order. The first broken rule raises its located error.
     """
     ids: list[str] = []
     dropped: list[tuple[str, ...]] = []
@@ -476,31 +451,12 @@ def _read_lines(f) -> AnchoredPool:
     leaf_ids = array("q")
     quality = array("d")
     complexity = array("d")
-    for lineno, line in enumerate(f, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            row, end = _scan_once(text, 0)
-            rid, leaves, tags = row["id"], row["leaves"], row["dropped"]
-            q, c = row["quality"], row["complexity"]
-        except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
-            end = -1  # TypeError: the value is not an object; -1 refuses the line
-        if not (
-            end == len(text)
-            and type(rid) is str
-            and rid
-            and rid not in seen
-            and type(leaves) is list
-            and _INT.issuperset(map(type, leaves))
-            and type(tags) is list
-            and _STR.issuperset(map(type, tags))
-            and type(q) in _NUMBER
-            and 0.0 <= q <= 1.0
-            and type(c) in _NUMBER
-            and 0.0 <= c <= 1.0
-        ):
-            rid, leaves, tags, q, c = _checked_fields(text, lineno, seen)
+    for lineno, row in _rows(f, ("id", "leaves", "dropped", "quality", "complexity")):
+        quality.append(read_score(row, "quality", lineno, unit_interval=True))
+        complexity.append(read_score(row, "complexity", lineno, unit_interval=True))
+        rid, leaves = row["id"], row["leaves"]
+        if rid in seen:
+            raise ValueError(f"line {lineno}: duplicate id '{rid}'")
         try:
             leaf_ids.extend(leaves)
         except OverflowError:
@@ -511,9 +467,7 @@ def _read_lines(f) -> AnchoredPool:
         leaf_ptr.append(len(leaf_ids))
         seen.add(rid)
         ids.append(rid)
-        dropped.append(tuple(tags))
-        quality.append(q)
-        complexity.append(c)
+        dropped.append(tuple(row["dropped"]))
     return AnchoredPool(
         ids=ids,
         leaf_ptr=np.frombuffer(leaf_ptr, dtype=np.int64),
@@ -534,23 +488,29 @@ _BLOCK_CHARS = 1 << 16
 # control characters, leaf ids of at most 18 digits (so they fit in int64)
 # and scores that are JSON numbers, where a minus sign needs a fraction or
 # an exponent: json reads "-0" as the int 0, but float("-0") is -0.0. A
-# backtrack never leads to a match in this grammar, so every quantifier is
-# possessive where Python has them (3.11 on), which halves the match time;
-# without them the same rows match.
+# backtrack never leads to a match in this grammar, so _row_shape puts _P
+# after every quantifier: "+" makes them possessive where Python has them
+# (3.11 on), which halves the match time; without them the same rows match.
 _P = "+" if sys.version_info >= (3, 11) else ""
 _CHAR = r'[^"\\\x00-\x1f]'
-_LEAF = rf"-?{_P}(?:0|[1-9][0-9]{{0,17}}{_P})"
-_SCORE = (
-    rf"(?:-(?=[0-9]+{_P}[.eE]))?{_P}(?:0|[1-9][0-9]*{_P})"
-    rf"(?:\.[0-9]+{_P})?{_P}(?:[eE][-+]?{_P}[0-9]+{_P})?{_P}"
-)
-_ROW_SHAPE = re.compile(
-    rf'^\{{"id":"({_CHAR}+{_P})",'
-    rf'"leaves":\[((?:{_LEAF}(?:,{_LEAF})*{_P})?{_P})\],'
-    rf'"dropped":\[((?:"{_CHAR}*{_P}"(?:,"{_CHAR}*{_P}")*{_P})?{_P})\],'
-    rf'"quality":({_SCORE}),"complexity":({_SCORE})\}}\n',
-    re.MULTILINE,
-)
+
+
+def _row_shape(p: str) -> re.Pattern:
+    leaf = rf"-?{p}(?:0|[1-9][0-9]{{0,17}}{p})"
+    score = (
+        rf"(?:-(?=[0-9]+{p}[.eE]))?{p}(?:0|[1-9][0-9]*{p})"
+        rf"(?:\.[0-9]+{p})?{p}(?:[eE][-+]?{p}[0-9]+{p})?{p}"
+    )
+    return re.compile(
+        rf'^\{{"id":"({_CHAR}+{p})",'
+        rf'"leaves":\[((?:{leaf}(?:,{leaf})*{p})?{p})\],'
+        rf'"dropped":\[((?:"{_CHAR}*{p}"(?:,"{_CHAR}*{p}")*{p})?{p})\],'
+        rf'"quality":({score}),"complexity":({score})\}}\n',
+        re.MULTILINE,
+    )
+
+
+_ROW_SHAPE = _row_shape(_P)
 
 
 def _blocks(f):
@@ -626,12 +586,12 @@ def load_anchored(path) -> AnchoredPool:
 
     Rows follow :func:`read_rows` and carry all five keys. Scores must be
     finite and in [0, 1], as ``anchor`` writes them, ids must be unique
-    and leaf ids must fit in 64 bits. A file whose every line is a row in
-    the one shape ``write_anchored`` writes is read in blocks by
-    :func:`_read_fixed_shape`, with Python code per row only to split a
-    non-empty ``dropped`` list. Any other file,
-    and any file that breaks a rule, is read again from its start, through
-    the same handle, by :func:`_read_lines`, which words the error.
+    and leaf ids must fit in 64 bits. A file whose every line is a row of
+    ``_ROW_SHAPE`` is read in blocks by :func:`_read_fixed_shape`; that is
+    what :func:`write_anchored` writes, save a -0.0 score, written ``-0``.
+    Any other file, and any file that breaks a rule, is read again from its
+    start, through the same handle, by :func:`_read_lines`, which checks
+    rows as :func:`read_rows` does, words the error and reads ``-0`` as 0.0.
     """
     with open(path, "r", encoding="utf-8") as f:
         pool = _read_fixed_shape(f)

@@ -47,6 +47,7 @@ class AncestryMatrix:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
+    # nothing in src/ calls it, but perfbench/tracing.py looks it up by name for --trace 1
     def tree_counts(self, leaf_vector: np.ndarray) -> np.ndarray:
         """Dense node-count vector M @ h_leaf (exact integer arithmetic)."""
         return np.asarray(self.matrix @ leaf_vector.astype(np.int64))

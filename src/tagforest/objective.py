@@ -127,27 +127,6 @@ class InfoState:
         self.total_leaf_mass += int(len(leaf_positions))
         self.size += 1
 
-    @classmethod
-    def from_contributions(
-        cls,
-        prop: PropagationMatrix,
-        info_vecs: list[np.ndarray],
-        leaf_position_lists: list[np.ndarray],
-        n_leaves: int,
-    ) -> "InfoState":
-        """Rebuild a state from scratch (reference path for equivalence tests)."""
-        n_nodes = prop.shape[0]
-        total_e = np.zeros(n_nodes, dtype=np.float64)
-        for vec in info_vecs:
-            total_e += vec
-        state = cls.empty(n_nodes, n_leaves)
-        state.accumulated = np.asarray(prop.matrix @ total_e)
-        for positions in leaf_position_lists:
-            state.leaf_counts[positions] += 1
-            state.total_leaf_mass += int(len(positions))
-        state.size = len(info_vecs)
-        return state
-
 
 def state_information(state: InfoState, gamma: float) -> float:
     """I of the current state: sum of phi over the accumulated vector."""

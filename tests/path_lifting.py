@@ -4,7 +4,8 @@
 lifts its leaves, through the ancestry matrix, to integer path counts over
 all nodes (an :class:`ActivationProfile`). ``raw_info_vector``,
 ``subset_information`` and ``marginal_gain_approx`` are the first-order
-objective helpers that work on those counts. The pipeline runs none of
+objective helpers that work on those counts, and ``from_contributions``
+rebuilds an :class:`InfoState` from scratch. The pipeline runs none of
 them; the tests use them to check the engine's sparse arithmetic against
 the dense oracle.
 """
@@ -17,6 +18,7 @@ import numpy as np
 from record_pool import DEFAULT_MIN_SIMILARITY, _resolve_tags
 from tagforest.io import EmbeddingTable, Instance
 from tagforest.matrices import AncestryMatrix, PropagationMatrix, build_ancestry_matrix
+from tagforest.objective import InfoState
 from tagforest.tree import TagTree
 
 
@@ -115,3 +117,23 @@ def subset_information(profiles, scores, prop: PropagationMatrix, gamma: float) 
 def marginal_gain_approx(gradient: np.ndarray, info_vec: np.ndarray) -> float:
     """First-order gain of a candidate: G . e_d (G already includes A)."""
     return float(np.dot(gradient, info_vec))
+
+
+def from_contributions(
+    prop: PropagationMatrix,
+    info_vecs: list[np.ndarray],
+    leaf_position_lists: list[np.ndarray],
+    n_leaves: int,
+) -> InfoState:
+    """Rebuild a state from scratch (reference path for equivalence tests)."""
+    n_nodes = prop.shape[0]
+    total_e = np.zeros(n_nodes, dtype=np.float64)
+    for vec in info_vecs:
+        total_e += vec
+    state = InfoState.empty(n_nodes, n_leaves)
+    state.accumulated = np.asarray(prop.matrix @ total_e)
+    for positions in leaf_position_lists:
+        state.leaf_counts[positions] += 1
+        state.total_leaf_mass += int(len(positions))
+    state.size = len(info_vecs)
+    return state

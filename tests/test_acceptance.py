@@ -15,7 +15,6 @@ import numpy as np
 from tagforest import (
     AnchoredRecord,
     EmbeddingTable,
-    InfoState,
     Instance,
     ObjectiveConfig,
     SamplerConfig,
@@ -40,7 +39,13 @@ from tagforest.oracle import (
 )
 
 from conftest import random_pool, random_tree, star_tree
-from path_lifting import anchor_instance, marginal_gain_approx, raw_info_vector, subset_information
+from path_lifting import (
+    anchor_instance,
+    from_contributions,
+    marginal_gain_approx,
+    raw_info_vector,
+    subset_information,
+)
 
 GAMMA = 0.85
 
@@ -214,7 +219,7 @@ class TestAcceptance:
                     vec, positions = _info_vec(pool[i], tree, anc)
                     vecs.append(vec)
                     pos_lists.append(positions)
-                state = InfoState.from_contributions(prop, vecs, pos_lists, n_leaves)
+                state = from_contributions(prop, vecs, pos_lists, n_leaves)
                 grad = gradient_vector(state, prop, GAMMA)
                 cand_vec, _ = _info_vec(pool[d_idx], tree, anc)
                 approx = marginal_gain_approx(grad, cand_vec)
@@ -268,7 +273,7 @@ class TestAcceptance:
             chosen_set: set[int] = set()
             by_id = {rec.id: i for i, rec in enumerate(pool)}
             for pick in trace.picks:
-                state = InfoState.from_contributions(
+                state = from_contributions(
                     prop,
                     [vec_list[i] for i in chosen_idx],
                     [pos_list[i] for i in chosen_idx],

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -560,3 +561,52 @@ class TestFixedShapeReader:
         ])
         for rows in ([], [3], [6, 0, 2, 2], list(range(7))):
             assert repr(list(pool.take(rows))) == repr([pool[i] for i in rows])
+
+
+_GOOD_ROW = {"id": "a", "leaves": [1], "dropped": [], "quality": 0.5, "complexity": 0.5}
+
+
+@pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")], ids=["spaced", "fixed-shape"])
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"id": "b", "leaves": [True], "quality": 2},
+         "line 2: 'leaves' must be a list of integers, got [True]"),
+        ({"id": "b", "quality": "x", "complexity": 5},
+         "line 2: 'quality' must be a finite number in [0, 1], got 'x'"),
+        ({"quality": 2}, "line 2: 'quality' must be a finite number in [0, 1], got 2"),
+        ({"leaves": [2**63]}, "line 2: duplicate id 'a'"),
+    ],
+    ids=["shape-before-quality", "quality-before-complexity", "quality-before-duplicate",
+         "duplicate-before-int64"],
+)
+def test_first_broken_rule_is_named(tmp_path, separators, fields, error):
+    """A line that breaks two rules is refused for the first of: row shape,
+    quality, complexity, duplicate id, int64 leaf. Compact rows start in the
+    fixed shape, and the broken rule sends the file to the line reader."""
+    path = tmp_path / "a.jsonl"
+    rows = [_GOOD_ROW, {**_GOOD_ROW, **fields}]
+    path.write_text("".join(json.dumps(row, separators=separators) + "\n" for row in rows))
+    assert _load_or_error(load_anchored, path) == error
+
+
+# a row in the fixed shape with one character replaced
+_MUTATED_ROW = st.builds(
+    lambda row, at, char: row[:at] + char + row[at + 1 :],
+    _FIELDS.map(lambda fields: _SHAPED_ROW % fields),
+    st.integers(0, 80),
+    st.sampled_from(list('"\\,:[]{}-+.eE019 x')),
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="possessive quantifiers need 3.11")
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(
+    st.one_of(_FIELDS.map(lambda fields: _SHAPED_ROW % fields), _MUTATED_ROW, _EDGE_LINE),
+    max_size=6,
+))
+def test_row_shape_matches_without_possessive_quantifiers(lines):
+    """The plain pattern that Python 3.10 compiles finds the rows the possessive one does."""
+    block = "".join(line + "\n" for line in lines)
+    assert anchoring._row_shape("+").pattern == anchoring._ROW_SHAPE.pattern
+    assert anchoring._row_shape("").findall(block) == anchoring._row_shape("+").findall(block)

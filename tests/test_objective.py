@@ -22,7 +22,13 @@ from tagforest.io import Instance
 from tagforest.oracle import exact_information
 
 from conftest import random_pool, random_tree
-from path_lifting import anchor_instance, marginal_gain_approx, raw_info_vector, subset_information
+from path_lifting import (
+    anchor_instance,
+    from_contributions,
+    marginal_gain_approx,
+    raw_info_vector,
+    subset_information,
+)
 
 
 def _info_vec_and_positions(tree, anc, prop, leaves, score):
@@ -148,7 +154,7 @@ class TestInfoState:
                 state.add_contribution(prop, vec, positions)
                 vecs.append(vec)
                 pos_lists.append(positions)
-            scratch = InfoState.from_contributions(prop, vecs, pos_lists, len(anc.leaf_ids))
+            scratch = from_contributions(prop, vecs, pos_lists, len(anc.leaf_ids))
             np.testing.assert_allclose(
                 state.accumulated, scratch.accumulated, rtol=1e-9, atol=1e-12
             )

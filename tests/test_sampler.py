@@ -44,7 +44,7 @@ from tagforest.sampler import _BlockMaxima, _candidate_setup
 import canonical_writers
 from conftest import make_tree, random_pool, random_tree, star_tree
 from full_rescoring import sample_full_rescoring
-from path_lifting import marginal_gain_approx, raw_info_vector
+from path_lifting import from_contributions, marginal_gain_approx, raw_info_vector
 from record_setup import _leaf_matrix, _rank_candidates
 
 
@@ -232,7 +232,7 @@ class TestInvariances:
         chosen: list[str] = []
         vecs, pos_lists = [], []
         for pick in trace.picks:
-            state = InfoState.from_contributions(prop, vecs, pos_lists, n_leaves)
+            state = from_contributions(prop, vecs, pos_lists, n_leaves)
             G = gradient_vector(state, prop, 0.85)
             best = None
             for rec in pool:
