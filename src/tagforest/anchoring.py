@@ -199,7 +199,9 @@ def _tag_vector(tag: str, embeddings: EmbeddingTable | None, dim: int) -> np.nda
 
 
 # Distinct tags per similarity block: 512 tags against 5,000 leaves is a
-# 20 MB block of float64.
+# 20 MB block of float64, and one block is alive at a time. The chunk size
+# fixes each product's shape, and BLAS may sum a row differently at another
+# shape, so it also fixes the similarity bits and thus every tie and drop.
 _SIMILARITY_CHUNK = 512
 # How a distinct tag resolved.
 _EXACT, _NEAREST, _DROPPED = 0, 1, 2
@@ -217,7 +219,8 @@ def _resolve_tags(
     collision). Any other tag resolves to its nearest leaf by cosine
     similarity (ties: the lowest leaf id), or is dropped, with leaf id -1,
     when that similarity is below ``min_similarity``. Similarities are
-    computed ``_SIMILARITY_CHUNK`` tags at a time to bound memory.
+    computed ``_SIMILARITY_CHUNK`` tags at a time, and each block is freed
+    before the next is computed.
     """
     leaf_ids = tree.leaf_ids
     leaf_matrix = _leaf_vectors(tree, embeddings)
@@ -246,6 +249,7 @@ def _resolve_tags(
         sims = mat @ leaf_matrix.T
         best = np.argmax(sims, axis=1)  # ties: first occurrence = lowest leaf id
         drop = sims[np.arange(len(batch)), best] < min_similarity
+        del mat, sims  # else they live on through the next block's product
         leaf[batch] = np.where(drop, -1, leaf_ids[best])
         kind[batch] = np.where(drop, _DROPPED, _NEAREST)
     return leaf, kind

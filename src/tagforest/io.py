@@ -322,7 +322,9 @@ def load_instances(path) -> tuple[InstancePool, ValidationReport]:
     straight into columns, with the rules of :func:`_parse_instance`
     checked inline on the parsed object. A line those checks refuse goes
     through :func:`loads_line` and :func:`_parse_instance`, which report
-    the rule it breaks.
+    the rule it breaks. Every occurrence of a tag in ``tags`` is one
+    shared string object, so the column costs a pointer per occurrence
+    and a string per distinct tag.
     """
     ids: list[str] = []
     queries: list[str] = []
@@ -333,6 +335,7 @@ def load_instances(path) -> tuple[InstancePool, ValidationReport]:
     complexity = array("d")
     report = ValidationReport()
     seen: set[str] = set()
+    names: dict[str, str] = {}  # each distinct tag to its one string in ``tags``
     lo, hi = FINITE_RANGE
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -367,7 +370,7 @@ def load_instances(path) -> tuple[InstancePool, ValidationReport]:
             ids.append(rid)
             queries.append(query)
             responses.append(response)
-            tags.extend(row_tags)
+            tags.extend(map(names.setdefault, row_tags, row_tags))
             tag_ptr.append(len(tags))
             quality.append(q)
             complexity.append(c)

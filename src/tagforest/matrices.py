@@ -9,8 +9,9 @@ Two sparse operators drive everything downstream:
   row-normalized with an implicit self-loop so every row sums to 1 and
   the diagonal entry is 1/(1+degree).
 
-Both are deterministic functions of the tree, and the public builders
-reject invalid input. The private ``_ancestry_matrix`` and
+Both are deterministic functions of the tree, built with numpy from its
+parent array (``TagTree.parents``), and the public builders reject
+invalid input. The private ``_ancestry_matrix`` and
 ``_propagation_matrix`` skip that check, for a caller that has already
 validated the tree once.
 """
@@ -94,38 +95,42 @@ def build_propagation_matrix(tree: TagTree) -> PropagationMatrix:
 
 def _ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     leaf_ids = tree.leaf_ids
-    rows: list[int] = []
-    cols: list[int] = []
-    for j, leaf in enumerate(leaf_ids):
-        for node_id in tree.ancestors_and_self(int(leaf)):
-            rows.append(node_id)
-            cols.append(j)
-    data = np.ones(len(rows), dtype=np.int64)
+    parents = tree.parents
+    n_nodes, n_leaves = tree.n_nodes, len(leaf_ids)
+    # walk every leaf's path up one level per step; a key col * n_nodes + row
+    # sorts the entries into CSC order, each column's rows ascending
+    keys = []
+    node, col = leaf_ids, np.arange(n_leaves, dtype=np.int64)
+    while len(node):
+        keys.append(col * n_nodes + node)
+        node = parents[node]
+        above = node >= 0
+        node, col = node[above], col[above]
+    keys = np.sort(np.concatenate(keys))
+    indptr = np.zeros(n_leaves + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n_nodes, minlength=n_leaves), out=indptr[1:])
     matrix = sp.csc_matrix(
-        (data, (np.array(rows), np.array(cols))),
-        shape=(tree.n_nodes, len(leaf_ids)),
+        (np.ones(len(keys), dtype=np.int64), keys % n_nodes, indptr),
+        shape=(n_nodes, n_leaves),
     )
     return AncestryMatrix(matrix=matrix, leaf_ids=leaf_ids)
 
 
 def _propagation_matrix(tree: TagTree) -> PropagationMatrix:
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    for node in tree.nodes:
-        neighbors = list(node.children)
-        if node.parent is not None:
-            neighbors.append(node.parent)
-        weight = 1.0 / (1.0 + len(neighbors))
-        rows.append(node.id)
-        cols.append(node.id)
-        data.append(weight)
-        for q in neighbors:
-            rows.append(node.id)
-            cols.append(q)
-            data.append(weight)
+    parents = tree.parents
+    n = tree.n_nodes
+    child = np.flatnonzero(parents >= 0)
+    parent = parents[child]
+    # row p holds p, its children and its parent; a key row * n + col sorts
+    # the entries into CSR order, each row's columns ascending
+    nodes = np.arange(n, dtype=np.int64)
+    keys = np.sort(np.concatenate([nodes * (n + 1), child * n + parent, parent * n + child]))
+    counts = np.bincount(keys // n, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    weight = 1.0 / counts  # 1 / (1 + degree)
     matrix = sp.csr_matrix(
-        (np.array(data), (np.array(rows), np.array(cols))),
-        shape=(tree.n_nodes, tree.n_nodes),
+        (np.repeat(weight, counts), keys % n, indptr),
+        shape=(n, n),
     )
     return PropagationMatrix(matrix=matrix)

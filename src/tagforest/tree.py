@@ -116,6 +116,13 @@ class TagTree:
         return np.array(sorted(n.id for n in self.nodes if n.is_leaf()), dtype=np.int64)
 
     @cached_property
+    def parents(self) -> np.ndarray:
+        """Parent id of each node, in node order, with -1 for the root."""
+        return np.array(
+            [-1 if n.parent is None else n.parent for n in self.nodes], dtype=np.int64
+        )
+
+    @cached_property
     def leaf_pos(self) -> dict[int, int]:
         """Map leaf node id -> dense leaf position (column index)."""
         return {int(nid): j for j, nid in enumerate(self.leaf_ids)}

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -145,6 +146,21 @@ class TestAnchorPool:
         pool = [_inst("a", ["l1"], 0.25, 0.75), _inst("b", ["l2"], 1.0, 0.0)]
         records, _ = anchor_pool(pool, tiny_tree, None)
         assert [(r.quality, r.complexity) for r in records] == [(0.25, 0.75), (1.0, 0.0)]
+
+    def test_one_similarity_block_alive_at_a_time(self):
+        # three and a bit blocks of tags that name no leaf, against 2,000
+        # hashed leaf vectors: an 8 MB block next to a 0.5 MB leaf matrix
+        tree = make_tree([None] + [0] * 2000)
+        distinct = [f"tag{k}" for k in range(3 * anchoring._SIMILARITY_CHUNK + 1)]
+        block = anchoring._SIMILARITY_CHUNK * tree.n_leaves * 8
+        tracemalloc.start()
+        try:
+            leaf, kind = anchoring._resolve_tags(distinct, tree, None, -1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (kind == anchoring._NEAREST).all() and (leaf > 0).all()
+        assert peak < 1.5 * block
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import tagforest.io
 from tagforest import (
     DuplicateIdError,
     EmbeddingTable,
@@ -142,6 +143,33 @@ class TestLoadInstances:
         assert [loc for _, loc, _ in report.errors] == ["line 1", "line 2"]
         assert all(msg.startswith("invalid JSON: ") for _, _, msg in report.errors)
         assert "4300" in report.errors[0][2]
+
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_repeated_tags_share_one_string(self, tmp_path, monkeypatch, refused):
+        # refused: the file holds a line that breaks a rule, and the inline
+        # check refuses every line, so the rows come from the full-rules path
+        tags = [["coding", "math"], ["math", "coding", "coding"], ["poetry", "math"]]
+        lines = [
+            json.dumps({"id": f"r{i}", "query": "q", "response": "r", "tags": t,
+                        "quality": i, "complexity": 0})
+            for i, t in enumerate(tags)
+        ]
+        if refused:
+            lines.insert(1, '{"id":"x","query":"q","response":"r","tags":["math",1]}')
+
+            def refuse(text, idx):
+                raise StopIteration(idx)
+
+            monkeypatch.setattr(tagforest.io, "_scan_once", refuse)
+        p = tmp_path / "pool.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        pool, report = load_instances(p)
+        assert [loc for _, loc, _ in report.errors] == (["line 2"] if refused else [])
+        assert pool.tags == [t for row in tags for t in row]
+        first: dict[str, str] = {}
+        for tag in pool.tags:
+            assert first.setdefault(tag, tag) is tag
+        assert len(first) == 3
 
 
 class TestNormalizeScores:

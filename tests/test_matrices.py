@@ -13,7 +13,50 @@ from tagforest import (
 )
 from tagforest.oracle import dense_ancestry, dense_propagation
 
-from conftest import chain_tree, random_tree, star_tree
+from conftest import chain_tree, make_tree, random_tree, star_tree
+from node_walk_matrices import ancestry_matrix, propagation_matrix
+
+
+def relabeled(tree: TagTree, new_id: np.ndarray) -> TagTree:
+    """The same tree with node i renamed ``new_id[i]``, listed in id order."""
+    nodes = [None] * tree.n_nodes
+    for n in tree.nodes:
+        nodes[new_id[n.id]] = TreeNode(
+            id=int(new_id[n.id]),
+            name=n.name,
+            parent=None if n.parent is None else int(new_id[n.parent]),
+            children=[int(new_id[c]) for c in n.children],
+            depth=n.depth,
+        )
+    return TagTree(nodes=nodes)
+
+
+def assert_same_sparse(got, want) -> None:
+    assert (got.format, got.shape) == (want.format, want.shape)
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, part
+        assert a.tobytes() == b.tobytes(), part
+
+
+def test_builders_match_node_walk_reference():
+    # 1,000 random recursive trees, every other one with its ids shuffled,
+    # and one tree in which every parent has a larger id than its children
+    rng = np.random.default_rng(1000)
+    trees = []
+    for i in range(1000):
+        tree = random_tree(rng, max_nodes=200)
+        trees.append(relabeled(tree, rng.permutation(tree.n_nodes)) if i % 2 else tree)
+    tree = make_tree([None, 0, 0, 1, 1, 1, 2, 3, 3, 6, 9])
+    trees.append(relabeled(tree, np.arange(tree.n_nodes)[::-1]))
+    assert all(n.parent is None or n.parent > n.id for n in trees[-1].nodes)
+    for tree in trees:
+        anc, want_anc = build_ancestry_matrix(tree), ancestry_matrix(tree)
+        assert_same_sparse(anc.matrix, want_anc.matrix)
+        assert anc.leaf_ids.tobytes() == want_anc.leaf_ids.tobytes()
+        prop, want_prop = build_propagation_matrix(tree), propagation_matrix(tree)
+        assert_same_sparse(prop.matrix, want_prop.matrix)
+        assert_same_sparse(prop.transpose, want_prop.transpose)
 
 
 class TestAncestryMatrix:
