@@ -8,9 +8,12 @@ Subcommands cover the full pipeline:
     tagforest sample        --anchored anchored.jsonl --tree tree.json --budget 100
     tagforest stats         --input subset.jsonl --tree tree.json [--target q.json]
 
-Every output file gets a ``<name>.manifest.json`` sidecar recording the
-command, resolved parameters, input digests, version, and wall clock;
-build-tree, the one command that draws random numbers, adds its seed.
+Each subcommand declares its input-file options once; every input file
+given is checked before any work. Every output file gets a
+``<name>.manifest.json`` sidecar recording the command, every option
+under its own name (defaults included), the SHA-256 of each input file,
+version, and wall clock; build-tree, the one command that draws random
+numbers, adds its seed.
 Exit codes: 0 success, 2 usage/input error, 1 unexpected failure.
 """
 from __future__ import annotations
@@ -59,39 +62,43 @@ class UserError(ValueError):
     """Invalid input or arguments; maps to exit code 2."""
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.isfile(path):
-        raise UserError(f"{what} not found: {path}")
-    return path
+# parsed options a manifest keeps out of ``parameters``: the dispatch
+# fields, and build-tree's seed, which it records at the top level
+_NOT_PARAMETERS = ("command", "func", "inputs", "seed")
 
 
-def _digests(inputs: dict[str, str]) -> dict[str, str]:
-    """Input path -> SHA-256 of the file, for a manifest's ``inputs``."""
-    return {path: sha256_file(path) for path in inputs.values()}
+def _check_inputs(args) -> None:
+    for name in args.inputs:
+        path = getattr(args, name)
+        if path and not os.path.isfile(path):
+            raise UserError(f"{name} file not found: {path}")
 
 
-def _write_manifest(
-    output_path: str,
-    command: str,
-    parameters: dict,
-    digests: dict[str, str],
-    started: float,
-    **extra,
-) -> None:
-    """Write the sidecar; ``extra`` adds top-level keys (a seed, counters)."""
+def _write_manifests(args, started: float, *paths: str, **extra) -> None:
+    """Write a ``<path>.manifest.json`` sidecar for each output path.
+
+    ``parameters`` are the parsed options under their own names, defaults
+    included; ``inputs`` maps each given input file to its SHA-256, hashed
+    once for all the sidecars; ``extra`` adds top-level keys (counters).
+    """
+    options = vars(args)
+    given = dict.fromkeys(getattr(args, name) for name in args.inputs)
     manifest = {
-        "command": command,
-        "parameters": parameters,
-        "inputs": digests,
+        "command": args.command,
+        "parameters": {k: v for k, v in options.items() if k not in _NOT_PARAMETERS},
+        "inputs": {path: sha256_file(path) for path in given if path},
         "version": __version__,
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "wall_clock_seconds": time.time() - started,
     }
+    if "seed" in options:
+        manifest["seed"] = args.seed
     manifest.update(extra)
     text = dumps_canonical(manifest)  # before opening: a refused value leaves no file
-    with open(f"{output_path}.manifest.json", "w", encoding="utf-8") as f:
-        f.write(text)
-        f.write("\n")
+    for path in paths:
+        with open(f"{path}.manifest.json", "w", encoding="utf-8") as f:
+            f.write(text)
+            f.write("\n")
 
 
 def _print_report(report: ValidationReport) -> None:
@@ -113,12 +120,8 @@ def _load_tags(path: str) -> list[str]:
 
 def cmd_build_tree(args) -> int:
     started = time.time()
-    tags = _load_tags(_require_file(args.tags, "tags file"))
-    table = None
-    inputs = {"tags": args.tags}
-    if args.embeddings:
-        table = load_embeddings(_require_file(args.embeddings, "embeddings file"))
-        inputs["embeddings"] = args.embeddings
+    tags = _load_tags(args.tags)
+    table = load_embeddings(args.embeddings) if args.embeddings else None
     config = TreeBuildConfig(
         depth_limit=args.depth,
         branching=args.branching,
@@ -130,18 +133,7 @@ def cmd_build_tree(args) -> int:
     tree = build_tree(tags, table, config, report)
     _print_report(report)
     save_tree(tree, args.output)
-    params = {
-        "tags": args.tags,
-        "embeddings": args.embeddings,
-        "depth": args.depth,
-        "branching": args.branching,
-        "kmeans_iters": args.kmeans_iters,
-        "kmeans_restarts": args.kmeans_restarts,
-        "output": args.output,
-    }
-    _write_manifest(
-        args.output, "build-tree", params, _digests(inputs), started, seed=args.seed
-    )
+    _write_manifests(args, started, args.output)
     n_leaves = len(tree.leaf_ids)
     print(
         f"built tree: {tree.n_nodes} nodes, {n_leaves} leaves, "
@@ -152,34 +144,21 @@ def cmd_build_tree(args) -> int:
 
 def cmd_anchor(args) -> int:
     started = time.time()
-    tree = load_tree(_require_file(args.tree, "tree file"))
-    pool, report = load_instances(_require_file(args.pool, "pool file"))
+    tree = load_tree(args.tree)
+    pool, report = load_instances(args.pool)
     _print_report(report)
     if not pool:
         raise UserError("pool has no parseable instances")
     pool = normalize_scores(pool)
-    table = None
-    inputs = {"tree": args.tree, "pool": args.pool}
-    if args.embeddings:
-        table = load_embeddings(_require_file(args.embeddings, "embeddings file"))
-        inputs["embeddings"] = args.embeddings
+    table = load_embeddings(args.embeddings) if args.embeddings else None
     records, anchor_report = anchor_pool(pool, tree, table, args.min_sim)
     write_anchored(records, args.output)
-    params = {
-        "tree": args.tree,
-        "pool": args.pool,
-        "embeddings": args.embeddings,
-        "min_sim": args.min_sim,
-        "output": args.output,
-    }
     counters = {
         "exact": anchor_report.exact_tags,
         "nearest": anchor_report.nearest_tags,
         "dropped": sum(anchor_report.dropped_tags.values()),
     }
-    _write_manifest(
-        args.output, "anchor", params, _digests(inputs), started, counters=counters
-    )
+    _write_manifests(args, started, args.output, counters=counters)
     print(
         f"anchored {anchor_report.anchored}/{len(pool)} instances "
         f"({len(anchor_report.unanchorable_ids)} unanchorable, "
@@ -195,34 +174,27 @@ def cmd_anchor(args) -> int:
 
 def cmd_derive_target(args) -> int:
     started = time.time()
-    tree = load_tree(_require_file(args.tree, "tree file"))
-    records = load_anchored(_require_file(args.anchored, "anchored file"))
+    tree = load_tree(args.tree)
+    records = load_anchored(args.anchored)
     target = derive_target(records, tree)
     save_target(target, tree, args.output)
-    params = {"anchored": args.anchored, "tree": args.tree, "output": args.output}
-    inputs = {"anchored": args.anchored, "tree": args.tree}
-    _write_manifest(args.output, "derive-target", params, _digests(inputs), started)
+    _write_manifests(args, started, args.output)
     print(f"derived target over {len(target.weights)} leaves -> {args.output}")
     return 0
 
 
 def cmd_sample(args) -> int:
     started = time.time()
-    tree = load_tree(_require_file(args.tree, "tree file"))
-    records = load_anchored(_require_file(args.anchored, "anchored file"))
-    inputs = {"anchored": args.anchored, "tree": args.tree}
-
-    target = None
-    if args.target:
-        target = load_target(_require_file(args.target, "target file"), tree)
-        inputs["target"] = args.target
+    tree = load_tree(args.tree)
+    records = load_anchored(args.anchored)
+    target = load_target(args.target, tree) if args.target else None
     objective = ObjectiveConfig(
         alpha=args.alpha,
         gamma=args.gamma,
-        kl_weight=args.kl_weight,
+        kl_weight=getattr(args, "lambda"),
         epsilon=args.epsilon,
     )
-    if args.kl_weight > 0.0 and target is None:
+    if objective.kl_weight > 0.0 and target is None:
         raise UserError("--lambda > 0 requires --target")
 
     config = SamplerConfig(
@@ -240,35 +212,18 @@ def cmd_sample(args) -> int:
 
     pool = None
     if args.pool:
-        pool, report = load_instances(_require_file(args.pool, "pool file"))
+        pool, report = load_instances(args.pool)
         _print_report(report)
-        inputs["pool"] = args.pool
     export_subset(selected, trace, pool, args.output)
     write_trace(trace, args.trace)
 
-    params = {
-        "anchored": args.anchored,
-        "tree": args.tree,
-        "budget": args.budget,
-        "alpha": args.alpha,
-        "gamma": args.gamma,
-        "lambda": args.kl_weight,
-        "epsilon": args.epsilon,
-        "target": args.target,
-        "pool": args.pool,
-        "workers": args.workers,
-        "mode": trace.mode,
-        "output": args.output,
-        "trace": args.trace,
-    }
+    args.mode = trace.mode  # follows the target; recorded with the options
     counters = {
         "full_rescores": trace.full_rescores,
         "rescored": trace.rescored,
         "blocks_visited": trace.blocks_visited,
     }
-    digests = _digests(inputs)  # once for both manifests
-    for path in (args.output, args.trace):
-        _write_manifest(path, "sample", params, digests, started, counters=counters)
+    _write_manifests(args, started, args.output, args.trace, counters=counters)
     kl_text = "n/a" if trace.final_kl is None else format(trace.final_kl, ".6g")
     print(
         f"selected {len(selected)} of {len(records)} "
@@ -281,12 +236,11 @@ def cmd_sample(args) -> int:
 def cmd_stats(args) -> int:
     started = time.time()
     epsilon = ObjectiveConfig(epsilon=args.epsilon).epsilon
-    tree = load_tree(_require_file(args.tree, "tree file"))
-    path = _require_file(args.input, "input file")
+    tree = load_tree(args.tree)
     try:  # anchored or exported subset rows
-        numbered = list(read_rows(path, ("leaves",)))
+        numbered = list(read_rows(args.input, ("leaves",)))
     except ValueError as exc:
-        raise UserError(f"{path}: {exc}") from None
+        raise UserError(f"{args.input}: {exc}") from None
     rows = [row for _, row in numbered]
     leaf_ids = tree.leaf_ids
     n_leaves = len(leaf_ids)
@@ -300,6 +254,16 @@ def cmd_stats(args) -> int:
                 raise UserError(f"row '{row.get('id')}': {leaf} is not a leaf id")
             counts[leaf_pos[leaf]] += 1
             activated_nodes.update(tree.ancestors_and_self(leaf))
+
+    scores = {}  # read in full before the first line of output
+    try:
+        for field in ("quality", "complexity"):
+            scores[field] = [
+                read_score(row, field, lineno) for lineno, row in numbered if field in row
+            ]
+    except ValueError as exc:
+        raise UserError(f"{args.input}: {exc}") from None
+    target = load_target(args.target, tree) if args.target else None
 
     print(f"rows: {len(rows)}")
     print("leaf histogram (leaf id, name, count):")
@@ -317,14 +281,7 @@ def cmd_stats(args) -> int:
     for depth in sorted(by_depth_total):
         print(f"  depth {depth}: {by_depth_hit.get(depth, 0)}/{by_depth_total[depth]}")
 
-    for field in ("quality", "complexity"):
-        values = []
-        for lineno, row in numbered:
-            if field in row:
-                try:
-                    values.append(read_score(row, field, lineno))
-                except ValueError as exc:
-                    raise UserError(f"{path}: {exc}") from None
+    for field, values in scores.items():
         if values:
             qs = np.quantile(np.array(values), [0.0, 0.25, 0.5, 0.75, 1.0])
             print(
@@ -332,12 +289,10 @@ def cmd_stats(args) -> int:
                 f"median {qs[2]:.6g}, p75 {qs[3]:.6g}, max {qs[4]:.6g}"
             )
 
-    if args.target:
-        target = load_target(_require_file(args.target, "target file"), tree)
+    if target is not None:
         state = InfoState.empty(tree.n_nodes, n_leaves)
         state.leaf_counts = counts
         state.total_leaf_mass = int(counts.sum())
-        state.size = len(rows)
         kl = kl_penalty(
             target.dense(leaf_ids),
             state,
@@ -372,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmeans-restarts", type=int, default=build.kmeans_restarts)
     p.add_argument("--seed", type=int, default=build.seed)
     p.add_argument("-o", "--output", default="tree.json")
-    p.set_defaults(func=cmd_build_tree)
+    p.set_defaults(func=cmd_build_tree, inputs=("tags", "embeddings"))
 
     p = sub.add_parser("anchor", help="map pool instances onto tree leaves")
     p.add_argument("--tree", required=True)
@@ -380,13 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None, help="TSV embedding table for tags")
     p.add_argument("--min-sim", type=float, default=DEFAULT_MIN_SIMILARITY)
     p.add_argument("-o", "--output", default="anchored.jsonl")
-    p.set_defaults(func=cmd_anchor)
+    p.set_defaults(func=cmd_anchor, inputs=("tree", "pool", "embeddings"))
 
     p = sub.add_parser("derive-target", help="empirical leaf target from a reference")
     p.add_argument("--anchored", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("-o", "--output", default="target.json")
-    p.set_defaults(func=cmd_derive_target)
+    p.set_defaults(func=cmd_derive_target, inputs=("anchored", "tree"))
 
     p = sub.add_parser("sample", help="greedy subset selection")
     p.add_argument("--anchored", required=True)
@@ -394,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--alpha", type=float, default=objective.alpha)
     p.add_argument("--gamma", type=float, default=objective.gamma)
-    p.add_argument("--lambda", dest="kl_weight", type=float, default=objective.kl_weight)
+    p.add_argument("--lambda", type=float, default=objective.kl_weight)
     p.add_argument("--epsilon", type=float, default=objective.epsilon)
     p.add_argument("--target", default=None, help="target.json enabling aligned mode")
     p.add_argument("--pool", default=None, help="original pool for full-record export")
@@ -406,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--output", default="subset.jsonl")
     p.add_argument("--trace", default="trace.json")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, inputs=("anchored", "tree", "target", "pool"))
 
     p = sub.add_parser("stats", help="histogram/coverage/KL of a selection")
     p.add_argument("--input", required=True, help="anchored or exported subset JSONL")
@@ -414,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None)
     p.add_argument("--epsilon", type=float, default=objective.epsilon)
     p.add_argument("--all-leaves", action="store_true", help="include zero-count leaves")
-    p.set_defaults(func=cmd_stats)
+    p.set_defaults(func=cmd_stats, inputs=("input", "tree", "target"))
 
     return parser
 
@@ -423,6 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_inputs(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, file outputs, manifests."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 import tagforest
 from tagforest import (
+    ObjectiveConfig,
+    TreeBuildConfig,
     __version__,
     load_anchored,
     load_instances,
@@ -17,7 +20,8 @@ from tagforest import (
     load_tree,
     sha256_file,
 )
-from tagforest.cli import _write_manifest, main
+from tagforest.anchoring import DEFAULT_MIN_SIMILARITY
+from tagforest.cli import _write_manifests, main
 
 TAG_NAMES = [
     "algebra", "geometry", "calculus",
@@ -710,9 +714,120 @@ def test_manifest_refused_value_leaves_no_file(tmp_path):
     # the sidecar is serialized before it is opened, so a value it cannot
     # hold leaves no empty manifest behind
     out = tmp_path / "out"
+    args = argparse.Namespace(command="build-tree", inputs=(), branching=float("inf"))
     with pytest.raises(ValueError, match="non-finite"):
-        _write_manifest(str(out), "build-tree", {"branching": float("inf")}, {}, 0.0)
+        _write_manifests(args, 0.0, str(out))
     assert os.listdir(tmp_path) == []
+
+
+def _input_argv(ws, out: str) -> dict[str, list[str]]:
+    """A working argv per command, every input option given, outputs under ``out``."""
+    return {
+        "build-tree": ["--tags", ws["tags"], "--embeddings", ws["emb"], "-o", out],
+        "anchor": [
+            "--tree", ws["tree"], "--pool", ws["pool"], "--embeddings", ws["emb"],
+            "-o", out,
+        ],
+        "derive-target": ["--anchored", ws["anchored"], "--tree", ws["tree"], "-o", out],
+        "sample": [
+            "--anchored", ws["anchored"], "--tree", ws["tree"], "--budget", "3",
+            "--target", ws["target"], "--pool", ws["pool"],
+            "-o", out, "--trace", out + ".trace",
+        ],
+        "stats": ["--input", ws["anchored"], "--tree", ws["tree"], "--target", ws["target"]],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("build-tree", "tags"),
+        ("build-tree", "embeddings"),
+        ("anchor", "tree"),
+        ("anchor", "pool"),
+        ("anchor", "embeddings"),
+        ("derive-target", "anchored"),
+        ("derive-target", "tree"),
+        ("sample", "anchored"),
+        ("sample", "tree"),
+        ("sample", "target"),
+        ("sample", "pool"),
+        ("stats", "input"),
+        ("stats", "tree"),
+        ("stats", "target"),
+    ],
+)
+def test_missing_input_refused_before_any_work(ws, tmp_path, capsys, command, name):
+    missing = str(tmp_path / "missing")
+    argv = _input_argv(ws, str(tmp_path / "out"))[command]
+    argv[argv.index(f"--{name}") + 1] = missing
+    rc = main([command, *argv])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {name} file not found: {missing}\n"
+    assert os.listdir(tmp_path) == []
+
+
+class TestManifestParameters:
+    """``parameters`` are the parsed options under their own names, defaults included."""
+
+    @staticmethod
+    def _parameters(output) -> dict:
+        with open(f"{output}.manifest.json", encoding="utf-8") as f:
+            return json.load(f)["parameters"]
+
+    def test_build_tree(self, ws):
+        assert self._parameters(ws["tree"]) == {
+            "tags": ws["tags"],
+            "embeddings": ws["emb"],
+            "depth": TreeBuildConfig.depth_limit,
+            "branching": 3.0,
+            "kmeans_iters": TreeBuildConfig.kmeans_iters,
+            "kmeans_restarts": TreeBuildConfig.kmeans_restarts,
+            "output": ws["tree"],
+        }
+
+    def test_anchor(self, ws):
+        assert self._parameters(ws["anchored"]) == {
+            "tree": ws["tree"],
+            "pool": ws["pool"],
+            "embeddings": None,
+            "min_sim": DEFAULT_MIN_SIMILARITY,
+            "output": ws["anchored"],
+        }
+
+    def test_derive_target(self, ws):
+        assert self._parameters(ws["target"]) == {
+            "anchored": ws["anchored"],
+            "tree": ws["tree"],
+            "output": ws["target"],
+        }
+
+    def test_sample(self, ws, tmp_path):
+        out, trace = str(tmp_path / "s.jsonl"), str(tmp_path / "t.json")
+        assert main([
+            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"], "--budget", "3",
+            "--lambda", "5", "--target", ws["target"], "--pool", ws["pool"],
+            "--workers", "2", "-o", out, "--trace", trace,
+        ]) == 0
+        expected = {
+            "anchored": ws["anchored"],
+            "tree": ws["tree"],
+            "budget": 3,
+            "alpha": ObjectiveConfig.alpha,
+            "gamma": ObjectiveConfig.gamma,
+            "lambda": 5.0,
+            "epsilon": ObjectiveConfig.epsilon,
+            "target": ws["target"],
+            "pool": ws["pool"],
+            "workers": 2,
+            "mode": "aligned",
+            "output": out,
+            "trace": trace,
+        }
+        for path in (out, trace):
+            assert self._parameters(path) == expected  # key set and values, any order
 
 
 class TestSeedOnlyWhereUsed:
@@ -802,7 +917,8 @@ class TestStats:
         bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         rc = main(["stats", "--input", str(bad), "--tree", ws["tree"]])
         assert rc == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert "line 2: 'quality' must be a finite number" in err
         assert "Traceback" not in err
 
