@@ -35,6 +35,7 @@ from .io import (
     EmbeddingTable,
     Instance,
     InstancePool,
+    _row_blocks,
     _unit_rows,
     fallback_embedding,
     loads_line,
@@ -198,11 +199,6 @@ def _tag_vector(tag: str, embeddings: EmbeddingTable | None, dim: int) -> np.nda
     return np.asarray(vec, dtype=np.float64) / float(np.linalg.norm(vec))
 
 
-# Distinct tags per similarity block: 512 tags against 5,000 leaves is a
-# 20 MB block of float64, and one block is alive at a time. The chunk size
-# fixes each product's shape, and BLAS may sum a row differently at another
-# shape, so it also fixes the similarity bits and thus every tie and drop.
-_SIMILARITY_CHUNK = 512
 # How a distinct tag resolved.
 _EXACT, _NEAREST, _DROPPED = 0, 1, 2
 
@@ -219,8 +215,11 @@ def _resolve_tags(
     collision). Any other tag resolves to its nearest leaf by cosine
     similarity (ties: the lowest leaf id), or is dropped, with leaf id -1,
     when that similarity is below ``min_similarity``. Similarities are
-    computed ``_SIMILARITY_CHUNK`` tags at a time, and each block is freed
-    before the next is computed.
+    computed a block of tags at a time (:func:`io._row_blocks`: 96 tags
+    against 5,000 leaves, a 3.8 MB block of float64), and each block is
+    freed before the next is computed. With one BLAS thread the blocks'
+    bits are those of one product over every tag, so the cut decides no
+    tie or drop.
     """
     leaf_ids = tree.leaf_ids
     leaf_matrix = _leaf_vectors(tree, embeddings)
@@ -243,8 +242,8 @@ def _resolve_tags(
         else:
             leaf[k] = hit
     dim = leaf_matrix.shape[1]
-    for start in range(0, len(unnamed), _SIMILARITY_CHUNK):
-        batch = unnamed[start : start + _SIMILARITY_CHUNK]
+    for rows in _row_blocks(len(unnamed), len(leaf_ids)):
+        batch = unnamed[rows]
         mat = np.vstack([_tag_vector(distinct[k], embeddings, dim) for k in batch])
         sims = mat @ leaf_matrix.T
         best = np.argmax(sims, axis=1)  # ties: first occurrence = lowest leaf id
@@ -357,14 +356,14 @@ def write_anchored(records: Sequence[AnchoredRecord], path) -> None:
     if len(bad):
         raise ValueError(f"cannot serialize non-finite number: {scores[bad[0]].item()!r}")
     ptr = pool.leaf_ptr.tolist()
-    leaves = list(map(str, pool.leaf_ids.tolist()))
+    leaves = pool.leaf_ids.tolist()
     rows = zip(pool.ids, pool.dropped, pool.quality.tolist(), pool.complexity.tolist())
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(
             _ANCHORED_ROW
             % (
                 encode_basestring(rid),
-                ",".join(leaves[ptr[i] : ptr[i + 1]]),
+                ",".join(map(str, leaves[ptr[i] : ptr[i + 1]])),
                 ",".join(map(encode_basestring, tags)),
                 quality,
                 complexity,

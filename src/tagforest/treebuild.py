@@ -31,7 +31,11 @@ that restart would start from, and one product scores every restart's
 new center per step. A restart that draws less than the replay assumed
 has its successors in the batch seeded again from its real end state,
 so every restart draws what it would have drawn alone. Lloyd's
-assignment scores all centers in one expanded-form product.
+assignment scores all centers in the expanded form, a block of rows at a
+time, and seeding computes the direct distances of the pairs it keeps a
+block of pairs at a time (:func:`io._row_blocks`), so memory is O(n·dim)
+plus one block, with no n × k array. With one BLAS thread the blocks give
+the bits of one product over all rows.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .io import EmbeddingTable, _unit_rows, fallback_embedding
+from .io import EmbeddingTable, _row_blocks, _unit_rows, fallback_embedding
 from .tree import TagTree, TreeNode, ValidationReport
 
 __all__ = [
@@ -161,9 +165,10 @@ def _plus_plus_init(
     total is positive. Once every point coincides with one of its centers,
     a step takes the lowest unused index instead. Each step scores the new
     centers of every restart in one product; a new center's direct
-    distance is computed only for the points :func:`_within` keeps, and
-    elsewhere ``np.minimum`` would have kept the old distance, so the
-    distances, draws and centers are those of a full pass per restart.
+    distance is computed only for the points :func:`_within` keeps, a
+    block of (restart, point) pairs at a time, and elsewhere
+    ``np.minimum`` would have kept the old distance, so the distances,
+    draws and centers are those of a full pass per restart.
 
     Returns each restart's chosen point indices, shape (B, k), each
     point's squared distance to its restart's nearest center, (B, n), and
@@ -187,9 +192,11 @@ def _plus_plus_init(
         new = chosen[:, i]
         c = points[new]
         kept = np.flatnonzero(_within(points, sq, c, sq[new, None], d2))
-        rows, cols = np.divmod(kept, n)
-        near = np.sum((points[cols] - c[rows]) ** 2, axis=1)
-        flat[kept] = np.minimum(flat[kept], near)
+        for pairs in _row_blocks(len(kept), points.shape[1]):
+            block = kept[pairs]
+            rows, cols = np.divmod(block, n)
+            near = np.sum((points[cols] - c[rows]) ** 2, axis=1)
+            flat[block] = np.minimum(flat[block], near)
     return chosen, d2, draws
 
 
@@ -208,13 +215,19 @@ def _replay(
 
 
 def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # ||c||^2 - 2 x.c built in place: scaling by -2 is exact and addition
-    # commutes, so the values are bitwise those of csq - 2.0 * dots.
+    # ||c||^2 - 2 x.c built in place, a block of rows at a time: scaling by
+    # -2 is exact and addition commutes, so the values are bitwise those of
+    # csq - 2.0 * dots over all rows at once (see io._row_blocks).
     # argmin takes the first (lowest) index on ties.
-    d2 = points @ centers.T
-    d2 *= -2.0
-    d2 += np.sum(centers**2, axis=1)
-    return np.argmin(d2, axis=1)
+    c_sq = np.sum(centers**2, axis=1)
+    labels = np.empty(len(points), dtype=np.intp)
+    for rows in _row_blocks(len(points), len(centers)):
+        d2 = points[rows] @ centers.T
+        d2 *= -2.0
+        d2 += c_sq
+        labels[rows] = np.argmin(d2, axis=1)
+        del d2  # else it lives on through the next block's product
+    return labels
 
 
 def _centroids(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -294,6 +307,9 @@ def kmeans(
     draws. Lloyd then runs once per restart, in restart order, so the
     draws, centers and result are those of seeding each restart on its
     own. Cluster sums are one sparse product, added in input order.
+    Assignment and seeding distances are computed a block of rows or of
+    (restart, point) pairs at a time, so one call holds O(n·dim) plus one
+    block of about 2 MB, not n × k distances.
     """
     points = _unit_rows(np.asarray(points, dtype=np.float64))
     n = len(points)

@@ -148,11 +148,14 @@ class TestAnchorPool:
         assert [(r.quality, r.complexity) for r in records] == [(0.25, 0.75), (1.0, 0.0)]
 
     def test_one_similarity_block_alive_at_a_time(self):
-        # three and a bit blocks of tags that name no leaf, against 2,000
-        # hashed leaf vectors: an 8 MB block next to a 0.5 MB leaf matrix
-        tree = make_tree([None] + [0] * 2000)
-        distinct = [f"tag{k}" for k in range(3 * anchoring._SIMILARITY_CHUNK + 1)]
-        block = anchoring._SIMILARITY_CHUNK * tree.n_leaves * 8
+        # three and a bit blocks of tags that name no leaf, against 500
+        # hashed leaf vectors: a 1.9 MB block (the tag left over joins the
+        # last) next to a 0.13 MB leaf matrix, so two blocks alive at once
+        # pass 1.5 blocks
+        tree = make_tree([None] + [0] * 500)
+        step = anchoring._row_blocks(10**6, tree.n_leaves)[0].stop
+        distinct = [f"tag{k}" for k in range(3 * step + 1)]
+        block = (step + 1) * tree.n_leaves * 8
         tracemalloc.start()
         try:
             leaf, kind = anchoring._resolve_tags(distinct, tree, None, -1.0)

@@ -316,14 +316,20 @@ def _anchored(fn, pool, tree, table, min_sim):
 
 
 class TestAnchorPool:
-    @pytest.mark.parametrize("chunk", [1, 2, 3, anchoring._SIMILARITY_CHUNK])
+    # tags per similarity block; None keeps io._row_blocks
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 512, None])
     @_SETTINGS
     @given(_anchor_case())
     def test_matches_record_anchoring(self, chunk, case):
         tree, table, pool, min_sim = case
         want = _outcome(_anchored, ref.anchor_pool, pool, tree, table, min_sim)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(anchoring, "_SIMILARITY_CHUNK", chunk)
+            if chunk is not None:
+                mp.setattr(
+                    anchoring,
+                    "_row_blocks",
+                    lambda n, width: [slice(a, a + chunk) for a in range(0, n, chunk)],
+                )
             got = _outcome(_anchored, anchoring.anchor_pool, pool, tree, table, min_sim)
             columns = InstancePool.from_records(pool)
             from_columns = _outcome(

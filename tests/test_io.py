@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tagforest.io
 from tagforest import (
@@ -233,6 +235,27 @@ class TestFallbackEmbedding:
             fallback_embedding("x", 0)
 
 
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(0, 200_000), width=st.integers(1, 100_000))
+    def test_blocks_tile_the_rows(self, n, width):
+        from tagforest.io import _BLOCK_ELEMENTS, _BLOCK_ROWS, _row_blocks
+
+        blocks = _row_blocks(n, width)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n))
+        # a block: the largest multiple of _BLOCK_ROWS rows whose results
+        # fit in the budget, and at least _BLOCK_ROWS
+        step = _row_blocks(2 * _BLOCK_ELEMENTS, width)[0].stop
+        assert step % _BLOCK_ROWS == 0
+        assert step == _BLOCK_ROWS or step * width <= _BLOCK_ELEMENTS
+        assert (step + _BLOCK_ROWS) * width > _BLOCK_ELEMENTS
+        assert all(b.stop - b.start == step for b in blocks[:-1])
+        if len(blocks) > 1:  # a tail under half a block joins the block before it
+            assert step // 2 <= blocks[-1].stop - blocks[-1].start < step + step // 2
+        elif blocks:
+            assert blocks[0].stop - blocks[0].start < step + step // 2
+
+
 class TestEmbeddingsFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(47)
@@ -293,11 +316,28 @@ class TestTreeSerialization:
         save_tree(load_tree(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("one_node", [True, False])
+    def test_bytes_are_canonical_json(self, tmp_path, one_node):
+        rng = np.random.default_rng(49)
+        tree = make_tree([None]) if one_node else random_tree(rng, max_nodes=60)
+        for node in tree.nodes[::2]:
+            node.embedding = rng.normal(size=3)
+        tree.nodes[-1].name = 'q"\\\u00fc\n'
+        path = tmp_path / "tree.json"
+        save_tree(tree, path)
+        nodes = [
+            {"id": n.id, "name": n.name, "parent": n.parent, "children": n.children,
+             "depth": n.depth, "embedding": n.embedding}
+            for n in tree.nodes
+        ]
+        assert path.read_text(encoding="utf-8") == dumps_canonical({"nodes": nodes}) + "\n"
+
     def test_save_rejects_invalid(self, tmp_path):
         tree = make_tree([None, 0, 0])
         tree.nodes[2].depth = 9
         with pytest.raises(InvalidTreeError):
             save_tree(tree, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()  # refused before the file is opened
 
     def test_load_rejects_invalid(self, tmp_path):
         p = tmp_path / "bad.json"

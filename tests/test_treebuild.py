@@ -1,6 +1,11 @@
 """Taxonomy construction tests: kmeans, level clustering, refinement, full build."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +21,7 @@ from tagforest import (
     sha256_file,
     validate_tree,
 )
-from tagforest.io import _unit_rows
+from tagforest.io import _row_blocks, _unit_rows
 from tagforest.treebuild import (
     _SEED_BATCH,
     ClusterLevel,
@@ -336,6 +341,70 @@ class TestPrunedPasses:
             assert np.all(direct[skipped] > d2[skipped])
             d2 = np.minimum(d2, direct)
         assert len(rows) < len(points) // 4
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+# the BLAS settings of perfbench/run.py
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+class TestBlockedProducts:
+    """Products taken a block of rows at a time (``io._row_blocks``) against
+    one product over every row, and the memory of one call."""
+
+    @pytest.mark.parametrize("check", ["assign", "similarity"])
+    def test_blocks_match_one_product(self, check):
+        # bit for bit with one BLAS thread only, so in a child process
+        env = {
+            **os.environ,
+            **ONE_BLAS_THREAD,
+            "PYTHONPATH": os.pathsep.join([os.path.join(os.path.dirname(TESTS), "src"), TESTS]),
+        }
+        proc = subprocess.run(
+            [sys.executable, os.path.join(TESTS, "blocked_products.py"), check],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_seeding_pair_blocks_match_full_passes(self):
+        # the first step keeps nearly every (restart, point) pair: three
+        # blocks of pairs
+        rng = np.random.default_rng(3)
+        points = _unit_rows(rng.normal(size=(3000, 64)))
+        seeds = [11, 12, 13, 14]
+        assert len(_row_blocks(len(seeds) * 3000, 64)) == 3
+        chosen, d2, _ = _plus_plus_init(points, 20, [np.random.default_rng(s) for s in seeds])
+        for b, s in enumerate(seeds):
+            ref_centers, ref_d2 = unpruned.plus_plus_init(points, 20, np.random.default_rng(s))
+            _assert_same_bits(points[chosen[b]], ref_centers)
+            _assert_same_bits(d2[b], ref_d2)
+
+    @staticmethod
+    def _peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_assign_holds_one_block(self):
+        # n = 5,000, k = 500: one product over every row is 20 MB
+        rng = np.random.default_rng(4)
+        points = _unit_rows(rng.normal(size=(5000, 64)))
+        centers = _unit_rows(rng.normal(size=(500, 64)))
+        block = max(r.stop - r.start for r in _row_blocks(5000, 500)) * 500 * 8
+        assert self._peak(_assign, points, centers) < 1.5 * block
+
+    def test_seeding_holds_one_block_of_pairs(self):
+        # n = 5,000, k = 500, a batch of restarts: at the first step one
+        # gather of every kept pair held 21 MB. A block of pairs holds two
+        # gathered (pairs, dim) arrays next to a few (restarts, n) arrays.
+        rng = np.random.default_rng(4)
+        points = _unit_rows(rng.normal(size=(5000, 64)))
+        rngs = [np.random.default_rng(s) for s in range(_SEED_BATCH)]
+        block = _row_blocks(_SEED_BATCH * 5000, 64)[0].stop * 64 * 8
+        assert self._peak(_plus_plus_init, points, 500, rngs) < 4 * block
 
 
 def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
