@@ -10,17 +10,21 @@ Two sparse operators drive everything downstream:
   the diagonal entry is 1/(1+degree).
 
 Both are deterministic functions of the tree, built with numpy from its
-parent array (``TagTree.parents``), and the public builders reject
-invalid input. The private ``_ancestry_matrix`` and
-``_propagation_matrix`` skip that check, for a caller that has already
-validated the tree once.
+parent array (``TagTree.parents``) and held as numpy index arrays, and
+their products are numpy calls that give the bits scipy's sparse kernels
+give: each output entry is its terms added onto 0.0 in the order of the
+matrix's compressed form. Nothing here imports scipy until a caller reads
+``.matrix`` or ``PropagationMatrix.transpose``, the scipy views of the same
+arrays. The public builders reject invalid input. The private
+``_ancestry_matrix`` and ``_propagation_matrix`` skip that check, for a
+caller that has already validated the tree once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .tree import InvalidTreeError, TagTree, validate_tree
 
@@ -34,45 +38,137 @@ __all__ = [
 
 @dataclass
 class AncestryMatrix:
-    """Binary |V| x |V_leaf| matrix in CSC form, integer entries.
+    """Binary |V| x |V_leaf| matrix, held as a padded ancestor table.
 
     ``leaf_ids[j]`` is the node id behind column j; columns are ordered by
     ascending leaf node id. Column j has exactly depth(leaf)+1 ones: the
-    leaf itself plus every ancestor up to the root.
+    leaf itself plus every ancestor up to the root. ``table`` is a
+    (max depth + 1) x |V_leaf| int64 array whose column j lists those
+    nodes in ascending id order (the matrix's CSC order) and then repeats
+    ``n_nodes``, the padding: a gather from a node vector with one 0.0
+    appended adds nothing for it. ``matrix`` is the same matrix as a
+    ``scipy.sparse.csc_matrix`` with int64 entries, built on first access.
     """
 
-    matrix: sp.csc_matrix
+    table: np.ndarray
     leaf_ids: np.ndarray
+    n_nodes: int
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return self.n_nodes, len(self.leaf_ids)
+
+    @cached_property
+    def matrix(self):
+        import scipy.sparse as sp
+
+        columns = self.table.T
+        real = columns < self.n_nodes  # read column by column, padding dropped
+        indptr = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
+        return sp.csc_matrix(
+            (np.ones(indptr[-1], dtype=np.int64), columns[real], indptr), shape=self.shape
+        )
 
     # nothing in src/ calls it, but perfbench/tracing.py looks it up by name for --trace 1
     def tree_counts(self, leaf_vector: np.ndarray) -> np.ndarray:
         """Dense node-count vector M @ h_leaf (exact integer arithmetic)."""
-        return np.asarray(self.matrix @ leaf_vector.astype(np.int64))
+        h = np.asarray(leaf_vector).astype(np.int64)
+        if h.shape != (len(self.leaf_ids),):
+            raise ValueError(f"leaf vector of shape {h.shape}, expected ({len(self.leaf_ids)},)")
+        counts = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        # flat and explicit: np.add.at mis-adds values broadcast across a 2-D
+        # index (numpy 2.4); the padding's count, at n_nodes, is dropped
+        np.add.at(counts, self.table.ravel(), np.broadcast_to(h, self.table.shape).ravel())
+        return counts[:-1]
+
+    def path_counts(self, columns: np.ndarray) -> np.ndarray:
+        """M @ h for the 0/1 leaf vector h that is 1 at the distinct ``columns``.
+
+        Entry i counts the given leaves at or below node i, in int64.
+        """
+        counts = np.bincount(self.table[:, columns].ravel(), minlength=self.n_nodes + 1)
+        return counts[:-1]
+
+    def leaf_sums(self, g: np.ndarray) -> np.ndarray:
+        """M^T g: each leaf's path entries of ``g``, added onto 0.0 in ascending node id.
+
+        The bits of scipy's ``matrix.T @ g`` for a float64 ``g`` (csr_matvec
+        over the transpose), since the padding adds 0.0 to a sum that
+        started at 0.0.
+        """
+        padded = np.empty(self.n_nodes + 1, dtype=np.float64)
+        padded[:-1] = g
+        padded[-1] = 0.0
+        terms = padded[self.table]
+        out = terms[0] + 0.0
+        for row in terms[1:]:
+            out += row
+        return out
 
 
 @dataclass
 class PropagationMatrix:
-    """Row-stochastic |V| x |V| neighbor-averaging matrix in CSR form.
+    """Row-stochastic |V| x |V| neighbor-averaging matrix, held as index arrays.
 
-    Row p holds 1/(1+deg(p)) at p itself and at each tree neighbor of p
-    (parent and children, treated as undirected adjacency). ``transpose``
-    is A^T in CSR form, built once: ``transpose @ v`` gives the same bits
-    as ``v @ matrix``, which would rebuild the transpose on every call.
+    Row p holds ``weight[p]`` = 1/(1+deg(p)) at p itself and at each tree
+    neighbor of p (parent and children, treated as undirected adjacency).
+    The pattern is symmetric, so ``indptr`` and ``indices`` (node p's
+    closed neighborhood, ascending, is ``indices[indptr[p]:indptr[p + 1]]``)
+    are the index arrays of A in CSR form, of A in CSC form and of A^T in
+    CSR form at once; ``rows`` names the row of each entry. ``matrix``
+    (CSR) and ``transpose`` (A^T in CSR form) are the scipy views, built on
+    first access.
     """
 
-    matrix: sp.csr_matrix
-    transpose: sp.csr_matrix = field(init=False, repr=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+    weight: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.transpose = self.matrix.T.tocsr()
+        n = len(self.weight)
+        self.rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return len(self.weight), len(self.weight)
+
+    @cached_property
+    def matrix(self):
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(
+            (self.weight[self.rows], self.indices, self.indptr), shape=self.shape
+        )
+
+    @cached_property
+    def transpose(self):
+        return self.matrix.T.tocsr()
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """A^T v (the row vector v @ A) in the bits of scipy's ``transpose @ v``.
+
+        Row i of A^T holds weight[p] at each p in i's closed neighborhood,
+        so its terms are (weight * v)[p], which ``bincount`` adds onto 0.0
+        in ascending p, as csr_matvec does.
+        """
+        terms = (self.weight * v)[self.indices]
+        return np.bincount(self.rows, terms, minlength=len(self.weight))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x in the bits of scipy's ``matrix @ x``, over the non-zero entries of x only.
+
+        Read through the symmetric pattern, entry k is A's entry at row
+        ``indices[k]`` and column ``rows[k]``, and the entries run column
+        by column, rows ascending. Those in the columns where x is non-zero
+        are kept in that order, so ``bincount`` adds each row's terms
+        weight[row] * x[col] onto 0.0 in ascending column, as csr_matvec
+        does. A zero term left out changes no sum that starts at 0.0.
+        """
+        kept = (x != 0.0)[self.rows].nonzero()[0]
+        rows = self.indices[kept]
+        terms = self.weight[rows] * x[self.rows[kept]]
+        return np.bincount(rows, terms, minlength=len(self.weight))
 
 
 def _require_valid(tree: TagTree) -> None:
@@ -107,13 +203,13 @@ def _ancestry_matrix(tree: TagTree) -> AncestryMatrix:
         above = node >= 0
         node, col = node[above], col[above]
     keys = np.sort(np.concatenate(keys))
-    indptr = np.zeros(n_leaves + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // n_nodes, minlength=n_leaves), out=indptr[1:])
-    matrix = sp.csc_matrix(
-        (np.ones(len(keys), dtype=np.int64), keys % n_nodes, indptr),
-        shape=(n_nodes, n_leaves),
-    )
-    return AncestryMatrix(matrix=matrix, leaf_ids=leaf_ids)
+    col = keys // n_nodes
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    lengths = np.diff(starts, append=len(keys))
+    rank = np.arange(len(keys)) - np.repeat(starts, lengths)
+    table = np.full((int(lengths.max()), n_leaves), n_nodes, dtype=np.int64)
+    table[rank, col] = keys - col * n_nodes
+    return AncestryMatrix(table=table, leaf_ids=leaf_ids, n_nodes=n_nodes)
 
 
 def _propagation_matrix(tree: TagTree) -> PropagationMatrix:
@@ -128,9 +224,8 @@ def _propagation_matrix(tree: TagTree) -> PropagationMatrix:
     counts = np.bincount(keys // n, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    weight = 1.0 / counts  # 1 / (1 + degree)
-    matrix = sp.csr_matrix(
-        (np.repeat(weight, counts), keys % n, indptr),
-        shape=(n, n),
+    return PropagationMatrix(
+        indptr=indptr,
+        indices=keys % n,
+        weight=1.0 / counts,  # 1 / (1 + degree)
     )
-    return PropagationMatrix(matrix=matrix)

@@ -334,9 +334,15 @@ def sample(
     loop keeps each pick as its pool row, and the picked records are
     built once, after the loop, from those rows only.
 
-    The tree is validated once, and both operators are built from it;
-    the loop multiplies by a float64 copy of the ancestry matrix. A budget
-    of 0 builds no block maxima.
+    The tree is validated once, and both operators are built from it as
+    numpy index arrays (:mod:`tagforest.matrices`). Per pick, the leaf
+    gradient sums the node gradient along each leaf's path through the
+    padded ancestor table, and the pick's information vector is its exact
+    path counts times its score. :meth:`InfoState.add_contribution` runs
+    over the pick's paths and their neighbors only, and
+    :func:`gradient_vector` recomputes phi' only where the mass changed.
+    Every sum adds the terms scipy's sparse kernels add, in their order. A
+    budget of 0 builds no block maxima.
     Every iteration runs one lazy argmax: each unselected candidate's last
     key gain + kl_weight * (H w), which never rises, is kept in blocks of
     one leaf count with their maxima, and the blocks whose bound could
@@ -359,10 +365,6 @@ def sample(
     ancestry = _ancestry_matrix(tree)
     prop = _propagation_matrix(tree)
     n_nodes, n_leaves = ancestry.shape
-    # a float64 copy for the products of the loop, which scipy would
-    # otherwise cast from int64 on every call; 0/1 entries convert exactly
-    paths = ancestry.matrix.astype(np.float64)
-    to_leaves = paths.T
 
     cand, s, indptr, indices = _candidate_setup(pool, tree, obj.alpha)
     n = len(cand)
@@ -384,11 +386,15 @@ def sample(
 
     for iteration in range(1, budget + 1):
         gradient = gradient_vector(state, prop, obj.gamma)
-        g_leaf = np.asarray(to_leaves @ gradient)
+        g_leaf = ancestry.leaf_sums(gradient)
         acc = state.accumulated
         # phi' falls as mass grows, so gains never rise after iteration 2,
-        # except where a node leaves 0 for a value under the floor.
-        full = iteration <= 2 or bool(np.any((acc > 0.0) & (acc < GRADIENT_FLOOR)))
+        # except where a node leaves 0 for a value under the floor. Once
+        # every mass has reached the floor, the minimum alone shows it.
+        full = iteration <= 2 or (
+            not acc.min() >= GRADIENT_FLOOR
+            and ((acc > 0.0) & (acc < GRADIENT_FLOOR)).any()
+        )
         if full:
             blocks.stale()
             full_rescores += 1
@@ -434,9 +440,7 @@ def sample(
         )
 
         positions = indices[indptr[idx] : indptr[idx + 1]]
-        leaf_vec = np.zeros(n_leaves, dtype=np.float64)
-        leaf_vec[positions] = 1.0
-        info_vec = s[idx] * np.asarray(paths @ leaf_vec)
+        info_vec = s[idx] * ancestry.path_counts(positions)
         state.add_contribution(prop, info_vec, positions)
 
     final_info = state_information(state, obj.gamma)

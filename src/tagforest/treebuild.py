@@ -18,8 +18,8 @@ above, concatenated, so each node's children take consecutive ids.
 Everything is deterministic given (tags, embeddings, config): K-Means
 draws from a generator seeded by (seed, level), assignment ties take the
 lowest cluster index, and centroid sums reduce in fixed input order (one
-sparse cluster x point product, which adds each cluster's members onto
-0.0 in input order).
+``np.bincount`` over (cluster, column) bins, which adds each cluster's
+members onto 0.0 in input order).
 
 K-Means++ seeding and the refinement's reassignment are pruned: a point's
 direct distance to a center is computed only where a dot-product estimate
@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .io import EmbeddingTable, _row_blocks, _unit_rows, fallback_embedding
 from .tree import TagTree, TreeNode, ValidationReport
@@ -231,18 +230,15 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _centroids(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    # A cluster x point CSR matrix with each row's columns in point order:
-    # the product adds a cluster's members onto 0.0 in input order, the
+    # One bin per (cluster, column), fed the points' entries in row-major
+    # order: bincount adds a cluster's members onto 0.0 in input order, the
     # sums np.add.at gives.
+    dim = points.shape[1]
     counts = np.bincount(labels, minlength=k)
-    indptr = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(counts, out=indptr[1:])
-    members = sparse.csr_array(
-        (np.ones(len(labels)), np.argsort(labels, kind="stable"), indptr),
-        shape=(k, len(labels)),
-    )
+    bins = (labels * dim)[:, None] + np.arange(dim)
+    sums = np.bincount(bins.ravel(), points.ravel(), minlength=k * dim).reshape(k, dim)
     safe = np.where(counts == 0, 1.0, counts)
-    return (members @ points) / safe[:, None]
+    return sums / safe[:, None]
 
 
 def _cluster_sse(points: np.ndarray, labels: np.ndarray, centers: np.ndarray, k: int):
@@ -306,7 +302,7 @@ def kmeans(
     seeded again from its real end state, replayed with its number of
     draws. Lloyd then runs once per restart, in restart order, so the
     draws, centers and result are those of seeding each restart on its
-    own. Cluster sums are one sparse product, added in input order.
+    own. Cluster sums are one ``np.bincount``, added in input order.
     Assignment and seeding distances are computed a block of rows or of
     (restart, point) pairs at a time, so one call holds O(n·dim) plus one
     block of about 2 MB, not n × k distances.

@@ -1,10 +1,13 @@
 """Reference builders for the structural matrices: walk the node objects.
 
 ``tagforest.matrices`` builds both operators with numpy from the tree's
-parent array. These builders walk ``TreeNode`` objects instead, collect
-coordinate lists and let scipy convert them, so they share no logic with
-the package's; the tests require the two to give identical ``indptr``,
-``indices``, ``data``, dtypes and transposes. Both expect a valid tree.
+parent array. These builders walk ``TreeNode`` objects instead and share
+no logic with the package's: the ancestry table is each leaf's ancestor
+list, sorted and padded; the scipy matrices come from coordinate lists
+that scipy converts itself, and the propagation arrays are read off the
+converted matrix. The tests require the package's arrays, its scipy views
+and its products to give identical bytes and dtypes. All expect a valid
+tree.
 """
 from __future__ import annotations
 
@@ -15,23 +18,32 @@ from tagforest import TagTree
 from tagforest.matrices import AncestryMatrix, PropagationMatrix
 
 
+def _paths(tree: TagTree) -> list[list[int]]:
+    return [sorted(tree.ancestors_and_self(int(leaf))) for leaf in tree.leaf_ids]
+
+
 def ancestry_matrix(tree: TagTree) -> AncestryMatrix:
-    leaf_ids = tree.leaf_ids
+    paths = _paths(tree)
+    depth = max(len(path) for path in paths)
+    columns = [path + [tree.n_nodes] * (depth - len(path)) for path in paths]
+    table = np.array(columns, dtype=np.int64).T.copy()
+    return AncestryMatrix(table=table, leaf_ids=tree.leaf_ids, n_nodes=tree.n_nodes)
+
+
+def ancestry_csc(tree: TagTree) -> sp.csc_matrix:
     rows: list[int] = []
     cols: list[int] = []
-    for j, leaf in enumerate(leaf_ids):
-        for node_id in tree.ancestors_and_self(int(leaf)):
-            rows.append(node_id)
-            cols.append(j)
+    for j, path in enumerate(_paths(tree)):
+        rows.extend(path)
+        cols.extend([j] * len(path))
     data = np.ones(len(rows), dtype=np.int64)
-    matrix = sp.csc_matrix(
+    return sp.csc_matrix(
         (data, (np.array(rows), np.array(cols))),
-        shape=(tree.n_nodes, len(leaf_ids)),
+        shape=(tree.n_nodes, len(tree.leaf_ids)),
     )
-    return AncestryMatrix(matrix=matrix, leaf_ids=leaf_ids)
 
 
-def propagation_matrix(tree: TagTree) -> PropagationMatrix:
+def propagation_csr(tree: TagTree) -> sp.csr_matrix:
     rows: list[int] = []
     cols: list[int] = []
     data: list[float] = []
@@ -47,8 +59,16 @@ def propagation_matrix(tree: TagTree) -> PropagationMatrix:
             rows.append(node.id)
             cols.append(q)
             data.append(weight)
-    matrix = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.array(data), (np.array(rows), np.array(cols))),
         shape=(tree.n_nodes, tree.n_nodes),
     )
-    return PropagationMatrix(matrix=matrix)
+
+
+def propagation_matrix(tree: TagTree) -> PropagationMatrix:
+    matrix = propagation_csr(tree)
+    return PropagationMatrix(
+        indptr=matrix.indptr.astype(np.int64),
+        indices=matrix.indices.astype(np.int64),
+        weight=matrix.diagonal(),
+    )

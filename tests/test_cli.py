@@ -1026,3 +1026,46 @@ class TestBadTargetFile:
         assert f"duplicate leaf name '{first}'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "s.jsonl").exists()
+
+
+# Imports the package, runs every command in process on the workspace given
+# as argv[1], and prints the scipy modules loaded after the commands and
+# after reading one scipy view.
+_FOOTPRINT = """
+import json, os, sys
+import tagforest
+from tagforest import build_ancestry_matrix, cli, io
+os.chdir(sys.argv[1])
+commands = [
+    ["build-tree", "--tags", "tags.txt", "--embeddings", "emb.tsv",
+     "--branching", "3", "--seed", "1", "-o", "tree.json"],
+    ["anchor", "--tree", "tree.json", "--pool", "pool.jsonl", "-o", "anchored.jsonl"],
+    ["derive-target", "--anchored", "anchored.jsonl", "--tree", "tree.json", "-o", "target.json"],
+    ["sample", "--anchored", "anchored.jsonl", "--tree", "tree.json", "--budget", "3",
+     "-o", "general.jsonl", "--trace", "general.json"],
+    ["sample", "--anchored", "anchored.jsonl", "--tree", "tree.json", "--budget", "3",
+     "--target", "target.json", "--lambda", "1", "-o", "aligned.jsonl", "--trace", "aligned.json"],
+    ["stats", "--input", "general.jsonl", "--tree", "tree.json", "--target", "target.json"],
+]
+codes = [cli.main(argv) for argv in commands]
+scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+after_commands = scipy()
+build_ancestry_matrix(io.load_tree("tree.json")).matrix
+print(json.dumps({"codes": codes, "after_commands": after_commands, "after_view": scipy()}))
+"""
+
+
+def test_no_command_imports_scipy(tmp_path):
+    _write_workspace(tmp_path)
+    src = os.path.dirname(os.path.dirname(tagforest.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * 6
+    assert result["after_commands"] == []
+    assert "scipy.sparse" in result["after_view"]

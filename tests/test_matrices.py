@@ -14,7 +14,12 @@ from tagforest import (
 from tagforest.oracle import dense_ancestry, dense_propagation
 
 from conftest import chain_tree, make_tree, random_tree, star_tree
-from node_walk_matrices import ancestry_matrix, propagation_matrix
+from node_walk_matrices import (
+    ancestry_csc,
+    ancestry_matrix,
+    propagation_csr,
+    propagation_matrix,
+)
 
 
 def relabeled(tree: TagTree, new_id: np.ndarray) -> TagTree:
@@ -39,9 +44,10 @@ def assert_same_sparse(got, want) -> None:
         assert a.tobytes() == b.tobytes(), part
 
 
-def test_builders_match_node_walk_reference():
-    # 1,000 random recursive trees, every other one with its ids shuffled,
-    # and one tree in which every parent has a larger id than its children
+def _reference_trees() -> list[TagTree]:
+    # 1,000 random recursive trees (leaves at mixed depths), every other one
+    # with its ids shuffled, and one tree in which every parent has a larger
+    # id than its children
     rng = np.random.default_rng(1000)
     trees = []
     for i in range(1000):
@@ -50,13 +56,54 @@ def test_builders_match_node_walk_reference():
     tree = make_tree([None, 0, 0, 1, 1, 1, 2, 3, 3, 6, 9])
     trees.append(relabeled(tree, np.arange(tree.n_nodes)[::-1]))
     assert all(n.parent is None or n.parent > n.id for n in trees[-1].nodes)
-    for tree in trees:
+    return trees
+
+
+def _vector(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Mixed signs, +-0.0 and magnitudes from 1e-300 to 1e300; mostly zeros half the time."""
+    v = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300.0, 300.0, size=n)
+    v[rng.random(n) < rng.choice([0.1, 0.9])] = 0.0
+    v[rng.random(n) < 0.05] = -0.0
+    return v
+
+
+def test_builders_match_node_walk_reference():
+    for tree in _reference_trees():
         anc, want_anc = build_ancestry_matrix(tree), ancestry_matrix(tree)
-        assert_same_sparse(anc.matrix, want_anc.matrix)
+        assert anc.table.dtype == want_anc.table.dtype == np.int64
+        assert anc.table.tobytes() == want_anc.table.tobytes()
+        assert anc.table.shape == want_anc.table.shape
         assert anc.leaf_ids.tobytes() == want_anc.leaf_ids.tobytes()
+        assert anc.n_nodes == want_anc.n_nodes
+        assert_same_sparse(anc.matrix, ancestry_csc(tree))
         prop, want_prop = build_propagation_matrix(tree), propagation_matrix(tree)
-        assert_same_sparse(prop.matrix, want_prop.matrix)
-        assert_same_sparse(prop.transpose, want_prop.transpose)
+        for part in ("indptr", "indices", "weight", "rows"):
+            a, b = getattr(prop, part), getattr(want_prop, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+        want = propagation_csr(tree)
+        assert_same_sparse(prop.matrix, want)
+        assert_same_sparse(prop.transpose, want.T.tocsr())
+
+
+def test_products_give_the_bits_of_scipy():
+    # every numpy product against scipy's kernels on the reference matrices
+    rng = np.random.default_rng(1001)
+    for tree in _reference_trees():
+        anc, prop = build_ancestry_matrix(tree), build_propagation_matrix(tree)
+        paths, a = ancestry_csc(tree), propagation_csr(tree)
+        n, n_leaves = anc.shape
+        for _ in range(2):
+            v = _vector(rng, n)
+            assert prop.rmatvec(v).tobytes() == (a.T.tocsr() @ v).tobytes()
+            assert prop.matvec(v).tobytes() == (a @ v).tobytes()
+            assert anc.leaf_sums(v).tobytes() == (paths.T @ v).tobytes()
+            h = rng.integers(-(2**40), 2**40, size=n_leaves) * (rng.random(n_leaves) < 0.5)
+            counts = anc.tree_counts(h)
+            assert counts.dtype == np.int64 and counts.tobytes() == (paths @ h).tobytes()
+            columns = np.flatnonzero(h)
+            counts = anc.path_counts(columns)
+            want = paths @ (h != 0).astype(np.int64)
+            assert counts.dtype == np.int64 and counts.tobytes() == want.tobytes()
 
 
 class TestAncestryMatrix:
@@ -140,8 +187,8 @@ class TestPropagationMatrix:
             np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=1e-12)
 
     def test_transpose_product_is_bitwise_row_product(self):
-        # gradient_vector multiplies by the stored transpose; it must give
-        # the bits of v @ A, the product it replaced
+        # the stored transpose and gradient_vector's numpy product must both
+        # give the bits of v @ A
         rng = np.random.default_rng(34)
         for _ in range(30):
             tree = random_tree(rng, max_nodes=120)
@@ -150,6 +197,7 @@ class TestPropagationMatrix:
                 v = rng.uniform(0.0, 50.0, size=tree.n_nodes) ** rng.uniform(-3.0, 3.0)
                 expected = np.asarray(v @ prop.matrix)
                 assert (prop.transpose @ v).tobytes() == expected.tobytes()
+                assert prop.rmatvec(v).tobytes() == expected.tobytes()
 
     def test_diagonal_is_inverse_degree_plus_one(self):
         rng = np.random.default_rng(32)

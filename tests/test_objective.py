@@ -218,6 +218,31 @@ class TestGradient:
             assert np.all(np.isfinite(G)) and np.all(G > 0.0)
 
 
+    def test_kept_phi_prime_gives_the_bits_of_the_whole_vector_formula(self):
+        # the state keeps phi' between calls and recomputes only changed
+        # masses, also ones changed in place outside add_contribution or a
+        # new gamma; each gradient must be the formula's, through scipy
+        rng = np.random.default_rng(66)
+        for _ in range(20):
+            tree = random_tree(rng, max_nodes=80)
+            anc, prop = build_ancestry_matrix(tree), build_propagation_matrix(tree)
+            state = InfoState.empty(tree.n_nodes, len(anc.leaf_ids))
+            for rec in random_pool(rng, tree, size=12):
+                s = composite_score(rec.quality, rec.complexity)
+                vec, positions = _info_vec_and_positions(tree, anc, prop, rec.leaves, s)
+                state.add_contribution(prop, vec, positions)
+                if rng.random() < 0.3:
+                    state.accumulated[rng.integers(tree.n_nodes)] = rng.choice([0.0, 1e-8, 3.0])
+                gamma = float(rng.choice([0.85, 0.5]))
+                v = state.accumulated
+                phi_prime = np.empty_like(v)
+                zero = v == 0.0
+                phi_prime[~zero] = gamma * np.power(v[~zero], gamma - 1.0)
+                phi_prime[zero] = gamma * GRADIENT_FLOOR ** (gamma - 1.0)
+                want = prop.transpose @ phi_prime
+                assert gradient_vector(state, prop, gamma).tobytes() == want.tobytes()
+
+
 class TestMarginalGain:
     def test_singleton_self_gain_identity(self):
         # G(e) . e = gamma * I({e}): exact for phi(x) = x^gamma since zero

@@ -1096,14 +1096,3 @@ class TestSampleSetup:
         with mock.patch.object(sampler, "_BlockMaxima", side_effect=AssertionError):
             selected, trace = sample(worked_pool, tiny_tree, SamplerConfig(budget=0))
         assert selected == [] and trace.picks == []
-
-    def test_float_paths_give_the_int_products(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            tree = random_tree(rng, max_nodes=80)
-            matrix = build_ancestry_matrix(tree).matrix
-            paths = matrix.astype(np.float64)
-            x = rng.normal(size=matrix.shape[0]) * 10.0 ** rng.integers(-300, 300)
-            y = (rng.random(matrix.shape[1]) < 0.3).astype(np.float64)
-            assert (paths.T @ x).tobytes() == (matrix.T @ x).tobytes()
-            assert (paths @ y).tobytes() == (matrix @ y).tobytes()

@@ -416,7 +416,7 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 
 class TestLockStepKmeans:
-    """Lock-step seeding, replayed generators and sparse cluster sums
+    """Lock-step seeding, replayed generators and bincount cluster sums
     against the sequential k-means in ``sequential_kmeans``, bit for bit."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -504,6 +504,27 @@ class TestLockStepKmeans:
         for got, want in zip(_cluster_sse(points, labels, centers, k),
                              sequential._cluster_sse(points, labels, centers, k)):
             _assert_same_bits(got, want)
+
+    def test_centroids_match_the_sparse_product(self):
+        # the cluster x point CSR product _centroids replaced, rows in point order
+        from scipy import sparse
+
+        rng = np.random.default_rng(77)
+        for case in range(200):
+            n, dim = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+            k = 1 if case % 4 == 0 else int(rng.integers(1, n + 4))  # k > n leaves clusters empty
+            points = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-300, 300, size=(n, dim))
+            points[rng.random((n, dim)) < 0.2] = -0.0
+            points[rng.random((n, dim)) < 0.1] = 0.0
+            labels = rng.integers(0, k, size=n)
+            counts = np.bincount(labels, minlength=k)
+            indptr = np.zeros(k + 1, dtype=np.intp)
+            np.cumsum(counts, out=indptr[1:])
+            members = sparse.csr_array(
+                (np.ones(n), np.argsort(labels, kind="stable"), indptr), shape=(k, n)
+            )
+            want = (members @ points) / np.where(counts == 0, 1.0, counts)[:, None]
+            _assert_same_bits(_centroids(points, labels, k), want)
 
     def test_all_negative_zero_cluster_sums_to_zero(self):
         # np.add.at adds onto 0.0, so a cluster of -0.0 rows sums to +0.0

@@ -1,18 +1,23 @@
-"""Time build-tree and anchor on build-anchor inputs scaled to a tag count.
+"""Time the benchmark's commands on its inputs scaled to a tag or candidate count.
 
 Usage, from the repository root:
 
     python3 tools/scale_probe.py --tags 5000 10000 20000 [--seed 0] [--work DIR]
+    python3 tools/scale_probe.py --candidates 100000 1000000 [--seed 0] [--work DIR]
 
-For each tag count, writes the build-anchor workload's inputs with
+``--tags`` writes the build-anchor workload's inputs with
 ``perfbench/gen.py``'s ``generate``, every size but the embedding dimension
 scaled by tags / 5,000 (so 5,000 tags is the benchmark's own input), then
-runs ``build-tree`` and then ``anchor`` with the benchmark's options, each
-in a fresh process with one BLAS thread. Prints one line per command: the
-tag count, the command, its wall time (the command alone, not the
-interpreter's start), the peak RSS of its process (``ru_maxrss``) and the
-SHA-256 of its output. Inputs and outputs go to a temporary directory
-unless ``--work`` names one, where they are kept.
+runs ``build-tree`` and then ``anchor`` with the benchmark's options.
+``--candidates`` writes the select-general workload's inputs with that many
+anchored rows (100,000 is the benchmark's own input) and runs its
+``sample`` command, budget 5,000. Each command runs in a fresh process with
+one BLAS thread. Prints one line per command: the tag or candidate count,
+the command, its wall time (the command alone, not the interpreter's
+start), the peak RSS of its process (``ru_maxrss``) and the SHA-256 of its
+first output (``tree.json``, ``anchored.jsonl`` or ``subset.jsonl``).
+Inputs and outputs go to a temporary directory unless ``--work`` names one,
+where they are kept, in ``tags<N>`` or ``candidates<N>``.
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ print(json.dumps({"rc": rc, "wall_s": wall, "peak_rss_mb": rss}))
 _GENERATE = """
 import json, sys
 import gen
-gen.generate("build-anchor", int(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3]))
+gen.generate(sys.argv[1], int(sys.argv[2]), sys.argv[3], json.loads(sys.argv[4]))
 """
 
 
@@ -61,6 +66,11 @@ def scaled_sizes(tags: int) -> dict:
         key: value if key == "dim" else max(1, round(value * scale))
         for key, value in full.items()
     }
+
+
+def candidate_sizes(candidates: int) -> dict:
+    """The select-general sizes with ``candidates`` anchored rows."""
+    return {**gen.FULL_SIZES["select-general"], "candidates": candidates}
 
 
 def run_command(argv: list[str], work: str) -> dict:
@@ -76,18 +86,19 @@ def run_command(argv: list[str], work: str) -> dict:
     return result
 
 
-def probe(tags: int, seed: int, work: str) -> list[dict]:
-    """Generate the inputs for ``tags`` tags into ``work``, run each command once."""
+def probe(workload: str, sizes: dict, count: int, seed: int, work: str) -> list[dict]:
+    """Generate ``workload``'s inputs at ``sizes`` into ``work``, run each command once."""
     subprocess.run(
-        [sys.executable, "-c", _GENERATE, str(seed), work, json.dumps(scaled_sizes(tags))],
+        [sys.executable, "-c", _GENERATE, workload, str(seed), work, json.dumps(sizes)],
         env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "perfbench")}, check=True,
     )
-    spec = build_spec("build-anchor", 0)
+    spec = build_spec(workload, sizes.get("budget", 0))
     rows = []
+    # select-general has one command, whose first output is subset.jsonl
     for argv, output in zip(spec["main"], spec["outputs"]):
         result = run_command(argv, work)
         rows.append({
-            "tags": tags,
+            "count": count,
             "command": argv[0],
             "wall_s": result["wall_s"],
             "peak_rss_mb": result["peak_rss_mb"],
@@ -98,20 +109,26 @@ def probe(tags: int, seed: int, work: str) -> list[dict]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tags", type=int, nargs="+", default=[5000, 10000, 20000])
+    scale = parser.add_mutually_exclusive_group()
+    scale.add_argument("--tags", type=int, nargs="+")
+    scale.add_argument("--candidates", type=int, nargs="+")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--work", help="directory for inputs and outputs (kept)")
     args = parser.parse_args(argv)
-    for tags in args.tags:
+    if args.candidates:
+        runs = [("select-general", candidate_sizes(n), n, f"candidates{n}") for n in args.candidates]
+    else:
+        runs = [("build-anchor", scaled_sizes(n), n, f"tags{n}")
+                for n in args.tags or [5000, 10000, 20000]]
+    for workload, sizes, count, name in runs:
         if args.work:
-            work = os.path.join(args.work, f"tags{tags}")
-            rows = probe(tags, args.seed, work)
+            rows = probe(workload, sizes, count, args.seed, os.path.join(args.work, name))
         else:
             with tempfile.TemporaryDirectory() as work:
-                rows = probe(tags, args.seed, work)
+                rows = probe(workload, sizes, count, args.seed, work)
         for row in rows:
             print(
-                f"{row['tags']:>7} {row['command']:<10} {row['wall_s']:8.2f} s "
+                f"{row['count']:>7} {row['command']:<10} {row['wall_s']:8.2f} s "
                 f"{row['peak_rss_mb']:8.1f} MB  {row['sha256']}",
                 flush=True,
             )
