@@ -38,21 +38,33 @@ __all__ = [
 
 @dataclass
 class AncestryMatrix:
-    """Binary |V| x |V_leaf| matrix, held as a padded ancestor table.
+    """Binary |V| x |V_leaf| matrix, held in jagged-diagonal form.
 
     ``leaf_ids[j]`` is the node id behind column j; columns are ordered by
     ascending leaf node id. Column j has exactly depth(leaf)+1 ones: the
-    leaf itself plus every ancestor up to the root. ``table`` is a
-    (max depth + 1) x |V_leaf| int64 array whose column j lists those
-    nodes in ascending id order (the matrix's CSC order) and then repeats
-    ``n_nodes``, the padding: a gather from a node vector with one 0.0
-    appended adds nothing for it. ``matrix`` is the same matrix as a
-    ``scipy.sparse.csc_matrix`` with int64 entries, built on first access.
+    leaf itself plus every ancestor up to the root, and its r-th one in
+    ascending node id (its r-th entry in CSC order) has rank r. ``order``
+    lists the columns by descending number of ones, ties by column, so
+    the columns with an entry of rank r are ``order[:m_r]``; the entries
+    of rank r are ``nodes[offsets[r]:offsets[r + 1]]``, in that column
+    order, with m_r = ``offsets[r + 1] - offsets[r]``. That is one int64
+    per entry: memory follows the number of ones, not the deepest leaf.
+    ``slot`` is the inverse of ``order``. ``matrix`` is the same matrix as
+    a ``scipy.sparse.csc_matrix`` with int64 entries, built on first
+    access.
     """
 
-    table: np.ndarray
+    order: np.ndarray
+    nodes: np.ndarray
+    offsets: np.ndarray
     leaf_ids: np.ndarray
     n_nodes: int
+    slot: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.slot = np.argsort(self.order)
+        # (start, stop) of each rank's run in nodes, as Python ints
+        self._runs = list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -62,11 +74,13 @@ class AncestryMatrix:
     def matrix(self):
         import scipy.sparse as sp
 
-        columns = self.table.T
-        real = columns < self.n_nodes  # read column by column, padding dropped
-        indptr = np.concatenate(([0], np.cumsum(real.sum(axis=1))))
+        columns = np.concatenate([self.order[: stop - start] for start, stop in self._runs])
+        ranks = np.repeat(np.arange(len(self._runs)), np.diff(self.offsets))
+        csc = np.lexsort((ranks, columns))  # by column, then rank: ascending node id
+        indptr = np.zeros(len(self.order) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(columns, minlength=len(self.order)), out=indptr[1:])
         return sp.csc_matrix(
-            (np.ones(indptr[-1], dtype=np.int64), columns[real], indptr), shape=self.shape
+            (np.ones(len(csc), dtype=np.int64), self.nodes[csc], indptr), shape=self.shape
         )
 
     # nothing in src/ calls it, but perfbench/tracing.py looks it up by name for --trace 1
@@ -75,35 +89,35 @@ class AncestryMatrix:
         h = np.asarray(leaf_vector).astype(np.int64)
         if h.shape != (len(self.leaf_ids),):
             raise ValueError(f"leaf vector of shape {h.shape}, expected ({len(self.leaf_ids)},)")
-        counts = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        # flat and explicit: np.add.at mis-adds values broadcast across a 2-D
-        # index (numpy 2.4); the padding's count, at n_nodes, is dropped
-        np.add.at(counts, self.table.ravel(), np.broadcast_to(h, self.table.shape).ravel())
-        return counts[:-1]
+        counts = np.zeros(self.n_nodes, dtype=np.int64)
+        h = h[self.order]
+        for start, stop in self._runs:
+            np.add.at(counts, self.nodes[start:stop], h[: stop - start])
+        return counts
 
     def path_counts(self, columns: np.ndarray) -> np.ndarray:
         """M @ h for the 0/1 leaf vector h that is 1 at the distinct ``columns``.
 
         Entry i counts the given leaves at or below node i, in int64.
         """
-        counts = np.bincount(self.table[:, columns].ravel(), minlength=self.n_nodes + 1)
-        return counts[:-1]
+        # rank r of the column in slot p is entry offsets[r] + p, if it is in run r
+        entries = self.offsets[:-1, None] + self.slot[columns]
+        entries = entries[entries < self.offsets[1:, None]]
+        return np.bincount(self.nodes[entries], minlength=self.n_nodes)
 
     def leaf_sums(self, g: np.ndarray) -> np.ndarray:
         """M^T g: each leaf's path entries of ``g``, added onto 0.0 in ascending node id.
 
         The bits of scipy's ``matrix.T @ g`` for a float64 ``g`` (csr_matvec
-        over the transpose), since the padding adds 0.0 to a sum that
-        started at 0.0.
+        over the transpose): rank by rank, each column's sum grows by its
+        next entry.
         """
-        padded = np.empty(self.n_nodes + 1, dtype=np.float64)
-        padded[:-1] = g
-        padded[-1] = 0.0
-        terms = padded[self.table]
-        out = terms[0] + 0.0
-        for row in terms[1:]:
-            out += row
-        return out
+        terms = g[self.nodes]
+        start, stop = self._runs[0]
+        sums = terms[start:stop] + 0.0
+        for start, stop in self._runs[1:]:
+            sums[: stop - start] += terms[start:stop]
+        return sums[self.slot]
 
 
 @dataclass
@@ -207,9 +221,16 @@ def _ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     starts = np.flatnonzero(np.diff(col, prepend=-1))
     lengths = np.diff(starts, append=len(keys))
     rank = np.arange(len(keys)) - np.repeat(starts, lengths)
-    table = np.full((int(lengths.max()), n_leaves), n_nodes, dtype=np.int64)
-    table[rank, col] = keys - col * n_nodes
-    return AncestryMatrix(table=table, leaf_ids=leaf_ids, n_nodes=n_nodes)
+    order = np.argsort(-lengths, kind="stable")
+    slot = np.argsort(order)
+    jagged = np.lexsort((slot[col], rank))  # by rank, then the column's slot
+    return AncestryMatrix(
+        order=order,
+        nodes=keys[jagged] - col[jagged] * n_nodes,
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(rank)))),
+        leaf_ids=leaf_ids,
+        n_nodes=n_nodes,
+    )
 
 
 def _propagation_matrix(tree: TagTree) -> PropagationMatrix:

@@ -20,14 +20,12 @@ with the candidate included, epsilon-smoothed so it is always finite.
 
 Both products with A are numpy calls on the index arrays of
 :class:`~tagforest.matrices.PropagationMatrix`, in the bits of scipy's
-sparse kernels: adding a contribution runs over its non-zero entries only,
-and the state keeps phi'(accumulated) between gradients, recomputing it
-only where the mass changed.
+sparse kernels; adding a contribution runs over its non-zero entries only.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,16 +104,13 @@ class InfoState:
     ``accumulated`` is the propagated mass A * sum(e_k) over all nodes;
     ``leaf_counts`` are raw integer leaf activations of the selection;
     ``total_leaf_mass`` is their sum and ``size`` the number of picks.
-    Mutation is confined to the selection step that owns the state. The
-    state also keeps phi'(accumulated) for :func:`gradient_vector`, with the
-    masses it came from.
+    Mutation is confined to the selection step that owns the state.
     """
 
     accumulated: np.ndarray
     leaf_counts: np.ndarray
     total_leaf_mass: int = 0
     size: int = 0
-    _phi_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def empty(cls, n_nodes: int, n_leaves: int) -> "InfoState":
@@ -123,33 +118,6 @@ class InfoState:
             accumulated=np.zeros(n_nodes, dtype=np.float64),
             leaf_counts=np.zeros(n_leaves, dtype=np.int64),
         )
-
-    def _phi_prime(self, gamma: float) -> np.ndarray:
-        """phi'(accumulated), with phi'(GRADIENT_FLOOR) where the mass is exactly 0.
-
-        The values are cached with the masses they came from; a call
-        recomputes the coordinates whose mass changed since the last call
-        with the same ``gamma``, so it follows ``accumulated`` however that
-        was changed. Each coordinate gets the bits a whole-vector pass gives.
-        """
-        v = self.accumulated
-        cache = self._phi_cache
-        if cache is None or cache[0] != gamma or len(cache[1]) != len(v):
-            # NaN differs from every mass, so every coordinate is computed
-            cache = self._phi_cache = (gamma, np.full(len(v), np.nan), np.empty(len(v)))
-        _, seen, phi = cache
-        changed = (v != seen).nonzero()[0]
-        if len(changed):
-            mass = v[changed]
-            seen[changed] = mass
-            if mass.all():
-                phi[changed] = gamma * np.power(mass, gamma - 1.0)
-            else:
-                values = np.full(len(mass), gamma * GRADIENT_FLOOR ** (gamma - 1.0))
-                nonzero = mass != 0.0
-                values[nonzero] = gamma * np.power(mass[nonzero], gamma - 1.0)
-                phi[changed] = values
-        return phi
 
     def add_contribution(
         self,
@@ -183,14 +151,17 @@ def gradient_vector(state: InfoState, prop: PropagationMatrix, gamma: float) -> 
     non-empty state, coordinates with exactly zero accumulated mass use
     phi'(GRADIENT_FLOOR) — a large finite pull toward untouched regions.
 
-    phi' is kept on the state between calls and recomputed only where
-    ``accumulated`` differs from the values it was last computed from, as
-    each coordinate depends on its own mass alone; the product is
-    :meth:`PropagationMatrix.rmatvec`.
+    The product is :meth:`PropagationMatrix.rmatvec`.
     """
     if state.size == 0:
         return np.zeros(prop.shape[0], dtype=np.float64)
-    return prop.rmatvec(state._phi_prime(gamma))
+    v = state.accumulated
+    phi_prime = np.empty_like(v)
+    zero = v == 0.0
+    nonzero = ~zero
+    phi_prime[nonzero] = gamma * np.power(v[nonzero], gamma - 1.0)
+    phi_prime[zero] = gamma * GRADIENT_FLOOR ** (gamma - 1.0)
+    return prop.rmatvec(phi_prime)
 
 
 def kl_penalty(

@@ -336,13 +336,11 @@ def sample(
 
     The tree is validated once, and both operators are built from it as
     numpy index arrays (:mod:`tagforest.matrices`). Per pick, the leaf
-    gradient sums the node gradient along each leaf's path through the
-    padded ancestor table, and the pick's information vector is its exact
-    path counts times its score. :meth:`InfoState.add_contribution` runs
-    over the pick's paths and their neighbors only, and
-    :func:`gradient_vector` recomputes phi' only where the mass changed.
-    Every sum adds the terms scipy's sparse kernels add, in their order. A
-    budget of 0 builds no block maxima.
+    gradient sums the node gradient along each leaf's path, and the pick's
+    information vector is its exact path counts times its score;
+    :meth:`InfoState.add_contribution` runs over the pick's paths and
+    their neighbors only. Every sum adds the terms scipy's sparse kernels
+    add, in their order. A budget of 0 builds no block maxima.
     Every iteration runs one lazy argmax: each unselected candidate's last
     key gain + kl_weight * (H w), which never rises, is kept in blocks of
     one leaf count with their maxima, and the blocks whose bound could
@@ -390,7 +388,8 @@ def sample(
         acc = state.accumulated
         # phi' falls as mass grows, so gains never rise after iteration 2,
         # except where a node leaves 0 for a value under the floor. Once
-        # every mass has reached the floor, the minimum alone shows it.
+        # every mass has reached the floor (most picks), the minimum shows it
+        # in a quarter of the scan's time.
         full = iteration <= 2 or (
             not acc.min() >= GRADIENT_FLOOR
             and ((acc > 0.0) & (acc < GRADIENT_FLOOR)).any()

@@ -230,13 +230,12 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _centroids(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    # One bin per (cluster, column), fed the points' entries in row-major
-    # order: bincount adds a cluster's members onto 0.0 in input order, the
-    # sums np.add.at gives.
-    dim = points.shape[1]
+    # One bincount per column: it adds a cluster's members onto 0.0 in
+    # input order, the sums np.add.at gives, with no n x dim temporary.
     counts = np.bincount(labels, minlength=k)
-    bins = (labels * dim)[:, None] + np.arange(dim)
-    sums = np.bincount(bins.ravel(), points.ravel(), minlength=k * dim).reshape(k, dim)
+    sums = np.empty((k, points.shape[1]))
+    for j, column in enumerate(points.T):
+        sums[:, j] = np.bincount(labels, column, minlength=k)
     safe = np.where(counts == 0, 1.0, counts)
     return sums / safe[:, None]
 

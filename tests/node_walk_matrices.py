@@ -2,10 +2,10 @@
 
 ``tagforest.matrices`` builds both operators with numpy from the tree's
 parent array. These builders walk ``TreeNode`` objects instead and share
-no logic with the package's: the ancestry table is each leaf's ancestor
-list, sorted and padded; the scipy matrices come from coordinate lists
-that scipy converts itself, and the propagation arrays are read off the
-converted matrix. The tests require the package's arrays, its scipy views
+no logic with the package's: the ancestry arrays list the leaves' sorted
+ancestor lists rank by rank, longest lists first; the scipy matrices come
+from coordinate lists that scipy converts itself, and the propagation
+arrays are read off the converted matrix. The tests require the package's arrays, its scipy views
 and its products to give identical bytes and dtypes. All expect a valid
 tree.
 """
@@ -24,10 +24,19 @@ def _paths(tree: TagTree) -> list[list[int]]:
 
 def ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     paths = _paths(tree)
-    depth = max(len(path) for path in paths)
-    columns = [path + [tree.n_nodes] * (depth - len(path)) for path in paths]
-    table = np.array(columns, dtype=np.int64).T.copy()
-    return AncestryMatrix(table=table, leaf_ids=tree.leaf_ids, n_nodes=tree.n_nodes)
+    order = sorted(range(len(paths)), key=lambda j: (-len(paths[j]), j))
+    nodes: list[int] = []
+    offsets = [0]
+    for rank in range(len(paths[order[0]])):
+        nodes.extend(paths[j][rank] for j in order if len(paths[j]) > rank)
+        offsets.append(len(nodes))
+    return AncestryMatrix(
+        order=np.array(order, dtype=np.int64),
+        nodes=np.array(nodes, dtype=np.int64),
+        offsets=np.array(offsets, dtype=np.int64),
+        leaf_ids=tree.leaf_ids,
+        n_nodes=tree.n_nodes,
+    )
 
 
 def ancestry_csc(tree: TagTree) -> sp.csc_matrix:

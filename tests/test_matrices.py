@@ -70,9 +70,10 @@ def _vector(rng: np.random.Generator, n: int) -> np.ndarray:
 def test_builders_match_node_walk_reference():
     for tree in _reference_trees():
         anc, want_anc = build_ancestry_matrix(tree), ancestry_matrix(tree)
-        assert anc.table.dtype == want_anc.table.dtype == np.int64
-        assert anc.table.tobytes() == want_anc.table.tobytes()
-        assert anc.table.shape == want_anc.table.shape
+        for part in ("order", "nodes", "offsets", "slot"):
+            a, b = getattr(anc, part), getattr(want_anc, part)
+            assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes(), part
+        assert len(anc.nodes) == ancestry_csc(tree).nnz  # one entry per one
         assert anc.leaf_ids.tobytes() == want_anc.leaf_ids.tobytes()
         assert anc.n_nodes == want_anc.n_nodes
         assert_same_sparse(anc.matrix, ancestry_csc(tree))
@@ -140,6 +141,15 @@ class TestAncestryMatrix:
             anc = build_ancestry_matrix(tree)
             sub = anc.matrix.toarray()[anc.leaf_ids, :]
             np.testing.assert_array_equal(sub, np.eye(len(anc.leaf_ids), dtype=np.int64))
+
+    def test_one_deep_branch_costs_its_own_entries_only(self):
+        # a 300-deep chain beside 2,000 leaves under the root: one stored
+        # node per one of the matrix, not (deepest path) x leaves
+        tree = make_tree([None] + [0] * 2000 + [0] + list(range(2001, 2300)))
+        anc = build_ancestry_matrix(tree)
+        assert len(anc.nodes) == anc.matrix.nnz == 2000 * 2 + 301
+        g = np.arange(tree.n_nodes, dtype=np.float64)
+        assert anc.leaf_sums(g).tobytes() == (anc.matrix.T @ g).tobytes()
 
     def test_tree_counts_integer_exact(self, tiny_tree):
         anc = build_ancestry_matrix(tiny_tree)

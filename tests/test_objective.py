@@ -217,11 +217,10 @@ class TestGradient:
             G = gradient_vector(state, prop, 0.85)
             assert np.all(np.isfinite(G)) and np.all(G > 0.0)
 
-
-    def test_kept_phi_prime_gives_the_bits_of_the_whole_vector_formula(self):
-        # the state keeps phi' between calls and recomputes only changed
-        # masses, also ones changed in place outside add_contribution or a
-        # new gamma; each gradient must be the formula's, through scipy
+    def test_gradient_gives_the_bits_of_the_scipy_product(self):
+        # states built by add_contribution, some masses set to 0 or under
+        # the floor, two gammas: each gradient must be the formula's phi'
+        # multiplied through scipy's A^T
         rng = np.random.default_rng(66)
         for _ in range(20):
             tree = random_tree(rng, max_nodes=80)
