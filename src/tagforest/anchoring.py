@@ -8,12 +8,13 @@ recorded. The surviving leaves are the record the sampler consumes.
 An anchored pool is held as an :class:`AnchoredPool`, which keeps the
 rows as columns (ids, a CSR-style leaf list, dropped tags, scores) and
 rebuilds an :class:`AnchoredRecord` only when a row is indexed or
-iterated. :func:`anchor_pool` builds one from an instance pool's columns:
-each distinct tag is resolved once, and each row's leaves, dropped tags
-and the counters come from array sorts and counts. :func:`write_anchored`
-formats each row from the columns, and :func:`load_anchored` reads the
-file back into columns: in blocks with one pattern when every row has one
-fixed shape, and otherwise line by line, through :func:`read_rows`'s rules.
+iterated. :func:`anchor_pool` builds one from an instance pool's id, tag
+and score columns, never its texts: each distinct tag is resolved once,
+and each row's leaves, dropped tags and the counters come from array sorts
+and counts. :func:`write_anchored` formats each row from the columns, a
+chunk of rows at a time, and :func:`load_anchored` reads the file back
+into columns: in blocks with one pattern when every row has one fixed
+shape, and otherwise line by line, through :func:`read_rows`'s rules.
 """
 from __future__ import annotations
 
@@ -271,9 +272,11 @@ def anchor_pool(
 
     A row's leaves are the distinct leaves of its tags, ascending; its
     dropped tags are listed once each, in first-seen order. Output order
-    follows the input pool, which may be any sequence of instances.
-    Instances whose tags all drop get no leaves and are listed in the
-    report as unanchorable. ``min_similarity`` must be finite.
+    follows the input pool, which may be any sequence of instances; of an
+    :class:`InstancePool` only the ids, tags and scores are read, so one
+    loaded without texts will do. Instances whose tags all drop get no
+    leaves and are listed in the report as unanchorable.
+    ``min_similarity`` must be finite.
     """
     if not math.isfinite(min_similarity):
         raise ValueError(f"min_similarity must be finite, got {min_similarity}")
@@ -340,6 +343,9 @@ def anchor_pool(
 _ANCHORED_ROW = (
     '{"id":%s,"leaves":[%s],"dropped":[%s],"quality":%.17g,"complexity":%.17g}\n'
 )
+# Rows formatted and written at a time: the Python values of one chunk of
+# the columns (about 1 MB) are alive at once, not those of the whole pool.
+_WRITE_ROWS = 4096
 
 
 def write_anchored(records: Sequence[AnchoredRecord], path) -> None:
@@ -347,29 +353,39 @@ def write_anchored(records: Sequence[AnchoredRecord], path) -> None:
 
     ``records`` is an :class:`AnchoredPool` or any sequence of records,
     converted once. Each row is formatted from the columns directly, in
-    the bytes :func:`io.dumps_canonical` would write for it. A non-finite
-    score raises before the file is opened.
+    the bytes :func:`io.dumps_canonical` would write for it, and written
+    ``_WRITE_ROWS`` rows at a time. A non-finite score raises before the
+    file is opened.
     """
     pool = AnchoredPool.from_records(records)
     scores = np.column_stack((pool.quality, pool.complexity)).ravel()
     bad = np.flatnonzero(~np.isfinite(scores))
     if len(bad):
         raise ValueError(f"cannot serialize non-finite number: {scores[bad[0]].item()!r}")
-    ptr = pool.leaf_ptr.tolist()
-    leaves = pool.leaf_ids.tolist()
-    rows = zip(pool.ids, pool.dropped, pool.quality.tolist(), pool.complexity.tolist())
+    del scores
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(
-            _ANCHORED_ROW
-            % (
-                encode_basestring(rid),
-                ",".join(map(str, leaves[ptr[i] : ptr[i + 1]])),
-                ",".join(map(encode_basestring, tags)),
-                quality,
-                complexity,
+        for lo in range(0, len(pool), _WRITE_ROWS):
+            hi = lo + _WRITE_ROWS
+            ptr = pool.leaf_ptr[lo : hi + 1]
+            leaves = pool.leaf_ids[ptr[0] : ptr[-1]].tolist()
+            ptr = (ptr - ptr[0]).tolist()
+            rows = zip(
+                pool.ids[lo:hi],
+                pool.dropped[lo:hi],
+                pool.quality[lo:hi].tolist(),
+                pool.complexity[lo:hi].tolist(),
             )
-            for i, (rid, tags, quality, complexity) in enumerate(rows)
-        )
+            f.writelines(
+                _ANCHORED_ROW
+                % (
+                    encode_basestring(rid),
+                    ",".join(map(str, leaves[ptr[i] : ptr[i + 1]])),
+                    ",".join(map(encode_basestring, tags)),
+                    quality,
+                    complexity,
+                )
+                for i, (rid, tags, quality, complexity) in enumerate(rows)
+            )
 
 
 def _row_problem(row, required: tuple[str, ...]) -> str | None:

@@ -145,7 +145,7 @@ def cmd_build_tree(args) -> int:
 def cmd_anchor(args) -> int:
     started = time.time()
     tree = load_tree(args.tree)
-    pool, report = load_instances(args.pool)
+    pool, report = load_instances(args.pool, keep_texts=())  # no step reads a text
     _print_report(report)
     if not pool:
         raise UserError("pool has no parseable instances")
@@ -212,7 +212,8 @@ def cmd_sample(args) -> int:
 
     pool = None
     if args.pool:
-        pool, report = load_instances(args.pool)
+        # every row is still parsed and checked; only the picks' texts are kept
+        pool, report = load_instances(args.pool, keep_texts={r.id for r in selected})
         _print_report(report)
     export_subset(selected, trace, pool, args.output)
     write_trace(trace, args.trace)

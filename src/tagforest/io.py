@@ -3,8 +3,10 @@
 A pool file is read by :func:`load_instances` in one pass into an
 :class:`InstancePool`, which holds the rows as columns (ids, texts, a
 CSR-style tag list, score arrays) and rebuilds an :class:`Instance` only
-when a row is indexed or iterated. :func:`normalize_scores` rescales the
-score columns with numpy.
+when a row is indexed or iterated. Every row's id, tags and scores are
+kept; its query and response texts only when the caller asks for them, so
+``anchor`` holds none and ``sample --pool`` only the picks'.
+:func:`normalize_scores` rescales the score columns with numpy.
 
 All JSON emitted by this package formats floats with 17 significant
 digits, so that every value round-trips exactly and re-serialization of a
@@ -78,17 +80,18 @@ def loads_line(text: str):
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
-def _load_json_file(path, object_pairs_hook=None):
+def _load_json_file(path, object_hook=None, object_pairs_hook=None):
     """The JSON value of a whole file; any failure raises ``ValueError("invalid JSON: ...")``.
 
     As in :func:`loads_line`, deep nesting raises ``RecursionError`` and an
     over-long integer a plain ``ValueError``; a decode error keeps its
-    position in the file. ``object_pairs_hook`` is passed to ``json.loads``.
+    position in the file. ``object_hook`` and ``object_pairs_hook`` are
+    passed to ``json.loads``.
     """
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        return json.loads(text, object_hook=object_hook, object_pairs_hook=object_pairs_hook)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
 
@@ -212,13 +215,15 @@ class InstancePool(Sequence):
     ``responses[i]``, the tags ``tags[tag_ptr[i]:tag_ptr[i + 1]]`` as given
     (duplicates and order kept) and the scores ``quality[i]`` and
     ``complexity[i]``. ``tag_ptr`` is an int64 array, ``quality`` and
-    ``complexity`` float64 arrays. Indexing and iteration rebuild each
-    row's instance.
+    ``complexity`` float64 arrays. A row whose texts were not loaded (see
+    :func:`load_instances`) has ``None`` for both. Indexing and iteration
+    rebuild each row's instance, and raise ``ValueError`` at a row without
+    texts.
     """
 
     ids: list[str]
-    queries: list[str]
-    responses: list[str]
+    queries: list[str | None]
+    responses: list[str | None]
     tag_ptr: np.ndarray
     tags: list[str]
     quality: np.ndarray
@@ -251,10 +256,13 @@ class InstancePool(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self.ids))[index]]
         i = range(len(self.ids))[index]  # negative indices; IndexError past the end
+        query, response = self.queries[i], self.responses[i]
+        if query is None:
+            _no_texts(self.ids[i])
         return Instance(
             id=self.ids[i],
-            query=self.queries[i],
-            response=self.responses[i],
+            query=query,
+            response=response,
             tags=tuple(self.tags[self.tag_ptr.item(i) : self.tag_ptr.item(i + 1)]),
             quality=self.quality.item(i),
             complexity=self.complexity.item(i),
@@ -270,6 +278,8 @@ class InstancePool(Sequence):
             self.complexity.tolist(),
         )
         for i, (rid, query, response, quality, complexity) in enumerate(rows):
+            if query is None:
+                _no_texts(rid)
             yield Instance(
                 id=rid,
                 query=query,
@@ -278,6 +288,11 @@ class InstancePool(Sequence):
                 quality=quality,
                 complexity=complexity,
             )
+
+
+def _no_texts(rid: str) -> None:
+    """Refuse to rebuild row ``rid``, whose texts the pool does not hold."""
+    raise ValueError(f"instance '{rid}': its query and response texts were not loaded")
 
 
 def _checked_instance(text: str, location: str, report: ValidationReport):
@@ -312,7 +327,7 @@ _scan_once = json.JSONDecoder().scan_once
 _STR, _NUMBER = {str}, {int, float}  # exact types: a JSON true is a bool, not an int
 
 
-def load_instances(path) -> tuple[InstancePool, ValidationReport]:
+def load_instances(path, keep_texts=None) -> tuple[InstancePool, ValidationReport]:
     """Parse a JSONL pool file into an :class:`InstancePool`.
 
     Parsing is total over lines: every line yields either a row or a
@@ -325,10 +340,16 @@ def load_instances(path) -> tuple[InstancePool, ValidationReport]:
     the rule it breaks. Every occurrence of a tag in ``tags`` is one
     shared string object, so the column costs a pointer per occurrence
     and a string per distinct tag.
+
+    ``keep_texts`` says whose query and response texts the pool keeps:
+    ``None`` (the default) keeps every row's, and any container of ids
+    (``in``) keeps those rows' only; the other rows hold ``None`` for both
+    texts. Every line is parsed and checked under the same rules either
+    way, so the report and the duplicate-id error do not change.
     """
     ids: list[str] = []
-    queries: list[str] = []
-    responses: list[str] = []
+    queries: list[str | None] = []
+    responses: list[str | None] = []
     tags: list[str] = []
     tag_ptr = array("q", [0])
     quality = array("d")
@@ -368,8 +389,12 @@ def load_instances(path) -> tuple[InstancePool, ValidationReport]:
                 raise DuplicateIdError(f"line {lineno}: duplicate instance id '{rid}'")
             seen.add(rid)
             ids.append(rid)
-            queries.append(query)
-            responses.append(response)
+            if keep_texts is None or rid in keep_texts:
+                queries.append(query)
+                responses.append(response)
+            else:
+                queries.append(None)
+                responses.append(None)
             tags.extend(map(names.setdefault, row_tags, row_tags))
             tag_ptr.append(len(tags))
             quality.append(q)
@@ -409,7 +434,8 @@ def normalize_scores(pool: Sequence[Instance]) -> InstancePool:
     it to its own output changes nothing (already-spanning fields keep
     their endpoints, constants stay at 0.5). Any sequence of instances is
     accepted; the result is an :class:`InstancePool` sharing the input's
-    other columns.
+    other columns. Only the ids and scores are read, so a pool loaded
+    without texts will do.
     """
     pool = InstancePool.from_records(pool)
     if not len(pool):
@@ -608,19 +634,38 @@ def _node_texts(nodes):
         )
 
 
-def _node_embedding(value, i: int) -> np.ndarray:
-    """Node entry ``i``'s embedding: a flat, non-empty array of JSON numbers."""
+def _embedding_array(value) -> np.ndarray | None:
+    """A flat, non-empty list of JSON numbers as float64, else None."""
     if type(value) is list and value and _NUMBER.issuperset(map(type, value)):
         try:
             return np.array(value, dtype=np.float64)
         except OverflowError:  # an int too large for a float
             pass
-    raise ValueError(f"node entry {i}: 'embedding' must be an array of numbers")
+    return None
 
 
-def load_tree(path) -> TagTree:
-    """Read tree JSON and validate; never silently repairs a broken file."""
-    payload = _load_json_file(path)
+def _decode_embedding(obj: dict) -> dict:
+    """``object_hook`` for tree files: an ``embedding`` list of numbers becomes its array.
+
+    ``json`` calls it on every object as soon as the object is decoded, so
+    each node's float list is freed before the next node is read. It sees
+    objects nested in a ``name`` or ``children`` too; :func:`load_tree`
+    reads the file again without it whenever such an object could show.
+    """
+    emb = _embedding_array(obj.get("embedding"))
+    if emb is not None:
+        obj["embedding"] = emb
+    return obj
+
+
+def _tree_nodes(payload, decoded: bool) -> list[TreeNode]:
+    """The nodes of a tree file's JSON value, in file order, under the node rules.
+
+    A broken rule raises ``ValueError`` naming the node entry. With
+    ``decoded``, ``payload`` came through :func:`_decode_embedding`, and a
+    ``name`` that is not a string raises too: ``str()`` of it could show an
+    array the hook made.
+    """
     if not isinstance(payload, dict) or "nodes" not in payload:
         raise ValueError("tree file must be a JSON object with a 'nodes' array")
     raw_nodes = payload["nodes"]
@@ -647,19 +692,43 @@ def load_tree(path) -> TagTree:
                     raise ValueError(
                         f"node entry {i}: '{key}' must hold integers, got {value!r}"
                     )
+        name = obj["name"]
+        if type(name) is not str:
+            if decoded:
+                raise ValueError(f"node entry {i}: 'name' is not a string")
+            name = str(name)
         emb = obj.get("embedding")
-        if emb is not None:
-            emb = _node_embedding(emb, i)
+        if emb is not None and type(emb) is not np.ndarray:  # an array is the hook's
+            emb = _embedding_array(emb)
+            if emb is None:
+                raise ValueError(f"node entry {i}: 'embedding' must be an array of numbers")
         nodes.append(
             TreeNode(
                 id=obj["id"],
-                name=str(obj["name"]),
+                name=name,
                 parent=obj["parent"],
                 children=list(obj["children"]),
                 depth=obj["depth"],
                 embedding=emb,
             )
         )
+    return nodes
+
+
+def load_tree(path) -> TagTree:
+    """Read tree JSON and validate; never silently repairs a broken file.
+
+    Each node's embedding becomes its float64 array as soon as ``json``
+    has decoded the node (:func:`_decode_embedding`), so the file's float
+    lists never all exist at once. A file with any node that breaks a rule
+    or has a name that is not a string is read again without the hook, and
+    its nodes are checked and converted as plain JSON values, which words
+    every error as before.
+    """
+    try:
+        nodes = _tree_nodes(_load_json_file(path, object_hook=_decode_embedding), True)
+    except ValueError:
+        nodes = _tree_nodes(_load_json_file(path), False)
     nodes.sort(key=lambda n: n.id)
     tree = TagTree(nodes=nodes)
     report = validate_tree(tree)

@@ -314,6 +314,46 @@ class _BlockMaxima:
         return best_pos, best_gain, best_kl, best_joint, rescored, len(visited)
 
 
+class _KLTerms:
+    """The aligned-mode terms that follow the leaf counts n, over the target's support.
+
+    On the support S of the target q, ``terms[k]`` is q_j log(n_j + eps)
+    for the k-th leaf j of S, and ``w[j]`` is
+    q_j (log(n_j + 1 + eps) - log(n_j + eps)), the KL drop of one more
+    count on leaf j, or 0 off S. A pick changes the counts of its own
+    leaves only, so :meth:`refresh` recomputes those entries only; every
+    entry holds the bits the whole-support formula gives it, and ``base``
+    sums the same array that formula sums.
+    """
+
+    def __init__(self, q_dense: np.ndarray, counts: np.ndarray, epsilon: float):
+        self.support = np.flatnonzero(q_dense > 0.0)
+        self.q = q_dense[self.support]
+        self.epsilon = epsilon
+        self.slot = np.full(len(q_dense), -1, dtype=np.int64)  # leaf -> k, or -1
+        self.slot[self.support] = np.arange(len(self.support))
+        self.terms = np.empty(len(self.support), dtype=np.float64)
+        self.w = np.zeros(len(q_dense), dtype=np.float64)
+        self._set(np.arange(len(self.support)), counts)
+
+    def _set(self, k: np.ndarray, counts: np.ndarray) -> None:
+        leaves = self.support[k]
+        n = counts[leaves].astype(np.float64)
+        log_n = np.log(n + self.epsilon)
+        self.terms[k] = self.q[k] * log_n
+        self.w[leaves] = self.q[k] * (np.log(n + 1.0 + self.epsilon) - log_n)
+
+    def refresh(self, counts: np.ndarray, leaves: np.ndarray) -> None:
+        """Recompute the entries of ``leaves`` (leaf positions) from ``counts``."""
+        k = self.slot[leaves]
+        self._set(k[k >= 0], counts)
+
+    @property
+    def base(self) -> float:
+        """sum over S of q_j log(n_j + eps)."""
+        return float(np.sum(self.terms))
+
+
 def sample(
     records: Sequence[AnchoredRecord],
     tree: TagTree,
@@ -370,14 +410,13 @@ def sample(
     if budget:
         blocks = _BlockMaxima(indptr, indices, s)
 
+    state = InfoState.empty(n_nodes, n_leaves)
     if aligned:
         q_dense = target.dense(ancestry.leaf_ids)
-        q_support = np.nonzero(q_dense > 0.0)[0]
-        q_vals = q_dense[q_support]
-        q_entropy_term = float(np.sum(q_vals * np.log(q_vals)))
+        kl_terms = _KLTerms(q_dense, state.leaf_counts, obj.epsilon)
+        q_entropy_term = float(np.sum(kl_terms.q * np.log(kl_terms.q)))
         eps_total = obj.epsilon * n_leaves
 
-    state = InfoState.empty(n_nodes, n_leaves)
     picks: list[Pick] = []
     picked_rows: list[int] = []
     full_rescores = rescored = blocks_visited = 0
@@ -402,19 +441,12 @@ def sample(
             # w_j, the KL drop of one more count on leaf j, falls as it grows;
             # candidates sharing a leaf count t share log(L + eps*L + t), and
             # each block holds one t
-            counts_supp = state.leaf_counts[q_support].astype(np.float64)
-            base = float(np.sum(q_vals * np.log(counts_supp + obj.epsilon)))
-            w_vec = np.zeros(n_leaves, dtype=np.float64)
-            w_vec[q_support] = q_vals * (
-                np.log(counts_supp + 1.0 + obj.epsilon)
-                - np.log(counts_supp + obj.epsilon)
-            )
-            c = q_entropy_term - base
+            c = q_entropy_term - kl_terms.base
             log_t = np.log((float(state.total_leaf_mass) + eps_total) + blocks.t_values)
             # a huge lam overflows the bounds and joints; the check below
             # refuses a joint that is not finite, so numpy need not warn
             with np.errstate(over="ignore", invalid="ignore"):
-                result = blocks.argmax(g_leaf, w_vec, c, log_t, lam)
+                result = blocks.argmax(g_leaf, kl_terms.w, c, log_t, lam)
         else:
             result = blocks.argmax(g_leaf)
         idx, gain, pick_kl, pick_joint, n_rescored, n_visited = result
@@ -441,6 +473,8 @@ def sample(
         positions = indices[indptr[idx] : indptr[idx + 1]]
         info_vec = s[idx] * ancestry.path_counts(positions)
         state.add_contribution(prop, info_vec, positions)
+        if aligned:
+            kl_terms.refresh(state.leaf_counts, positions)
 
     final_info = state_information(state, obj.gamma)
     final_kl = (

@@ -1,14 +1,44 @@
-"""Subset and trace writers that pass every value through ``dumps_canonical``, kept fixed as references.
+"""Writers kept fixed as references for the package's writers, byte for byte.
 
-These are ``export_subset`` and ``write_trace`` from before the sampler
-formatted each row and pick with one format string: each row is built as a
-dict and serialized by the recursive ``dumps_canonical``, and each row is
-written as soon as it is serialized. The writers in ``tagforest.sampler``
-are compared against them, byte for byte.
+``export_subset`` and ``write_trace`` are the sampler's writers from before
+it formatted each row and pick with one format string: each row is built
+as a dict and serialized by the recursive ``dumps_canonical``, and each row
+is written as soon as it is serialized. ``write_anchored`` is the anchored
+writer from before it wrote in chunks: every column of the pool is turned
+into Python values at once, and all rows are formatted from those lists.
 """
 from __future__ import annotations
 
+from json.encoder import encode_basestring
+
+import numpy as np
+
+from tagforest.anchoring import _ANCHORED_ROW, AnchoredPool
 from tagforest.io import InstancePool, dumps_canonical
+
+
+def write_anchored(records, path) -> None:
+    """Write anchored rows (id, leaves, dropped, quality, complexity)."""
+    pool = AnchoredPool.from_records(records)
+    scores = np.column_stack((pool.quality, pool.complexity)).ravel()
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if len(bad):
+        raise ValueError(f"cannot serialize non-finite number: {scores[bad[0]].item()!r}")
+    ptr = pool.leaf_ptr.tolist()
+    leaves = pool.leaf_ids.tolist()
+    rows = zip(pool.ids, pool.dropped, pool.quality.tolist(), pool.complexity.tolist())
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(
+            _ANCHORED_ROW
+            % (
+                encode_basestring(rid),
+                ",".join(map(str, leaves[ptr[i] : ptr[i + 1]])),
+                ",".join(map(encode_basestring, tags)),
+                quality,
+                complexity,
+            )
+            for i, (rid, tags, quality, complexity) in enumerate(rows)
+        )
 
 
 def export_subset(selected, trace, pool, path) -> None:

@@ -25,6 +25,7 @@ from tagforest import (
 )
 from tagforest import anchoring
 
+import canonical_writers
 from conftest import make_tree, random_tree
 from path_lifting import anchor_instance
 from record_setup import load_anchored as load_records
@@ -303,6 +304,29 @@ class TestAnchoredFile:
         assert records[0].id == "a" and records[0].leaves == (1,)
         assert records[0].quality == 0.25 and records[0].complexity == 0.75
         assert records[1].leaves == () and records[1].dropped == ("zzz_none",)
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, anchoring._WRITE_ROWS - 1, anchoring._WRITE_ROWS, anchoring._WRITE_ROWS + 1]
+    )
+    def test_written_in_chunks(self, tmp_path, n):
+        # some rows have no leaves
+        rng = np.random.default_rng(n)
+        counts = rng.integers(0, 4, n)
+        leaf_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=leaf_ptr[1:])
+        pool = AnchoredPool(
+            ids=[f"r{i}\u00e9" for i in range(n)],
+            leaf_ptr=leaf_ptr,
+            leaf_ids=rng.integers(1, 10**6, int(leaf_ptr[-1])),
+            dropped=[("x",) * int(c == 0) for c in counts],
+            quality=rng.random(n),
+            complexity=rng.random(n) - 0.5,
+        )
+        write_anchored(pool, tmp_path / "got.jsonl")
+        canonical_writers.write_anchored(pool, tmp_path / "want.jsonl")
+        got = (tmp_path / "got.jsonl").read_bytes()
+        assert got == (tmp_path / "want.jsonl").read_bytes()
+        assert got.count(b"\n") == n
 
     @pytest.mark.parametrize(
         "bad",

@@ -6,22 +6,27 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import tagforest
 from tagforest import (
     ObjectiveConfig,
+    SamplerConfig,
     TreeBuildConfig,
     __version__,
     load_anchored,
     load_instances,
     load_target,
     load_tree,
+    sample,
     sha256_file,
 )
+from tagforest import cli
 from tagforest.anchoring import DEFAULT_MIN_SIMILARITY
 from tagforest.cli import _write_manifests, main
+from tagforest.sampler import export_subset
 
 TAG_NAMES = [
     "algebra", "geometry", "calculus",
@@ -331,6 +336,31 @@ class TestAnchor:
         assert rc == 2
         assert "no parseable instances" in capsys.readouterr().err
 
+    def test_pool_texts_not_held(self, ws, tmp_path):
+        # 2,000 rows with 10 KB responses: 20 MB of text that no step of
+        # anchor reads, so the command peaks below it
+        pool = tmp_path / "pool.jsonl"
+        text_bytes = 0
+        with open(pool, "w", encoding="utf-8") as f:
+            for i in range(2000):
+                query = f"question {i} " * 20
+                response = f"answer {i} " * (10_000 // len(f"answer {i} "))
+                text_bytes += len(query) + len(response)
+                f.write(json.dumps({
+                    "id": f"r{i}", "query": query, "response": response,
+                    "tags": [TAG_NAMES[i % 9], "no such tag"], "quality": i % 7,
+                    "complexity": i % 5,
+                }) + "\n")
+        out = tmp_path / "anchored.jsonl"
+        tracemalloc.start()
+        try:
+            rc = main(["anchor", "--tree", ws["tree"], "--pool", str(pool), "-o", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and len(load_anchored(out)) == 2000
+        assert text_bytes > 20_000_000 and peak < text_bytes / 4
+
 
 class TestDeriveTarget:
     def test_target_loadable_and_normalized(self, ws):
@@ -516,6 +546,56 @@ class TestSample:
         by_id = {inst.id: inst for inst in originals}
         for inst in exported:
             assert inst == by_id[inst.id]
+
+    def test_pool_export_keeps_only_the_picks_texts(self, ws, tmp_path, capsys, monkeypatch):
+        # a pool with bad lines and rows never picked: the subset and the
+        # stderr report are those of a pool loaded with every text
+        pool = tmp_path / "pool.jsonl"
+        lines = open(ws["pool"], encoding="utf-8").read().splitlines()
+        lines[3:3] = ["not json", '{"id":"p99","query":"q","tags":[]}', ""]
+        pool.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        kept = []
+        load = cli.load_instances
+
+        def spy(path, keep_texts=None):
+            loaded, report = load(path, keep_texts)
+            kept.append(sum(q is not None for q in loaded.queries))
+            return loaded, report
+
+        monkeypatch.setattr(cli, "load_instances", spy)
+        out, trace = tmp_path / "subset.jsonl", tmp_path / "t.json"
+        rc = main([
+            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"], "--budget", "4",
+            "--target", ws["target"], "--pool", str(pool), "-o", str(out), "--trace", str(trace),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 0 and kept == [4]
+        full, report = load_instances(pool)
+        assert err.splitlines() == [f"{sev}: {loc}: {msg}" for sev, loc, msg in report.entries]
+        assert [loc for _, loc, _ in report.entries] == ["line 4", "line 5", "line 6"]
+        tree = load_tree(ws["tree"])
+        selected, picked = sample(
+            load_anchored(ws["anchored"]), tree, SamplerConfig(budget=4),
+            load_target(ws["target"], tree),
+        )
+        want = tmp_path / "want.jsonl"
+        export_subset(selected, picked, full, want)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_pool_export_duplicate_id(self, ws, tmp_path, capsys):
+        pool = tmp_path / "pool.jsonl"
+        lines = open(ws["pool"], encoding="utf-8").read().splitlines()
+        pool.write_text("\n".join(lines + [lines[-1]]) + "\n", encoding="utf-8")
+        rc = main([
+            "sample", "--anchored", ws["anchored"], "--tree", ws["tree"], "--budget", "2",
+            "--pool", str(pool), "-o", str(tmp_path / "s.jsonl"),
+            "--trace", str(tmp_path / "t.json"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: line {len(lines) + 1}: duplicate instance id 'p11'\n"
+        )
+        assert not (tmp_path / "s.jsonl").exists()
 
 
 class TestWorkerResolution:

@@ -28,6 +28,7 @@ from tagforest import (
     write_embeddings,
 )
 
+import list_decoded_tree
 from conftest import make_tree, random_tree
 
 
@@ -172,6 +173,53 @@ class TestLoadInstances:
         for tag in pool.tags:
             assert first.setdefault(tag, tag) is tag
         assert len(first) == 3
+
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_kept_texts(self, tmp_path, monkeypatch, refused):
+        # refused: every line goes through the full-rules path
+        if refused:
+            def refuse(text, idx):
+                raise StopIteration(idx)
+
+            monkeypatch.setattr(tagforest.io, "_scan_once", refuse)
+        lines = [
+            json.dumps({"id": rid, "query": f"q{rid}", "response": f"r{rid}",
+                        "tags": ["t", rid], "quality": i, "complexity": -i})
+            for i, rid in enumerate(["a", "b", "c"])
+        ]
+        lines.insert(1, '{"id":"x","query":"q","response":"r","tags":["t"]}')
+        p = tmp_path / "pool.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        full, full_report = load_instances(p)
+        for keep in ((), {"c"}, ["a", "c", "zz"]):
+            pool, report = load_instances(p, keep_texts=keep)
+            assert report.entries == full_report.entries
+            assert (pool.ids, pool.tags, pool.tag_ptr.tolist()) == (
+                full.ids, full.tags, full.tag_ptr.tolist()
+            )
+            assert pool.quality.tolist() == full.quality.tolist()
+            assert pool.complexity.tolist() == full.complexity.tolist()
+            for i, rid in enumerate(pool.ids):
+                if rid in keep:
+                    assert pool[i] == full[i]
+                else:
+                    assert pool.queries[i] is None and pool.responses[i] is None
+                    with pytest.raises(ValueError, match=f"instance '{rid}': its query"):
+                        pool[i]
+            if len(keep) < 3:
+                with pytest.raises(ValueError, match="texts were not loaded"):
+                    list(pool)
+            normalized = normalize_scores(pool)
+            assert normalized.queries is pool.queries
+            assert normalized.quality.tolist() == normalize_scores(full).quality.tolist()
+
+    def test_kept_texts_duplicate_id_still_raises(self, tmp_path):
+        row = '{"id":"a","query":"q","response":"r","tags":["t"],"quality":1,"complexity":2}'
+        p = tmp_path / "pool.jsonl"
+        p.write_text(row + "\n" + row + "\n")
+        for keep in ((), {"b"}):
+            with pytest.raises(DuplicateIdError, match="line 2: duplicate instance id 'a'"):
+                load_instances(p, keep_texts=keep)
 
 
 class TestNormalizeScores:
@@ -363,6 +411,92 @@ class TestTreeSerialization:
         p.write_text('{"nodes":[{"id":0,"name":"r","parent":null,"children":[]}]}')
         with pytest.raises(ValueError, match="depth"):
             load_tree(p)
+
+
+# values that break a node rule, among them objects whose own "embedding"
+# list the loader's decoding hook turns into an array
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from([10**400, -(10**400), 2**63]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["embedding", "a"]), inner, max_size=2)
+    | st.builds(lambda v: {"embedding": v}, st.lists(st.floats(0, 1), min_size=1, max_size=2)),
+    max_leaves=5,
+)
+_NODE_KEYS = ("id", "name", "parent", "children", "depth", "embedding", "extra")
+
+
+@st.composite
+def _tree_file(draw):
+    """A tree file's JSON value: a valid tree with up to two values replaced or removed."""
+    n = draw(st.integers(1, 6))
+    tree = make_tree([None] + [draw(st.integers(0, i - 1)) for i in range(1, n)])
+    dim = draw(st.integers(1, 3))
+    number = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**70), 2**70)
+    entries = []
+    for node in tree.nodes:
+        entry = {"id": node.id, "name": node.name, "parent": node.parent,
+                 "children": list(node.children), "depth": node.depth}
+        how = draw(st.sampled_from(["list", "list", "null", "absent"]))
+        if how != "absent":
+            entry["embedding"] = (
+                None if how == "null" else draw(st.lists(number, min_size=dim, max_size=dim))
+            )
+        entries.append(entry)
+    for _ in range(draw(st.integers(0, 2))):
+        entry = entries[draw(st.integers(0, n - 1))]
+        key = draw(st.sampled_from(_NODE_KEYS))
+        if draw(st.booleans()):
+            entry.pop(key, None)
+        elif key == "children" and draw(st.booleans()):
+            entry[key] = entry[key] + [draw(_JUNK)]
+        else:
+            entry[key] = draw(_JUNK)
+    return {"nodes": draw(st.permutations(entries))}
+
+
+def _loaded(load, path):
+    """The nodes a tree loader returns, embedding bits included, or its error."""
+    try:
+        tree = load(path)
+    except ValueError as exc:
+        return ("raised", type(exc), str(exc))
+    return ("tree", [
+        (n.id, n.name, n.parent, n.children, n.depth,
+         None if n.embedding is None
+         else (n.embedding.dtype, n.embedding.shape, n.embedding.tobytes()))
+        for n in tree.nodes
+    ])
+
+
+class TestLoadTreeDecoding:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(payload=_tree_file())
+    def test_same_tree_or_error_as_list_decoding(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("tree") / "tree.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert _loaded(load_tree, path) == _loaded(list_decoded_tree.load_tree, path)
+
+    @pytest.mark.parametrize("where", ["name", "children", "extra"])
+    def test_nested_embedding_objects(self, tmp_path, where):
+        nested = {"embedding": [1.0, 2.0]}
+        nodes = [
+            {"id": 0, "name": "r", "parent": None, "children": [1], "depth": 0,
+             "embedding": [0.5, 0.25]},
+            {"id": 1, "name": "x", "parent": 0, "children": [], "depth": 1},
+        ]
+        if where == "children":
+            nodes[1]["children"] = [nested]
+        else:
+            nodes[1][where] = nested
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
+        got = _loaded(load_tree, path)
+        assert got == _loaded(list_decoded_tree.load_tree, path)
+        if where == "name":
+            assert got[1][1][1] == "{'embedding': [1.0, 2.0]}"
+        elif where == "children":
+            assert got[2].endswith("got {'embedding': [1.0, 2.0]}")
 
 
 class TestTargetDistribution:

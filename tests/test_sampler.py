@@ -266,7 +266,42 @@ class TestInvariances:
             assert overlap >= 0.8 * budget
 
 
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
 class TestAlignedMode:
+    @pytest.mark.parametrize("epsilon", [ObjectiveConfig.epsilon, 1e-3, 0.5])
+    @pytest.mark.parametrize("n_leaves, support", [(1, 1), (40, 7), (2006, 884)])
+    def test_kl_terms_refreshed_per_pick(self, n_leaves, support, epsilon):
+        # after every pick, base, c and w hold the bits of the whole-support
+        # formula that tests/full_rescoring.py recomputes each iteration
+        rng = np.random.default_rng(n_leaves + support)
+        q_dense = np.zeros(n_leaves)
+        q_dense[rng.choice(n_leaves, support, replace=False)] = rng.dirichlet(np.ones(support))
+        q_support = np.nonzero(q_dense > 0.0)[0]
+        q_vals = q_dense[q_support]
+        q_entropy_term = float(np.sum(q_vals * np.log(q_vals)))
+        counts = np.zeros(n_leaves, dtype=np.int64)
+        terms = sampler._KLTerms(q_dense, counts, epsilon)
+        for _ in range(300):
+            counts_supp = counts[q_support].astype(np.float64)
+            base = float(np.sum(q_vals * np.log(counts_supp + epsilon)))
+            w_vec = np.zeros(n_leaves, dtype=np.float64)
+            w_vec[q_support] = q_vals * (
+                np.log(counts_supp + 1.0 + epsilon) - np.log(counts_supp + epsilon)
+            )
+            assert _bits(terms.base) == _bits(base)
+            assert _bits(q_entropy_term - terms.base) == _bits(q_entropy_term - base)
+            assert _bits(terms.w) == _bits(w_vec)
+            # a pick's leaves: mostly on the support, some off it
+            k = int(rng.integers(1, 5))
+            leaves = np.unique(np.where(
+                rng.random(k) < 0.8, rng.choice(q_support, k), rng.integers(0, n_leaves, k)
+            ))
+            counts[leaves] += 1
+            terms.refresh(counts, leaves)
+
     def test_lambda_zero_identical_to_general(self, tmp_path):
         rng = np.random.default_rng(87)
         tree = random_tree(rng, max_nodes=40)
