@@ -8,13 +8,14 @@ recorded. The surviving leaves are the record the sampler consumes.
 An anchored pool is held as an :class:`AnchoredPool`, which keeps the
 rows as columns (ids, a CSR-style leaf list, dropped tags, scores) and
 rebuilds an :class:`AnchoredRecord` only when a row is indexed or
-iterated. :func:`anchor_pool` builds one from an instance pool's id, tag
-and score columns, never its texts: each distinct tag is resolved once,
-and each row's leaves, dropped tags and the counters come from array sorts
-and counts. :func:`write_anchored` formats each row from the columns, a
-chunk of rows at a time, and :func:`load_anchored` reads the file back
-into columns: in blocks with one pattern when every row has one fixed
-shape, and otherwise line by line, through :func:`read_rows`'s rules.
+iterated. :func:`anchor_pool` builds one from an instance pool's id,
+tag-code and score columns, never its texts: each distinct tag the loader
+encoded is resolved once, and each row's leaves, dropped tags and the
+counters come from array sorts and counts of the codes.
+:func:`write_anchored` formats each row from the columns, a chunk of rows
+at a time, and :func:`load_anchored` reads the file back into columns: in
+blocks with one pattern when every row has one fixed shape, and otherwise
+line by line, through :func:`read_rows`'s rules.
 """
 from __future__ import annotations
 
@@ -273,9 +274,10 @@ def anchor_pool(
     A row's leaves are the distinct leaves of its tags, ascending; its
     dropped tags are listed once each, in first-seen order. Output order
     follows the input pool, which may be any sequence of instances; of an
-    :class:`InstancePool` only the ids, tags and scores are read, so one
-    loaded without texts will do. Instances whose tags all drop get no
-    leaves and are listed in the report as unanchorable.
+    :class:`InstancePool` only the ids, tag codes and scores are read, so
+    one loaded without texts will do, and its ``tag_names`` are resolved
+    in their order. Instances whose tags all drop get no leaves and are
+    listed in the report as unanchorable.
     ``min_similarity`` must be finite.
     """
     if not math.isfinite(min_similarity):
@@ -286,13 +288,7 @@ def anchor_pool(
     if not n:
         return AnchoredPool.from_records([]), report
 
-    index: dict[str, int] = {}  # tag -> code, in first-seen order
-    codes = np.fromiter(
-        (index.setdefault(tag, len(index)) for tag in pool.tags),
-        dtype=np.int64,
-        count=len(pool.tags),
-    )
-    distinct = list(index)
+    codes, distinct = pool.tag_codes, pool.tag_names
     leaf, kind = _resolve_tags(distinct, tree, embeddings, min_similarity)
 
     # each row's distinct tags, at their first position in the row
@@ -318,8 +314,8 @@ def anchor_pool(
     # so code order is the order in which each tag was first dropped
     drop_pos = np.sort(order[pair_kind == _DROPPED])
     dropped: list[tuple[str, ...]] = [()] * n
-    for pos, row in zip(drop_pos.tolist(), rows[drop_pos].tolist()):
-        dropped[row] += (pool.tags[pos],)
+    for code, row in zip(codes[drop_pos].tolist(), rows[drop_pos].tolist()):
+        dropped[row] += (distinct[code],)
     drops = np.bincount(codes[drop_pos], minlength=len(distinct))
     report.dropped_tags = Counter(
         {distinct[k]: drops[k].item() for k in np.flatnonzero(drops)}

@@ -1,11 +1,14 @@
 """File formats and parsing: instance pools, embeddings, trees, targets.
 
 A pool file is read by :func:`load_instances` in one pass into an
-:class:`InstancePool`, which holds the rows as columns (ids, texts, a
-CSR-style tag list, score arrays) and rebuilds an :class:`Instance` only
-when a row is indexed or iterated. Every row's id, tags and scores are
-kept; its query and response texts only when the caller asks for them, so
-``anchor`` holds none and ``sample --pool`` only the picks'.
+:class:`InstancePool`, which holds the rows as columns (ids, texts, one
+code per tag occurrence with each distinct tag held once, score arrays)
+and rebuilds an :class:`Instance` only when a row is indexed or iterated.
+Every line is checked under one rule set and every tag occurrence is
+encoded once; :func:`tagforest.anchoring.anchor_pool` reads those codes as
+they are. Every row's id, tags and scores are kept; its query and response
+texts only when the caller asks for them, so ``anchor`` holds none and
+``sample --pool`` only the picks'.
 :func:`normalize_scores` rescales the score columns with numpy.
 
 All JSON emitted by this package formats floats with 17 significant
@@ -23,7 +26,7 @@ import math
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -108,6 +111,13 @@ def _fmt_number(value: float) -> str:
 
 def dumps_canonical(value) -> str:
     """Serialize to JSON with 17-significant-digit floats, preserving key order."""
+    kind = type(value)  # exact types first: the scalars of every row written
+    if kind is float:
+        return _fmt_number(value)
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return encode_basestring(value)
     out: list[str] = []
     _write_canonical(value, out)
     return "".join(out)
@@ -178,43 +188,16 @@ class DuplicateIdError(ValueError):
 _REQUIRED_KEYS = ("id", "query", "response", "tags", "quality", "complexity")
 
 
-def _parse_instance(obj: dict) -> Instance:
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise ValueError(f"missing required key '{key}'")
-    if not isinstance(obj["id"], str) or not obj["id"]:
-        raise ValueError("'id' must be a non-empty string")
-    if not isinstance(obj["query"], str) or not isinstance(obj["response"], str):
-        raise ValueError("'query' and 'response' must be strings")
-    tags = obj["tags"]
-    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-        raise ValueError("'tags' must be a list of strings")
-    quality = obj["quality"]
-    complexity = obj["complexity"]
-    if not isinstance(quality, (int, float)) or isinstance(quality, bool):
-        raise ValueError("'quality' must be a number")
-    if not isinstance(complexity, (int, float)) or isinstance(complexity, bool):
-        raise ValueError("'complexity' must be a number")
-    if not is_finite_number(quality) or not is_finite_number(complexity):
-        raise ValueError("scores must be finite")
-    return Instance(
-        id=obj["id"],
-        query=obj["query"],
-        response=obj["response"],
-        tags=tuple(tags),
-        quality=float(quality),
-        complexity=float(complexity),
-    )
-
-
 @dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
 class InstancePool(Sequence):
     """A pool held as columns: a read-only sequence of :class:`Instance`.
 
     Row ``i`` has id ``ids[i]``, query ``queries[i]``, response
-    ``responses[i]``, the tags ``tags[tag_ptr[i]:tag_ptr[i + 1]]`` as given
-    (duplicates and order kept) and the scores ``quality[i]`` and
-    ``complexity[i]``. ``tag_ptr`` is an int64 array, ``quality`` and
+    ``responses[i]``, the tags ``tag_codes[tag_ptr[i]:tag_ptr[i + 1]]`` as
+    given (duplicates and order kept) and the scores ``quality[i]`` and
+    ``complexity[i]``. A tag is held once, in ``tag_names``, the distinct
+    tags in first-seen order, and each occurrence is its position there:
+    ``tag_ptr`` and ``tag_codes`` are int64 arrays, ``quality`` and
     ``complexity`` float64 arrays. A row whose texts were not loaded (see
     :func:`load_instances`) has ``None`` for both. Indexing and iteration
     rebuild each row's instance, and raise ``ValueError`` at a row without
@@ -225,7 +208,8 @@ class InstancePool(Sequence):
     queries: list[str | None]
     responses: list[str | None]
     tag_ptr: np.ndarray
-    tags: list[str]
+    tag_codes: np.ndarray
+    tag_names: list[str]
     quality: np.ndarray
     complexity: np.ndarray
 
@@ -234,17 +218,19 @@ class InstancePool(Sequence):
         """The pool of a sequence of instances, in their order; a pool is returned as is."""
         if isinstance(records, InstancePool):
             return records
-        tags: list[str] = []
+        index: dict[str, int] = {}  # tag -> code, in first-seen order
+        codes: list[int] = []
         tag_ptr = array("q", [0])
         for inst in records:
-            tags.extend(inst.tags)
-            tag_ptr.append(len(tags))
+            codes.extend([index.setdefault(tag, len(index)) for tag in inst.tags])
+            tag_ptr.append(len(codes))
         return cls(
             ids=[r.id for r in records],
             queries=[r.query for r in records],
             responses=[r.response for r in records],
             tag_ptr=np.frombuffer(tag_ptr, dtype=np.int64),
-            tags=tags,
+            tag_codes=np.fromiter(codes, np.int64, len(codes)),
+            tag_names=list(index),
             quality=np.array([r.quality for r in records], dtype=np.float64),
             complexity=np.array([r.complexity for r in records], dtype=np.float64),
         )
@@ -259,17 +245,19 @@ class InstancePool(Sequence):
         query, response = self.queries[i], self.responses[i]
         if query is None:
             _no_texts(self.ids[i])
+        codes = self.tag_codes[self.tag_ptr.item(i) : self.tag_ptr.item(i + 1)]
         return Instance(
             id=self.ids[i],
             query=query,
             response=response,
-            tags=tuple(self.tags[self.tag_ptr.item(i) : self.tag_ptr.item(i + 1)]),
+            tags=tuple(map(self.tag_names.__getitem__, codes.tolist())),
             quality=self.quality.item(i),
             complexity=self.complexity.item(i),
         )
 
     def __iter__(self):
         ptr = self.tag_ptr.tolist()
+        tags = list(map(self.tag_names.__getitem__, self.tag_codes.tolist()))
         rows = zip(
             self.ids,
             self.queries,
@@ -284,7 +272,7 @@ class InstancePool(Sequence):
                 id=rid,
                 query=query,
                 response=response,
-                tags=tuple(self.tags[ptr[i] : ptr[i + 1]]),
+                tags=tuple(tags[ptr[i] : ptr[i + 1]]),
                 quality=quality,
                 complexity=complexity,
             )
@@ -295,34 +283,10 @@ def _no_texts(rid: str) -> None:
     raise ValueError(f"instance '{rid}': its query and response texts were not loaded")
 
 
-def _checked_instance(text: str, location: str, report: ValidationReport):
-    """The instance of one stripped line under the full rules, or None.
-
-    A line that breaks a rule (blank, invalid JSON, not an object, then
-    :func:`_parse_instance`) adds its located entry to ``report``.
-    """
-    if not text:
-        report.error(location, "blank line")
-        return None
-    try:
-        obj = loads_line(text)
-    except ValueError as exc:
-        report.error(location, str(exc))
-        return None
-    if not isinstance(obj, dict):
-        report.error(location, "record is not a JSON object")
-        return None
-    try:
-        return _parse_instance(obj)
-    except ValueError as exc:
-        report.error(location, str(exc))
-        return None
-
-
 # The decoder json.loads uses. On a stripped line, a value that ends at the
 # end of the text is exactly what json.loads would return; anything else
 # (no value, trailing data, a leading BOM, an over-long integer, deep
-# nesting) raises or stops short, and the line is refused.
+# nesting) raises or stops short, and json.loads refuses the line too.
 _scan_once = json.JSONDecoder().scan_once
 _STR, _NUMBER = {str}, {int, float}  # exact types: a JSON true is a bool, not an int
 
@@ -334,12 +298,14 @@ def load_instances(path, keep_texts=None) -> tuple[InstancePool, ValidationRepor
     located error entry in the report, so len(pool) + len(errors) equals
     the line count. A duplicate id is a hard error and raises
     :class:`DuplicateIdError` immediately. The file is read in one pass
-    straight into columns, with the rules of :func:`_parse_instance`
-    checked inline on the parsed object. A line those checks refuse goes
-    through :func:`loads_line` and :func:`_parse_instance`, which report
-    the rule it breaks. Every occurrence of a tag in ``tags`` is one
-    shared string object, so the column costs a pointer per occurrence
-    and a string per distinct tag.
+    straight into columns. A line is refused for the first rule it breaks,
+    in this order: it is blank; it is not one JSON value (worded by
+    :func:`loads_line`); the value is not an object; a required key is
+    missing (the first in ``_REQUIRED_KEYS``); ``id`` is not a non-empty
+    string; ``query`` or ``response`` is not a string; ``tags`` is not a
+    list of strings; ``quality``, then ``complexity``, is not a number (a
+    boolean is not); a score is not finite. Each tag occurrence is encoded
+    once, as its code in ``tag_names``.
 
     ``keep_texts`` says whose query and response texts the pool keeps:
     ``None`` (the default) keeps every row's, and any container of ids
@@ -350,41 +316,49 @@ def load_instances(path, keep_texts=None) -> tuple[InstancePool, ValidationRepor
     ids: list[str] = []
     queries: list[str | None] = []
     responses: list[str | None] = []
-    tags: list[str] = []
+    index: dict[str, int] = {}  # tag -> code, in first-seen order
+    codes: list[int] = []
     tag_ptr = array("q", [0])
     quality = array("d")
     complexity = array("d")
     report = ValidationReport()
     seen: set[str] = set()
-    names: dict[str, str] = {}  # each distinct tag to its one string in ``tags``
     lo, hi = FINITE_RANGE
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             text = line.strip()
             try:
                 obj, end = _scan_once(text, 0)
-                rid, query, response = obj["id"], obj["query"], obj["response"]
-                row_tags, q, c = obj["tags"], obj["quality"], obj["complexity"]
-            except (StopIteration, ValueError, RecursionError, KeyError, TypeError):
-                end = -1  # TypeError: the value is not an object; -1 refuses the line
-            if not (
-                end == len(text)
-                and type(rid) is str
-                and rid
-                and type(query) is str
-                and type(response) is str
-                and type(row_tags) is list
-                and _STR.issuperset(map(type, row_tags))
-                and type(q) in _NUMBER
-                and lo <= q <= hi
-                and type(c) in _NUMBER
-                and lo <= c <= hi
-            ):
-                inst = _checked_instance(text, f"line {lineno}", report)
-                if inst is None:
-                    continue
-                rid, query, response = inst.id, inst.query, inst.response
-                row_tags, q, c = inst.tags, inst.quality, inst.complexity
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            try:
+                if end != len(text):
+                    if not text:
+                        raise ValueError("blank line")
+                    obj = loads_line(text)  # raises, worded as json.loads words it
+                try:
+                    rid, query, response = obj["id"], obj["query"], obj["response"]
+                    row_tags, q, c = obj["tags"], obj["quality"], obj["complexity"]
+                except TypeError:  # any JSON value but an object
+                    raise ValueError("record is not a JSON object") from None
+                except KeyError:
+                    key = next(k for k in _REQUIRED_KEYS if k not in obj)
+                    raise ValueError(f"missing required key '{key}'") from None
+                if type(rid) is not str or not rid:
+                    raise ValueError("'id' must be a non-empty string")
+                if type(query) is not str or type(response) is not str:
+                    raise ValueError("'query' and 'response' must be strings")
+                if type(row_tags) is not list or not _STR.issuperset(map(type, row_tags)):
+                    raise ValueError("'tags' must be a list of strings")
+                if type(q) not in _NUMBER:
+                    raise ValueError("'quality' must be a number")
+                if type(c) not in _NUMBER:
+                    raise ValueError("'complexity' must be a number")
+                if not (lo <= q <= hi and lo <= c <= hi):
+                    raise ValueError("scores must be finite")
+            except ValueError as exc:
+                report.error(f"line {lineno}", str(exc))
+                continue
             if rid in seen:
                 raise DuplicateIdError(f"line {lineno}: duplicate instance id '{rid}'")
             seen.add(rid)
@@ -395,8 +369,12 @@ def load_instances(path, keep_texts=None) -> tuple[InstancePool, ValidationRepor
             else:
                 queries.append(None)
                 responses.append(None)
-            tags.extend(map(names.setdefault, row_tags, row_tags))
-            tag_ptr.append(len(tags))
+            for tag in row_tags:  # faster here than from_records' setdefault
+                code = index.get(tag)
+                if code is None:
+                    code = index[tag] = len(index)
+                codes.append(code)
+            tag_ptr.append(len(codes))
             quality.append(q)
             complexity.append(c)
     pool = InstancePool(
@@ -404,7 +382,8 @@ def load_instances(path, keep_texts=None) -> tuple[InstancePool, ValidationRepor
         queries=queries,
         responses=responses,
         tag_ptr=np.frombuffer(tag_ptr, dtype=np.int64),
-        tags=tags,
+        tag_codes=np.fromiter(codes, np.int64, len(codes)),
+        tag_names=list(index),
         quality=np.frombuffer(quality, dtype=np.float64),
         complexity=np.frombuffer(complexity, dtype=np.float64),
     )
@@ -412,18 +391,15 @@ def load_instances(path, keep_texts=None) -> tuple[InstancePool, ValidationRepor
 
 
 def _unit_column(values: np.ndarray) -> np.ndarray:
-    """Min-max rescale of one finite, non-empty score column."""
-    # argmin and argmax return the first extreme in pool order, as Python's
-    # min and max do: of tied 0.0 and -0.0 the first wins, and that decides
-    # whether a -0.0 score comes out as 0.0 or -0.0
-    lo, hi = float(values[values.argmin()]), float(values[values.argmax()])
+    """Min-max rescale of one finite, non-empty score column; no -0.0 comes out."""
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         return np.full(len(values), 0.5)
     span = hi - lo
     if math.isfinite(span):
-        return (values - lo) / span
+        return (values - lo) / span + 0.0
     # the span overflows, as from -1e308 to 1e308: halve every term first
-    return (values * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5)
+    return (values * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5) + 0.0
 
 
 def normalize_scores(pool: Sequence[Instance]) -> InstancePool:
@@ -432,7 +408,8 @@ def normalize_scores(pool: Sequence[Instance]) -> InstancePool:
     Min-max per field; a constant field maps to 0.5 everywhere. Non-finite
     input raises with the first offending instance id. Idempotent: applying
     it to its own output changes nothing (already-spanning fields keep
-    their endpoints, constants stay at 0.5). Any sequence of instances is
+    their endpoints, constants stay at 0.5). A zero comes out as +0.0,
+    whatever the sign of the score it came from. Any sequence of instances is
     accepted; the result is an :class:`InstancePool` sharing the input's
     other columns. Only the ids and scores are read, so a pool loaded
     without texts will do.
@@ -443,12 +420,8 @@ def normalize_scores(pool: Sequence[Instance]) -> InstancePool:
     finite = np.isfinite(pool.quality) & np.isfinite(pool.complexity)
     if not finite.all():
         raise ValueError(f"non-finite score on instance '{pool.ids[finite.argmin()]}'")
-    return InstancePool(
-        ids=pool.ids,
-        queries=pool.queries,
-        responses=pool.responses,
-        tag_ptr=pool.tag_ptr,
-        tags=pool.tags,
+    return replace(
+        pool,
         quality=_unit_column(pool.quality),
         complexity=_unit_column(pool.complexity),
     )

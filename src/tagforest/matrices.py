@@ -15,9 +15,7 @@ their products are numpy calls that give the bits scipy's sparse kernels
 give: each output entry is its terms added onto 0.0 in the order of the
 matrix's compressed form. Nothing here imports scipy until a caller reads
 ``.matrix`` or ``PropagationMatrix.transpose``, the scipy views of the same
-arrays. The public builders reject invalid input. The private
-``_ancestry_matrix`` and ``_propagation_matrix`` skip that check, for a
-caller that has already validated the tree once.
+arrays. The builders reject invalid input.
 """
 from __future__ import annotations
 
@@ -194,16 +192,6 @@ def _require_valid(tree: TagTree) -> None:
 def build_ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     """Build the ancestor-or-self indicator matrix for a valid tree."""
     _require_valid(tree)
-    return _ancestry_matrix(tree)
-
-
-def build_propagation_matrix(tree: TagTree) -> PropagationMatrix:
-    """Build the neighbor-averaging operator for a valid tree."""
-    _require_valid(tree)
-    return _propagation_matrix(tree)
-
-
-def _ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     leaf_ids = tree.leaf_ids
     parents = tree.parents
     n_nodes, n_leaves = tree.n_nodes, len(leaf_ids)
@@ -233,7 +221,9 @@ def _ancestry_matrix(tree: TagTree) -> AncestryMatrix:
     )
 
 
-def _propagation_matrix(tree: TagTree) -> PropagationMatrix:
+def build_propagation_matrix(tree: TagTree) -> PropagationMatrix:
+    """Build the neighbor-averaging operator for a valid tree."""
+    _require_valid(tree)
     parents = tree.parents
     n = tree.n_nodes
     child = np.flatnonzero(parents >= 0)

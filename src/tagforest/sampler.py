@@ -38,19 +38,12 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
 
 import numpy as np
 
 from .anchoring import AnchoredPool, AnchoredRecord
-from .io import (
-    Instance,
-    InstancePool,
-    TargetDistribution,
-    _fmt_number,
-    dumps_canonical,
-)
-from .matrices import _ancestry_matrix, _propagation_matrix, _require_valid
+from .io import Instance, InstancePool, TargetDistribution, dumps_canonical
+from .matrices import build_ancestry_matrix, build_propagation_matrix
 from .objective import (
     GRADIENT_FLOOR,
     InfoState,
@@ -374,13 +367,14 @@ def sample(
     loop keeps each pick as its pool row, and the picked records are
     built once, after the loop, from those rows only.
 
-    The tree is validated once, and both operators are built from it as
-    numpy index arrays (:mod:`tagforest.matrices`). Per pick, the leaf
-    gradient sums the node gradient along each leaf's path, and the pick's
-    information vector is its exact path counts times its score;
-    :meth:`InfoState.add_contribution` runs over the pick's paths and
-    their neighbors only. Every sum adds the terms scipy's sparse kernels
-    add, in their order. A budget of 0 builds no block maxima.
+    Both operators are built from the tree by the public builders, each of
+    which validates it, as numpy index arrays (:mod:`tagforest.matrices`).
+    Per pick, the leaf gradient sums the node gradient along each leaf's
+    path, and the pick's information vector is its exact path counts times
+    its score; :meth:`InfoState.add_contribution` runs over the pick's
+    paths and their neighbors only. Every sum adds the terms scipy's
+    sparse kernels add, in their order. A budget of 0 builds no block
+    maxima.
     Every iteration runs one lazy argmax: each unselected candidate's last
     key gain + kl_weight * (H w), which never rises, is kept in blocks of
     one leaf count with their maxima, and the blocks whose bound could
@@ -399,9 +393,8 @@ def sample(
 
     pool = AnchoredPool.from_records(records)
 
-    _require_valid(tree)  # once for both operators
-    ancestry = _ancestry_matrix(tree)
-    prop = _propagation_matrix(tree)
+    ancestry = build_ancestry_matrix(tree)
+    prop = build_propagation_matrix(tree)
     n_nodes, n_leaves = ancestry.shape
 
     cand, s, indptr, indices = _candidate_setup(pool, tree, obj.alpha)
@@ -512,30 +505,13 @@ def derive_target(records: Sequence[AnchoredRecord], tree: TagTree) -> TargetDis
     )
 
 
-def _json(value) -> str:
-    """The text :func:`io.dumps_canonical` writes for ``value``.
-
-    A plain float, int or str is formatted here; any other value, a
-    numpy scalar or None say, goes through ``dumps_canonical``. A
-    non-finite float raises its ``ValueError``.
-    """
-    kind = type(value)
-    if kind is float:
-        return _fmt_number(value)
-    if kind is int:
-        return str(value)
-    if kind is str:
-        return encode_basestring(value)
-    return dumps_canonical(value)
-
-
 def _json_list(values) -> str:
-    return ",".join(map(_json, values))
+    return ",".join(map(dumps_canonical, values))
 
 
 # Rows of subset.jsonl, without and with the pool's fields, and one pick of
 # trace.json in the bytes dumps_canonical writes for them: every value is
-# formatted by _json beforehand.
+# formatted by dumps_canonical beforehand.
 _SUBSET_ROW = (
     '{"id":%s,"quality":%s,"complexity":%s,'
     '"leaves":[%s],"iteration":%s,"gain":%s,"joint":%s}\n'
@@ -581,7 +557,10 @@ def export_subset(
             raise ValueError("selected order does not match trace order")
         if pool is None:
             row = _SUBSET_ROW
-            fields = (_json(record.id), _json(record.quality), _json(record.complexity))
+            fields = (
+                dumps_canonical(record.id), dumps_canonical(record.quality),
+                dumps_canonical(record.complexity),
+            )
         else:
             i = row_of.get(record.id)
             if i is None:
@@ -589,12 +568,13 @@ def export_subset(
             inst = pool[i]
             row = _POOL_ROW
             fields = (
-                _json(inst.id), _json(inst.query), _json(inst.response),
-                _json_list(inst.tags), _json(inst.quality), _json(inst.complexity),
+                dumps_canonical(inst.id), dumps_canonical(inst.query),
+                dumps_canonical(inst.response), _json_list(inst.tags),
+                dumps_canonical(inst.quality), dumps_canonical(inst.complexity),
             )
         lines.append(row % (
-            *fields, _json_list(record.leaves),
-            _json(pick.iteration), _json(pick.gain), _json(pick.joint),
+            *fields, _json_list(record.leaves), dumps_canonical(pick.iteration),
+            dumps_canonical(pick.gain), dumps_canonical(pick.joint),
         ))
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(lines)
@@ -608,14 +588,15 @@ def write_trace(trace: SelectionTrace, path) -> None:
     is opened.
     """
     head = (
-        _json(trace.mode), _json(trace.budget_requested), _json(trace.pool_size),
-        _json(trace.unanchorable), _json(len(trace.picks)),
-        _json(trace.final_information), _json(trace.final_kl),
+        dumps_canonical(trace.mode), dumps_canonical(trace.budget_requested),
+        dumps_canonical(trace.pool_size), dumps_canonical(trace.unanchorable),
+        dumps_canonical(len(trace.picks)), dumps_canonical(trace.final_information),
+        dumps_canonical(trace.final_kl),
     )
     picks = ",".join(
         _TRACE_PICK % (
-            _json(p.iteration), _json(p.instance_id), _json(p.gain), _json(p.kl),
-            _json(p.joint),
+            dumps_canonical(p.iteration), dumps_canonical(p.instance_id),
+            dumps_canonical(p.gain), dumps_canonical(p.kl), dumps_canonical(p.joint),
         )
         for p in trace.picks
     )

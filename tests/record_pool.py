@@ -1,12 +1,13 @@
 """Record-based pool reading, scaling, anchoring and writing, kept fixed as references.
 
 These are the functions from before the anchor stage was held as columns:
-``load_instances`` builds one ``Instance`` per line, ``normalize_scores``
-copies each one with ``dataclasses.replace``, ``_resolve_tags`` and
-``anchor_pool`` resolve tags and build one ``AnchoredRecord`` per row, and
-``write_anchored`` and ``save_tree`` pass every row and node through
-``dumps_canonical``. The columnar functions in ``tagforest`` are compared
-against them.
+``load_instances`` builds one ``Instance`` per line through
+``_parse_instance``, which holds the row rules in their order,
+``normalize_scores`` copies each one with ``dataclasses.replace``,
+``_resolve_tags`` and ``anchor_pool`` resolve tags and build one
+``AnchoredRecord`` per row, and ``write_anchored`` and ``save_tree`` pass
+every row and node through ``dumps_canonical``. The columnar functions in
+``tagforest`` are compared against them.
 """
 from __future__ import annotations
 
@@ -26,11 +27,42 @@ from tagforest.io import (
     DuplicateIdError,
     EmbeddingTable,
     Instance,
-    _parse_instance,
     dumps_canonical,
+    is_finite_number,
     loads_line,
 )
 from tagforest.tree import InvalidTreeError, TagTree, ValidationReport, validate_tree
+
+_REQUIRED_KEYS = ("id", "query", "response", "tags", "quality", "complexity")
+
+
+def _parse_instance(obj: dict) -> Instance:
+    for key in _REQUIRED_KEYS:
+        if key not in obj:
+            raise ValueError(f"missing required key '{key}'")
+    if not isinstance(obj["id"], str) or not obj["id"]:
+        raise ValueError("'id' must be a non-empty string")
+    if not isinstance(obj["query"], str) or not isinstance(obj["response"], str):
+        raise ValueError("'query' and 'response' must be strings")
+    tags = obj["tags"]
+    if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+        raise ValueError("'tags' must be a list of strings")
+    quality = obj["quality"]
+    complexity = obj["complexity"]
+    if not isinstance(quality, (int, float)) or isinstance(quality, bool):
+        raise ValueError("'quality' must be a number")
+    if not isinstance(complexity, (int, float)) or isinstance(complexity, bool):
+        raise ValueError("'complexity' must be a number")
+    if not is_finite_number(quality) or not is_finite_number(complexity):
+        raise ValueError("scores must be finite")
+    return Instance(
+        id=obj["id"],
+        query=obj["query"],
+        response=obj["response"],
+        tags=tuple(tags),
+        quality=float(quality),
+        complexity=float(complexity),
+    )
 
 
 def load_instances(path) -> tuple[list[Instance], ValidationReport]:

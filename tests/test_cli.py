@@ -20,11 +20,12 @@ from tagforest import (
     load_instances,
     load_target,
     load_tree,
+    normalize_scores,
     sample,
     sha256_file,
 )
-from tagforest import cli
-from tagforest.anchoring import DEFAULT_MIN_SIMILARITY
+from tagforest import anchoring, cli
+from tagforest.anchoring import DEFAULT_MIN_SIMILARITY, anchor_pool
 from tagforest.cli import _write_manifests, main
 from tagforest.sampler import export_subset
 
@@ -580,6 +581,34 @@ class TestSample:
         )
         want = tmp_path / "want.jsonl"
         export_subset(selected, picked, full, want)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_signed_zero_export_matches_library(self, ws, tmp_path):
+        # -0.0 and +0.0 scores, in both orders, at each column's minimum:
+        # anchor writes rows of the fixed shape, and sample exports what a
+        # library run does
+        pool = tmp_path / "pool.jsonl"
+        pool.write_text("".join(
+            json.dumps({"id": f"z{k}", "query": "q", "response": "r", "tags": [tag],
+                        "quality": q, "complexity": c}) + "\n"
+            for k, (tag, q, c) in enumerate(
+                [("algebra", 0.0, -0.0), ("python", -0.0, 0.0), ("poetry", 1.0, 1.0)]
+            )
+        ), encoding="utf-8")
+        anchored, out, trace = (tmp_path / name for name in ("a.jsonl", "s.jsonl", "t.json"))
+        assert main(["anchor", "--tree", ws["tree"], "--pool", str(pool),
+                     "-o", str(anchored)]) == 0
+        with open(anchored, encoding="utf-8") as f:
+            assert anchoring._read_fixed_shape(f) is not None
+        assert main(["sample", "--anchored", str(anchored), "--tree", ws["tree"],
+                     "--budget", "3", "-o", str(out), "--trace", str(trace)]) == 0
+        tree = load_tree(ws["tree"])
+        records, _ = anchor_pool(
+            normalize_scores(load_instances(pool)[0]), tree, None, DEFAULT_MIN_SIMILARITY
+        )
+        selected, picked = sample(records, tree, SamplerConfig(budget=3))
+        want = tmp_path / "want.jsonl"
+        export_subset(selected, picked, None, want)
         assert out.read_bytes() == want.read_bytes()
 
     def test_pool_export_duplicate_id(self, ws, tmp_path, capsys):

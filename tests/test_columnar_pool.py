@@ -189,17 +189,19 @@ def _normalized(fn, pool):
 
 
 def _reference_scaling(pool):
-    """``ref.normalize_scores``, except where a column's span overflows:
-    there the reference's top row comes out inf / inf = NaN, and the
-    expected values are those of halving every term first, which keeps
-    them in [0, 1]."""
+    """``ref.normalize_scores``, except in two places. Where a column's
+    span overflows, the reference's top row comes out inf / inf = NaN, and
+    the expected values are those of halving every term first, which keeps
+    them in [0, 1]. And a -0.0 the reference gives comes out as 0.0."""
     out = ref.normalize_scores(pool)
     for field in ("quality", "complexity"):
         values = [getattr(inst, field) for inst in pool]
         lo, hi = min(values), max(values)
         if hi - lo == math.inf:
-            scaled = [(v * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5) for v in values]
-            out = [replace(inst, **{field: v}) for inst, v in zip(out, scaled)]
+            values = [(v * 0.5 - lo * 0.5) / (hi * 0.5 - lo * 0.5) for v in values]
+        else:
+            values = [getattr(inst, field) for inst in out]
+        out = [replace(inst, **{field: v + 0.0}) for inst, v in zip(out, values)]
     return out
 
 
@@ -219,12 +221,14 @@ class TestNormalizeScores:
             columns = InstancePool.from_records(pool)
             assert _normalized(normalize_scores, columns) == want[1]
 
+    # whichever zero is the first minimum, every zero comes out as +0.0; the
+    # reference gives -0.0 for a -0.0 score under a +0.0 minimum
     @pytest.mark.parametrize(
         "scores, expected",
         [
-            ([0.0, -0.0, 1.0], ["0.0", "-0.0", "1.0"]),  # lo is +0.0
+            ([0.0, -0.0, 1.0], ["0.0", "0.0", "1.0"]),  # lo is +0.0
             ([-0.0, 0.0, 1.0], ["0.0", "0.0", "1.0"]),  # lo is -0.0
-            ([1.0, 0.0, -0.0], ["1.0", "0.0", "-0.0"]),
+            ([1.0, 0.0, -0.0], ["1.0", "0.0", "0.0"]),
         ],
     )
     def test_signed_zero_follows_first_minimum(self, scores, expected):
@@ -232,7 +236,8 @@ class TestNormalizeScores:
         out = normalize_scores(pool)
         assert isinstance(out, InstancePool)
         assert [repr(i.quality) for i in out] == expected
-        assert [repr(i.quality) for i in ref.normalize_scores(pool)] == expected
+        assert [repr(i.quality + 0.0) for i in ref.normalize_scores(pool)] == expected
+        assert [repr(i.quality) for i in _reference_scaling(pool)] == expected
 
     def test_overflowing_span_scales_to_unit_interval(self):
         pool = [Instance(f"i{k}", "q", "r", (), s, 0.5) for k, s in
@@ -337,6 +342,31 @@ class TestAnchorPool:
             )
         assert got == want
         assert from_columns == want
+
+    @_SETTINGS
+    @given(_anchor_case(), st.integers(0, 6))
+    def test_loaded_codes_match_rebuilt_codes(self, tmp_path_factory, case, bad_at):
+        # the loader's tag codes, with a refused line's tags left out, are
+        # those from_records gives the same instances, and anchor alike
+        tree, table, pool, min_sim = case
+        lines = [
+            json.dumps({"id": f"r{k}", "query": inst.query, "response": inst.response,
+                        "tags": list(inst.tags), "quality": inst.quality,
+                        "complexity": inst.complexity})
+            for k, inst in enumerate(pool)
+        ]
+        lines.insert(min(bad_at, len(lines)), json.dumps({"id": "x", "tags": ["zz", "only"]}))
+        path = tmp_path_factory.mktemp("pool") / "pool.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        loaded, report = load_instances(path)
+        assert len(report.errors) == 1
+        rebuilt = InstancePool.from_records(list(loaded))
+        assert loaded.tag_names == rebuilt.tag_names
+        assert "only" not in loaded.tag_names
+        assert loaded.tag_codes.tolist() == rebuilt.tag_codes.tolist()
+        assert loaded.tag_ptr.tolist() == rebuilt.tag_ptr.tolist()
+        want = _outcome(_anchored, anchoring.anchor_pool, rebuilt, tree, table, min_sim)
+        assert _outcome(_anchored, anchoring.anchor_pool, loaded, tree, table, min_sim) == want
 
     def test_returns_a_pool(self, tiny_tree):
         pool = [Instance("a", "q", "r", ("l2", "zz", "l1", "l2", "zz"), 0.5, 0.5)]

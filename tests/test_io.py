@@ -149,8 +149,8 @@ class TestLoadInstances:
 
     @pytest.mark.parametrize("refused", [False, True])
     def test_repeated_tags_share_one_string(self, tmp_path, monkeypatch, refused):
-        # refused: the file holds a line that breaks a rule, and the inline
-        # check refuses every line, so the rows come from the full-rules path
+        # refused: the file holds a line that breaks a rule, and _scan_once
+        # refuses every line, so each row's value comes from loads_line
         tags = [["coding", "math"], ["math", "coding", "coding"], ["poetry", "math"]]
         lines = [
             json.dumps({"id": f"r{i}", "query": "q", "response": "r", "tags": t,
@@ -168,15 +168,19 @@ class TestLoadInstances:
         p.write_text("\n".join(lines) + "\n")
         pool, report = load_instances(p)
         assert [loc for _, loc, _ in report.errors] == (["line 2"] if refused else [])
-        assert pool.tags == [t for row in tags for t in row]
-        first: dict[str, str] = {}
-        for tag in pool.tags:
-            assert first.setdefault(tag, tag) is tag
-        assert len(first) == 3
+        # the refused line's tags are not encoded; codes follow first sight
+        assert pool.tag_names == ["coding", "math", "poetry"]
+        assert pool.tag_codes.tolist() == [0, 1, 1, 0, 0, 2, 1]
+        assert pool.tag_ptr.tolist() == [0, 2, 5, 7]
+        assert [list(inst.tags) for inst in pool] == tags
+        for inst in (*pool, *(pool[i] for i in range(len(pool)))):
+            for tag in inst.tags:
+                assert tag is pool.tag_names[pool.tag_names.index(tag)]
 
     @pytest.mark.parametrize("refused", [False, True])
     def test_kept_texts(self, tmp_path, monkeypatch, refused):
-        # refused: every line goes through the full-rules path
+        # refused: _scan_once refuses every line, so each row's value comes
+        # from loads_line
         if refused:
             def refuse(text, idx):
                 raise StopIteration(idx)
@@ -194,9 +198,9 @@ class TestLoadInstances:
         for keep in ((), {"c"}, ["a", "c", "zz"]):
             pool, report = load_instances(p, keep_texts=keep)
             assert report.entries == full_report.entries
-            assert (pool.ids, pool.tags, pool.tag_ptr.tolist()) == (
-                full.ids, full.tags, full.tag_ptr.tolist()
-            )
+            assert pool.ids == full.ids and pool.tag_names == full.tag_names
+            assert pool.tag_codes.tolist() == full.tag_codes.tolist()
+            assert pool.tag_ptr.tolist() == full.tag_ptr.tolist()
             assert pool.quality.tolist() == full.quality.tolist()
             assert pool.complexity.tolist() == full.complexity.tolist()
             for i, rid in enumerate(pool.ids):
@@ -212,6 +216,50 @@ class TestLoadInstances:
             normalized = normalize_scores(pool)
             assert normalized.queries is pool.queries
             assert normalized.quality.tolist() == normalize_scores(full).quality.tolist()
+
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_first_broken_rule_reported(self, tmp_path, monkeypatch, refused):
+        # each line breaks two rules (or one rule twice) and is reported for
+        # the one checked first; refused: _scan_once refuses every line
+        good = {"id": "a", "query": "q", "response": "r", "tags": ["t"],
+                "quality": 1, "complexity": 2}
+
+        def row(drop=(), **changes):
+            obj = {**good, **changes}
+            for key in drop:
+                del obj[key]
+            return json.dumps(obj)
+
+        cases = [
+            ("\ufeff" + row(id=""), "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+            (row(id="") + "{}", "invalid JSON: Extra data"),
+            ('{"id": "", "tags": [1]', "invalid JSON: Expecting ',' delimiter"),
+            ('[{"id": ""}]', "record is not a JSON object"),
+            (row(drop=["id"], tags="x"), "missing required key 'id'"),
+            (row(drop=["response", "complexity"]), "missing required key 'response'"),
+            (row(drop=["quality"], id=""), "missing required key 'quality'"),
+            (row(id="", query=1), "'id' must be a non-empty string"),
+            (row(id=True, tags=None), "'id' must be a non-empty string"),
+            (row(response=1.5, tags=["a", None]), "'query' and 'response' must be strings"),
+            (row(tags=[1], quality=True), "'tags' must be a list of strings"),
+            (row(tags={"a": 1}, complexity=float("nan")), "'tags' must be a list of strings"),
+            (row(quality="1", complexity=None), "'quality' must be a number"),
+            (row(quality=10**400, complexity=False), "'complexity' must be a number"),
+            (row(quality=float("inf"), complexity=-(10**400)), "scores must be finite"),
+        ]
+        if refused:
+            def refuse(text, idx):
+                raise StopIteration(idx)
+
+            monkeypatch.setattr(tagforest.io, "_scan_once", refuse)
+        p = tmp_path / "pool.jsonl"
+        p.write_text("".join(line + "\n" for line, _ in cases) + "\n" + row() + "\n",
+                     encoding="utf-8")
+        pool, report = load_instances(p)
+        assert pool.ids == ["a"]
+        assert report.entries == [
+            ("error", f"line {k}", text) for k, (_, text) in enumerate(cases, start=1)
+        ] + [("error", f"line {len(cases) + 1}", "blank line")]
 
     def test_kept_texts_duplicate_id_still_raises(self, tmp_path):
         row = '{"id":"a","query":"q","response":"r","tags":["t"],"quality":1,"complexity":2}'

@@ -124,7 +124,9 @@ class TestSampleBasics:
             assert len(aligned.picks) == 3
             assert all(isinstance(p.kl, float) for p in aligned.picks)
 
-    def test_validates_the_tree_once(self, tiny_tree, worked_pool, monkeypatch):
+    def test_validates_the_tree_in_each_builder(self, tiny_tree, worked_pool, monkeypatch):
+        # sample builds both operators through the public builders, and each
+        # of them checks the tree
         calls = []
 
         def counting(tree, *args, **kwargs):
@@ -138,8 +140,7 @@ class TestSampleBasics:
         for config, tgt in ((SamplerConfig(budget=4), None), (aligned, target)):
             calls.clear()
             sample(worked_pool, tiny_tree, config, tgt)
-            assert calls == [tiny_tree]
-        # the public builders still check on their own
+            assert calls == [tiny_tree, tiny_tree]
         calls.clear()
         build_ancestry_matrix(tiny_tree)
         build_propagation_matrix(tiny_tree)
