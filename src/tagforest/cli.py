@@ -46,6 +46,7 @@ from .io import (
     save_tree,
     sha256_file,
 )
+from .matrices import build_ancestry_matrix
 from .objective import InfoState, ObjectiveConfig, kl_penalty
 from .sampler import (
     SamplerConfig,
@@ -248,13 +249,11 @@ def cmd_stats(args) -> int:
     leaf_pos = tree.leaf_pos
 
     counts = np.zeros(n_leaves, dtype=np.int64)
-    activated_nodes: set[int] = set()
     for row in rows:
         for leaf in set(row["leaves"]):
             if leaf not in leaf_pos:
                 raise UserError(f"row '{row.get('id')}': {leaf} is not a leaf id")
             counts[leaf_pos[leaf]] += 1
-            activated_nodes.update(tree.ancestors_and_self(leaf))
 
     scores = {}  # read in full before the first line of output
     try:
@@ -272,15 +271,15 @@ def cmd_stats(args) -> int:
         if counts[j] or args.all_leaves:
             print(f"  {int(nid)}\t{tree.node(int(nid)).name}\t{int(counts[j])}")
 
-    by_depth_total: dict[int, int] = {}
-    by_depth_hit: dict[int, int] = {}
-    for node in tree.nodes:
-        by_depth_total[node.depth] = by_depth_total.get(node.depth, 0) + 1
-        if node.id in activated_nodes:
-            by_depth_hit[node.depth] = by_depth_hit.get(node.depth, 0) + 1
+    # a node is activated when some counted leaf is at or below it; a valid
+    # tree has nodes at every depth from 0 to its deepest
+    activated = build_ancestry_matrix(tree).path_counts(np.flatnonzero(counts)) > 0
+    depths = np.array([node.depth for node in tree.nodes])
+    total = np.bincount(depths)
+    hit = np.bincount(depths[activated], minlength=len(total))
     print("coverage per depth (activated/total):")
-    for depth in sorted(by_depth_total):
-        print(f"  depth {depth}: {by_depth_hit.get(depth, 0)}/{by_depth_total[depth]}")
+    for depth, (h, t) in enumerate(zip(hit.tolist(), total.tolist())):
+        print(f"  depth {depth}: {h}/{t}")
 
     for field, values in scores.items():
         if values:

@@ -721,10 +721,20 @@ class TargetDistribution:
     weights: dict[int, float]
 
     def dense(self, leaf_ids: np.ndarray) -> np.ndarray:
-        """Vector aligned to leaf positions (the order of ``leaf_ids``)."""
+        """Vector aligned to leaf positions (the order of ``leaf_ids``).
+
+        Raises ValueError, naming the node id, for a key that is not in
+        ``leaf_ids`` and for a weight that is not finite or is negative.
+        """
         out = np.zeros(len(leaf_ids), dtype=np.float64)
         pos = {int(nid): j for j, nid in enumerate(leaf_ids)}
         for nid, w in self.weights.items():
+            if nid not in pos:
+                raise ValueError(f"target node {nid} is not a leaf")
+            if not (w >= 0.0 and math.isfinite(w)):
+                raise ValueError(
+                    f"target weight for leaf {nid} must be finite and >= 0, got {w!r}"
+                )
             out[pos[nid]] = w
         return out
 

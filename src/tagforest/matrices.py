@@ -13,14 +13,11 @@ Both are deterministic functions of the tree, built with numpy from its
 parent array (``TagTree.parents``) and held as numpy index arrays, and
 their products are numpy calls that give the bits scipy's sparse kernels
 give: each output entry is its terms added onto 0.0 in the order of the
-matrix's compressed form. Nothing here imports scipy until a caller reads
-``.matrix`` or ``PropagationMatrix.transpose``, the scipy views of the same
-arrays. The builders reject invalid input.
+matrix's compressed form. The builders reject invalid input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +44,7 @@ class AncestryMatrix:
     of rank r are ``nodes[offsets[r]:offsets[r + 1]]``, in that column
     order, with m_r = ``offsets[r + 1] - offsets[r]``. That is one int64
     per entry: memory follows the number of ones, not the deepest leaf.
-    ``slot`` is the inverse of ``order``. ``matrix`` is the same matrix as
-    a ``scipy.sparse.csc_matrix`` with int64 entries, built on first
-    access.
+    ``slot`` is the inverse of ``order``.
     """
 
     order: np.ndarray
@@ -67,19 +62,6 @@ class AncestryMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.n_nodes, len(self.leaf_ids)
-
-    @cached_property
-    def matrix(self):
-        import scipy.sparse as sp
-
-        columns = np.concatenate([self.order[: stop - start] for start, stop in self._runs])
-        ranks = np.repeat(np.arange(len(self._runs)), np.diff(self.offsets))
-        csc = np.lexsort((ranks, columns))  # by column, then rank: ascending node id
-        indptr = np.zeros(len(self.order) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(columns, minlength=len(self.order)), out=indptr[1:])
-        return sp.csc_matrix(
-            (np.ones(len(csc), dtype=np.int64), self.nodes[csc], indptr), shape=self.shape
-        )
 
     # nothing in src/ calls it, but perfbench/tracing.py looks it up by name for --trace 1
     def tree_counts(self, leaf_vector: np.ndarray) -> np.ndarray:
@@ -106,9 +88,9 @@ class AncestryMatrix:
     def leaf_sums(self, g: np.ndarray) -> np.ndarray:
         """M^T g: each leaf's path entries of ``g``, added onto 0.0 in ascending node id.
 
-        The bits of scipy's ``matrix.T @ g`` for a float64 ``g`` (csr_matvec
-        over the transpose): rank by rank, each column's sum grows by its
-        next entry.
+        The bits of scipy's ``M.T @ g`` for M in CSC form and a float64
+        ``g`` (csr_matvec over the transpose): rank by rank, each column's
+        sum grows by its next entry.
         """
         terms = g[self.nodes]
         start, stop = self._runs[0]
@@ -127,9 +109,7 @@ class PropagationMatrix:
     The pattern is symmetric, so ``indptr`` and ``indices`` (node p's
     closed neighborhood, ascending, is ``indices[indptr[p]:indptr[p + 1]]``)
     are the index arrays of A in CSR form, of A in CSC form and of A^T in
-    CSR form at once; ``rows`` names the row of each entry. ``matrix``
-    (CSR) and ``transpose`` (A^T in CSR form) are the scipy views, built on
-    first access.
+    CSR form at once; ``rows`` names the row of each entry.
     """
 
     indptr: np.ndarray
@@ -145,20 +125,8 @@ class PropagationMatrix:
     def shape(self) -> tuple[int, int]:
         return len(self.weight), len(self.weight)
 
-    @cached_property
-    def matrix(self):
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(
-            (self.weight[self.rows], self.indices, self.indptr), shape=self.shape
-        )
-
-    @cached_property
-    def transpose(self):
-        return self.matrix.T.tocsr()
-
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """A^T v (the row vector v @ A) in the bits of scipy's ``transpose @ v``.
+        """A^T v (the row vector v @ A) in the bits of scipy's ``A.T.tocsr() @ v``.
 
         Row i of A^T holds weight[p] at each p in i's closed neighborhood,
         so its terms are (weight * v)[p], which ``bincount`` adds onto 0.0
@@ -168,7 +136,7 @@ class PropagationMatrix:
         return np.bincount(self.rows, terms, minlength=len(self.weight))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x in the bits of scipy's ``matrix @ x``, over the non-zero entries of x only.
+        """A x in the bits of scipy's CSR ``A @ x``, over the non-zero entries of x only.
 
         Read through the symmetric pattern, entry k is A's entry at row
         ``indices[k]`` and column ``rows[k]``, and the entries run column

@@ -141,33 +141,19 @@ class TagTree:
     def max_depth(self) -> int:
         return max(n.depth for n in self.nodes)
 
-    def ancestors_and_self(self, node_id: int) -> list[int]:
-        """Path of node ids from ``node_id`` up to the root, inclusive."""
-        path = []
-        cur: int | None = node_id
-        seen = set()
-        while cur is not None:
-            if cur in seen:  # defensive: cycles are caught by validate_tree
-                raise InvalidTreeError(validate_tree(self))
-            seen.add(cur)
-            path.append(cur)
-            cur = self.nodes[cur].parent
-        return path
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TagTree):
             return NotImplemented
         return self.nodes == other.nodes
 
 
-def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationReport:
+def validate_tree(tree: TagTree) -> ValidationReport:
     """Check every structural invariant; report all violations found.
 
     Checks: non-empty node list, dense unique 0-based ids, exactly one
     root, parent/children consistency in both directions, reachability
     (which also rules out cycles), correct depth labels, at least one
-    leaf, flat finite embeddings of one dimension, and optionally a
-    maximum depth.
+    leaf, and flat finite embeddings of one dimension.
     """
     report = ValidationReport()
     nodes = tree.nodes
@@ -256,10 +242,5 @@ def validate_tree(tree: TagTree, depth_limit: int | None = None) -> ValidationRe
 
     if not any(n.is_leaf() for n in nodes):
         report.error("tree", "tree has no leaves")
-
-    if depth_limit is not None and report.ok:
-        md = max(n.depth for n in nodes)
-        if md > depth_limit:
-            report.error("tree", f"max depth {md} exceeds limit {depth_limit}")
 
     return report

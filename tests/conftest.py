@@ -47,6 +47,28 @@ def chain_tree(depth: int) -> TagTree:
     return make_tree([None] + list(range(depth)))
 
 
+def ancestry_dense(anc) -> np.ndarray:
+    """The ancestry operator's matrix, filled in from its jagged-diagonal arrays.
+
+    Each stored entry adds 1, so a repeated entry would show as a 2.
+    """
+    dense = np.zeros(anc.shape, dtype=np.int64)
+    for start, stop in zip(anc.offsets[:-1], anc.offsets[1:]):
+        np.add.at(dense, (anc.nodes[start:stop], anc.order[: stop - start]), 1)
+    return dense
+
+
+def propagation_dense(prop) -> np.ndarray:
+    """The propagation operator's matrix, filled in from its CSR index arrays.
+
+    Each stored entry adds its row's weight, so a repeated entry would
+    show as a doubled value.
+    """
+    dense = np.zeros(prop.shape, dtype=np.float64)
+    np.add.at(dense, (prop.rows, prop.indices), prop.weight[prop.rows])
+    return dense
+
+
 def random_pool(
     rng: np.random.Generator,
     tree: TagTree,

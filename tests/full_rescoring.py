@@ -4,7 +4,8 @@ This is the selection loop ``tagforest.sampler.sample`` ran before its
 lazy greedy covered aligned mode, kept fixed so the lazy path can be
 compared against it bit for bit: the same ranking, leaf matrix, gradient
 and KL arithmetic, with one sparse matrix-vector product per iteration and
-a first-occurrence ``np.argmax``.
+a first-occurrence ``np.argmax``. Its leaf products run through scipy's
+kernels on the node-walk ancestry matrix.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from tagforest import (
 )
 from tagforest.sampler import Pick
 
+from node_walk_matrices import ancestry_csc
 from record_setup import _leaf_matrix, _rank_candidates
 
 
@@ -39,7 +41,8 @@ def sample_full_rescoring(records, tree, config, target=None):
     ancestry = build_ancestry_matrix(tree)
     prop = build_propagation_matrix(tree)
     n_nodes, n_leaves = ancestry.shape
-    to_leaves = ancestry.matrix.T
+    paths = ancestry_csc(tree)
+    to_leaves = paths.T
 
     cand, s = _rank_candidates(usable, obj.alpha)
     h_matrix = _leaf_matrix(cand, tree.leaf_pos, n_leaves)
@@ -95,7 +98,7 @@ def sample_full_rescoring(records, tree, config, target=None):
         positions = indices[indptr[idx] : indptr[idx + 1]]
         leaf_vec = np.zeros(n_leaves, dtype=np.float64)
         leaf_vec[positions] = 1.0
-        info_vec = s[idx] * np.asarray(ancestry.matrix @ leaf_vec)
+        info_vec = s[idx] * np.asarray(paths @ leaf_vec)
         state.add_contribution(prop, info_vec, positions)
 
     final_kl = (

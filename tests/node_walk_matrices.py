@@ -2,12 +2,13 @@
 
 ``tagforest.matrices`` builds both operators with numpy from the tree's
 parent array. These builders walk ``TreeNode`` objects instead and share
-no logic with the package's: the ancestry arrays list the leaves' sorted
-ancestor lists rank by rank, longest lists first; the scipy matrices come
-from coordinate lists that scipy converts itself, and the propagation
-arrays are read off the converted matrix. The tests require the package's arrays, its scipy views
-and its products to give identical bytes and dtypes. All expect a valid
-tree.
+no logic with the package's: ``ancestors_and_self`` follows parent
+pointers from a node to the root; the ancestry arrays list the leaves'
+sorted ancestor lists rank by rank, longest lists first; the scipy
+matrices come from coordinate lists that scipy converts itself, and the
+propagation arrays are read off the converted matrix. The tests require
+the package's arrays to equal these, and its products to give the bytes
+and dtypes of scipy's kernels on these matrices. All expect a valid tree.
 """
 from __future__ import annotations
 
@@ -18,8 +19,16 @@ from tagforest import TagTree
 from tagforest.matrices import AncestryMatrix, PropagationMatrix
 
 
+def ancestors_and_self(tree: TagTree, node_id: int) -> list[int]:
+    """Path of node ids from ``node_id`` up to the root, inclusive."""
+    path = [node_id]
+    while tree.nodes[path[-1]].parent is not None:
+        path.append(tree.nodes[path[-1]].parent)
+    return path
+
+
 def _paths(tree: TagTree) -> list[list[int]]:
-    return [sorted(tree.ancestors_and_self(int(leaf))) for leaf in tree.leaf_ids]
+    return [sorted(ancestors_and_self(tree, int(leaf))) for leaf in tree.leaf_ids]
 
 
 def ancestry_matrix(tree: TagTree) -> AncestryMatrix:

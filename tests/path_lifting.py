@@ -110,7 +110,7 @@ def subset_information(profiles, scores, prop: PropagationMatrix, gamma: float) 
     total_e = np.zeros(prop.shape[0], dtype=np.float64)
     for profile, score in zip(profiles, scores):
         np.add.at(total_e, profile.node_ids, score * profile.node_counts.astype(np.float64))
-    v = np.asarray(prop.matrix @ total_e)
+    v = prop.matvec(total_e)
     return float(np.sum(np.power(v, gamma)))
 
 
@@ -131,7 +131,7 @@ def from_contributions(
     for vec in info_vecs:
         total_e += vec
     state = InfoState.empty(n_nodes, n_leaves)
-    state.accumulated = np.asarray(prop.matrix @ total_e)
+    state.accumulated = prop.matvec(total_e)
     for positions in leaf_position_lists:
         state.leaf_counts[positions] += 1
         state.total_leaf_mass += int(len(positions))

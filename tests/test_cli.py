@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import tagforest
@@ -22,12 +23,16 @@ from tagforest import (
     load_tree,
     normalize_scores,
     sample,
+    save_tree,
     sha256_file,
 )
 from tagforest import anchoring, cli
 from tagforest.anchoring import DEFAULT_MIN_SIMILARITY, anchor_pool
 from tagforest.cli import _write_manifests, main
 from tagforest.sampler import export_subset
+
+from conftest import random_tree
+from node_walk_matrices import ancestors_and_self
 
 TAG_NAMES = [
     "algebra", "geometry", "calculus",
@@ -1043,6 +1048,44 @@ class TestStats:
         out = capsys.readouterr().out
         assert "max 7.5" in out and "min -3" in out
 
+    @pytest.mark.parametrize("all_leaves", [False, True])
+    def test_counts_match_node_walk(self, tmp_path, capsys, all_leaves):
+        # the histogram and per-depth coverage on random trees and subsets,
+        # against counts made by walking parent pointers; case 0 counts no leaf
+        rng = np.random.default_rng(71)
+        tree_path, rows_path = tmp_path / "tree.json", tmp_path / "rows.jsonl"
+        for case in range(30):
+            tree = random_tree(rng, max_nodes=60)
+            save_tree(tree, tree_path)
+            leaf_ids = tree.leaf_ids.tolist()
+            rows = []
+            for i in range(int(rng.integers(1, 8))):
+                k = 0 if case == 0 else int(rng.integers(0, 4))
+                leaves = rng.choice(leaf_ids, size=k).tolist()  # repeats allowed
+                rows.append({"id": f"r{i}", "leaves": leaves})
+            rows_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+            argv = ["stats", "--input", str(rows_path), "--tree", str(tree_path)]
+            assert main(argv + ["--all-leaves"] * all_leaves) == 0
+
+            counts = {leaf: sum(leaf in r["leaves"] for r in rows) for leaf in leaf_ids}
+            activated = {
+                node for leaf in leaf_ids if counts[leaf]
+                for node in ancestors_and_self(tree, leaf)
+            }
+            want = [f"rows: {len(rows)}", "leaf histogram (leaf id, name, count):"]
+            want += [
+                f"  {leaf}\t{tree.node(leaf).name}\t{counts[leaf]}"
+                for leaf in leaf_ids if counts[leaf] or all_leaves
+            ]
+            want.append("coverage per depth (activated/total):")
+            for depth in range(tree.max_depth() + 1):
+                at_depth = [node.id for node in tree.nodes if node.depth == depth]
+                hit = sum(node in activated for node in at_depth)
+                want.append(f"  depth {depth}: {hit}/{len(at_depth)}")
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[:-1] == want
+            assert lines[-1].startswith("done in ")
+
 
 class TestBadTreeFile:
     @pytest.mark.parametrize(
@@ -1138,12 +1181,11 @@ class TestBadTargetFile:
 
 
 # Imports the package, runs every command in process on the workspace given
-# as argv[1], and prints the scipy modules loaded after the commands and
-# after reading one scipy view.
+# as argv[1], and prints the scipy modules loaded after the commands.
 _FOOTPRINT = """
 import json, os, sys
 import tagforest
-from tagforest import build_ancestry_matrix, cli, io
+from tagforest import cli
 os.chdir(sys.argv[1])
 commands = [
     ["build-tree", "--tags", "tags.txt", "--embeddings", "emb.tsv",
@@ -1157,10 +1199,8 @@ commands = [
     ["stats", "--input", "general.jsonl", "--tree", "tree.json", "--target", "target.json"],
 ]
 codes = [cli.main(argv) for argv in commands]
-scipy = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-after_commands = scipy()
-build_ancestry_matrix(io.load_tree("tree.json")).matrix
-print(json.dumps({"codes": codes, "after_commands": after_commands, "after_view": scipy()}))
+after_commands = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "after_commands": after_commands}))
 """
 
 
@@ -1177,4 +1217,3 @@ def test_no_command_imports_scipy(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * 6
     assert result["after_commands"] == []
-    assert "scipy.sparse" in result["after_view"]

@@ -15,6 +15,8 @@ from tagforest import (
     EmbeddingTable,
     Instance,
     InvalidTreeError,
+    ObjectiveConfig,
+    SamplerConfig,
     TargetDistribution,
     dumps_canonical,
     fallback_embedding,
@@ -23,6 +25,7 @@ from tagforest import (
     load_target,
     load_tree,
     normalize_scores,
+    sample,
     save_target,
     save_tree,
     write_embeddings,
@@ -554,6 +557,27 @@ class TestTargetDistribution:
         target = load_target(p, tiny_tree)
         dense = target.dense(tiny_tree.leaf_ids)
         np.testing.assert_allclose(dense, [0.25, 0.75])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ({0: 1.0}, "target node 0 is not a leaf"),
+            ({1: 0.5, 9: 0.5}, "target node 9 is not a leaf"),
+            ({1: math.nan, 2: 1.0}, "target weight for leaf 1 must be finite and >= 0, got nan"),
+            ({2: math.inf}, "target weight for leaf 2 must be finite and >= 0, got inf"),
+            ({1: 1.5, 2: -0.5}, "target weight for leaf 2 must be finite and >= 0, got -0.5"),
+        ],
+    )
+    def test_dense_refuses_bad_library_input(self, tiny_tree, worked_pool, weights, message):
+        target = TargetDistribution(weights=weights)
+        with pytest.raises(ValueError) as got:
+            target.dense(tiny_tree.leaf_ids)
+        assert str(got.value) == message
+        # every target passes through dense, so sample refuses it the same way
+        config = SamplerConfig(budget=2, objective=ObjectiveConfig(kl_weight=1.0))
+        with pytest.raises(ValueError) as got:
+            sample(worked_pool, tiny_tree, config, target)
+        assert str(got.value) == message
 
     def test_renormalizes_within_window(self, tmp_path, tiny_tree):
         p = tmp_path / "q.json"

@@ -13,7 +13,14 @@ from tagforest import (
 )
 from tagforest.oracle import dense_ancestry, dense_propagation
 
-from conftest import chain_tree, make_tree, random_tree, star_tree
+from conftest import (
+    ancestry_dense,
+    chain_tree,
+    make_tree,
+    propagation_dense,
+    random_tree,
+    star_tree,
+)
 from node_walk_matrices import (
     ancestry_csc,
     ancestry_matrix,
@@ -34,14 +41,6 @@ def relabeled(tree: TagTree, new_id: np.ndarray) -> TagTree:
             depth=n.depth,
         )
     return TagTree(nodes=nodes)
-
-
-def assert_same_sparse(got, want) -> None:
-    assert (got.format, got.shape) == (want.format, want.shape)
-    for part in ("indptr", "indices", "data"):
-        a, b = getattr(got, part), getattr(want, part)
-        assert a.dtype == b.dtype, part
-        assert a.tobytes() == b.tobytes(), part
 
 
 def _reference_trees() -> list[TagTree]:
@@ -76,14 +75,13 @@ def test_builders_match_node_walk_reference():
         assert len(anc.nodes) == ancestry_csc(tree).nnz  # one entry per one
         assert anc.leaf_ids.tobytes() == want_anc.leaf_ids.tobytes()
         assert anc.n_nodes == want_anc.n_nodes
-        assert_same_sparse(anc.matrix, ancestry_csc(tree))
+        assert ancestry_dense(anc).tobytes() == ancestry_csc(tree).toarray().tobytes()
         prop, want_prop = build_propagation_matrix(tree), propagation_matrix(tree)
         for part in ("indptr", "indices", "weight", "rows"):
             a, b = getattr(prop, part), getattr(want_prop, part)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
-        want = propagation_csr(tree)
-        assert_same_sparse(prop.matrix, want)
-        assert_same_sparse(prop.transpose, want.T.tocsr())
+        want = propagation_csr(tree).toarray()
+        assert propagation_dense(prop).tobytes() == want.tobytes()
 
 
 def test_products_give_the_bits_of_scipy():
@@ -111,9 +109,7 @@ class TestAncestryMatrix:
     def test_worked_example(self, tiny_tree):
         # root + two leaves: each leaf column marks itself and the root
         anc = build_ancestry_matrix(tiny_tree)
-        np.testing.assert_array_equal(
-            anc.matrix.toarray(), [[1, 1], [1, 0], [0, 1]]
-        )
+        np.testing.assert_array_equal(ancestry_dense(anc), [[1, 1], [1, 0], [0, 1]])
         np.testing.assert_array_equal(anc.leaf_ids, [1, 2])
 
     def test_column_sums_are_depth_plus_one(self):
@@ -121,7 +117,7 @@ class TestAncestryMatrix:
         for _ in range(30):
             tree = random_tree(rng, max_nodes=80)
             anc = build_ancestry_matrix(tree)
-            col_sums = np.asarray(anc.matrix.sum(axis=0)).ravel()
+            col_sums = ancestry_dense(anc).sum(axis=0)
             expected = [tree.node(int(l)).depth + 1 for l in anc.leaf_ids]
             np.testing.assert_array_equal(col_sums, expected)
 
@@ -129,7 +125,7 @@ class TestAncestryMatrix:
         rng = np.random.default_rng(22)
         for _ in range(20):
             tree = random_tree(rng, max_nodes=60)
-            dense = build_ancestry_matrix(tree).matrix.toarray()
+            dense = ancestry_dense(build_ancestry_matrix(tree))
             assert set(np.unique(dense)) <= {0, 1}
             np.testing.assert_array_equal(dense[tree.root_id], 1)
 
@@ -139,17 +135,17 @@ class TestAncestryMatrix:
         for _ in range(20):
             tree = random_tree(rng, max_nodes=60)
             anc = build_ancestry_matrix(tree)
-            sub = anc.matrix.toarray()[anc.leaf_ids, :]
+            sub = ancestry_dense(anc)[anc.leaf_ids, :]
             np.testing.assert_array_equal(sub, np.eye(len(anc.leaf_ids), dtype=np.int64))
 
     def test_one_deep_branch_costs_its_own_entries_only(self):
         # a 300-deep chain beside 2,000 leaves under the root: one stored
         # node per one of the matrix, not (deepest path) x leaves
         tree = make_tree([None] + [0] * 2000 + [0] + list(range(2001, 2300)))
-        anc = build_ancestry_matrix(tree)
-        assert len(anc.nodes) == anc.matrix.nnz == 2000 * 2 + 301
+        anc, paths = build_ancestry_matrix(tree), ancestry_csc(tree)
+        assert len(anc.nodes) == paths.nnz == 2000 * 2 + 301
         g = np.arange(tree.n_nodes, dtype=np.float64)
-        assert anc.leaf_sums(g).tobytes() == (anc.matrix.T @ g).tobytes()
+        assert anc.leaf_sums(g).tobytes() == (paths.T @ g).tobytes()
 
     def test_tree_counts_integer_exact(self, tiny_tree):
         anc = build_ancestry_matrix(tiny_tree)
@@ -164,7 +160,7 @@ class TestAncestryMatrix:
             tree = random_tree(rng, max_nodes=50)
             anc = build_ancestry_matrix(tree)
             dense, leaf_ids = dense_ancestry(tree)
-            np.testing.assert_array_equal(anc.matrix.toarray(), dense)
+            np.testing.assert_array_equal(ancestry_dense(anc), dense)
             np.testing.assert_array_equal(anc.leaf_ids, leaf_ids)
 
     def test_rejects_invalid_tree(self):
@@ -180,7 +176,7 @@ class TestPropagationMatrix:
     def test_worked_example(self, tiny_tree):
         prop = build_propagation_matrix(tiny_tree)
         np.testing.assert_allclose(
-            prop.matrix.toarray(),
+            propagation_dense(prop),
             [
                 [1 / 3, 1 / 3, 1 / 3],
                 [1 / 2, 1 / 2, 0.0],
@@ -193,20 +189,20 @@ class TestPropagationMatrix:
         for _ in range(30):
             tree = random_tree(rng, max_nodes=80)
             prop = build_propagation_matrix(tree)
-            row_sums = np.asarray(prop.matrix.sum(axis=1)).ravel()
+            row_sums = propagation_dense(prop).sum(axis=1)
             np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=1e-12)
 
     def test_transpose_product_is_bitwise_row_product(self):
-        # the stored transpose and gradient_vector's numpy product must both
+        # scipy's A^T product and gradient_vector's numpy product must both
         # give the bits of v @ A
         rng = np.random.default_rng(34)
         for _ in range(30):
             tree = random_tree(rng, max_nodes=120)
-            prop = build_propagation_matrix(tree)
+            prop, a = build_propagation_matrix(tree), propagation_csr(tree)
             for _ in range(10):
                 v = rng.uniform(0.0, 50.0, size=tree.n_nodes) ** rng.uniform(-3.0, 3.0)
-                expected = np.asarray(v @ prop.matrix)
-                assert (prop.transpose @ v).tobytes() == expected.tobytes()
+                expected = np.asarray(v @ a)
+                assert (a.T.tocsr() @ v).tobytes() == expected.tobytes()
                 assert prop.rmatvec(v).tobytes() == expected.tobytes()
 
     def test_diagonal_is_inverse_degree_plus_one(self):
@@ -214,7 +210,7 @@ class TestPropagationMatrix:
         for _ in range(20):
             tree = random_tree(rng, max_nodes=60)
             prop = build_propagation_matrix(tree)
-            diag = prop.matrix.diagonal()
+            diag = np.diagonal(propagation_dense(prop))
             for node in tree.nodes:
                 deg = len(node.children) + (node.parent is not None)
                 np.testing.assert_allclose(diag[node.id], 1.0 / (1.0 + deg))
@@ -223,7 +219,7 @@ class TestPropagationMatrix:
         rng = np.random.default_rng(33)
         for _ in range(20):
             tree = random_tree(rng, max_nodes=60)
-            dense = build_propagation_matrix(tree).matrix.toarray()
+            dense = propagation_dense(build_propagation_matrix(tree))
             for node in tree.nodes:
                 expected = {node.id} | set(node.children)
                 if node.parent is not None:
@@ -235,29 +231,30 @@ class TestPropagationMatrix:
         rng = np.random.default_rng(34)
         for _ in range(20):
             tree = random_tree(rng, max_nodes=60)
-            dense = build_propagation_matrix(tree).matrix.toarray()
+            dense = propagation_dense(build_propagation_matrix(tree))
             np.testing.assert_array_equal(dense > 0, dense.T > 0)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
             tree = random_tree(rng, max_nodes=50)
-            sparse = build_propagation_matrix(tree).matrix.toarray()
+            sparse = propagation_dense(build_propagation_matrix(tree))
             np.testing.assert_allclose(sparse, dense_propagation(tree), rtol=0, atol=0)
 
     def test_star_and_chain_shapes(self):
-        star = build_propagation_matrix(star_tree(5)).matrix.toarray()
+        star = propagation_dense(build_propagation_matrix(star_tree(5)))
         np.testing.assert_allclose(star[0], np.full(6, 1 / 6))
-        chain = build_propagation_matrix(chain_tree(3)).matrix.toarray()
+        chain = propagation_dense(build_propagation_matrix(chain_tree(3)))
         np.testing.assert_allclose(chain[1], [1 / 3, 1 / 3, 1 / 3, 0.0])
         np.testing.assert_allclose(chain[3], [0.0, 0.0, 1 / 2, 1 / 2])
 
     def test_deterministic_rebuild(self):
         rng = np.random.default_rng(36)
         tree = random_tree(rng, max_nodes=100)
-        a = build_propagation_matrix(tree).matrix
-        b = build_propagation_matrix(tree).matrix
-        assert (a != b).nnz == 0
-        m1 = build_ancestry_matrix(tree).matrix
-        m2 = build_ancestry_matrix(tree).matrix
-        assert (m1 != m2).nnz == 0
+        for build, parts in (
+            (build_propagation_matrix, ("indptr", "indices", "weight", "rows")),
+            (build_ancestry_matrix, ("order", "nodes", "offsets", "slot", "leaf_ids")),
+        ):
+            a, b = build(tree), build(tree)
+            for part in parts:
+                assert getattr(a, part).tobytes() == getattr(b, part).tobytes(), part

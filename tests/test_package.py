@@ -1,7 +1,9 @@
-"""Package surface: every name an ``__all__`` lists is defined."""
+"""Package surface: every name an ``__all__`` lists is defined, and no module imports scipy."""
 from __future__ import annotations
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -27,3 +29,20 @@ def test_star_import():
     exec("from tagforest import *", namespace)
     assert set(tagforest.__all__) <= namespace.keys()
 
+
+
+def test_no_module_imports_scipy():
+    # scipy is a test dependency only: no import statement in the package
+    # may name it, at module level or inside a function
+    found = []
+    for path in sorted(pathlib.Path(tagforest.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"scipy imported at {found}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagforest import InvalidTreeError, TagTree, TreeNode, validate_tree
+from tagforest import TagTree, TreeNode, validate_tree
 
 from conftest import chain_tree, make_tree, random_tree, star_tree
 from list_scan_validation import validate_tree as validate_by_list_scan
@@ -24,11 +24,6 @@ class TestTagTree:
         assert tiny_tree.max_depth() == 1
         assert tiny_tree.node(1).name == "l1"
 
-    def test_ancestors_and_self(self):
-        tree = chain_tree(3)
-        assert tree.ancestors_and_self(3) == [3, 2, 1, 0]
-        assert tree.ancestors_and_self(0) == [0]
-
     def test_leaf_ids_sorted_ascending(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -43,15 +38,6 @@ class TestTagTree:
         assert tiny_tree == other
         other.nodes[1].embedding = np.array([1.0, 0.0])
         assert tiny_tree != other
-
-    def test_cycle_detected_in_ancestor_walk(self):
-        nodes = [
-            TreeNode(id=0, name="a", parent=1, children=[1], depth=0),
-            TreeNode(id=1, name="b", parent=0, children=[0], depth=1),
-        ]
-        tree = TagTree(nodes=nodes)
-        with pytest.raises(InvalidTreeError):
-            tree.ancestors_and_self(0)
 
 
 class TestValidateTree:
@@ -132,9 +118,10 @@ class TestValidateTree:
         assert validate_tree(tiny_tree).entries == [("error", "node 2", message)]
 
     def test_depth_limit(self):
+        # the builder bounds depth; a limit is checked against max_depth()
         tree = chain_tree(4)
-        assert validate_tree(tree, depth_limit=4).ok
-        assert not validate_tree(tree, depth_limit=3).ok
+        assert validate_tree(tree).ok
+        assert tree.max_depth() == 4
 
     def test_report_collects_all_violations(self):
         # two independent defects must both be reported, not just the first
@@ -160,8 +147,8 @@ _BREAKS = (
 )
 
 
-def _broken_tree(data) -> tuple[TagTree, int | None]:
-    """A random tree with up to three breaks of the checked kinds, plus a depth limit."""
+def _broken_tree(data) -> TagTree:
+    """A random tree with up to three breaks of the checked kinds."""
     n = data.draw(st.integers(1, 12))
     parents = [None] + [data.draw(st.integers(0, i - 1)) for i in range(1, n)]
     tree = make_tree(parents)
@@ -215,17 +202,15 @@ def _broken_tree(data) -> tuple[TagTree, int | None]:
         elif kind == "embedding":
             value = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.5]))
             node().embedding = np.array([1.0, value])
-    depth_limit = data.draw(st.none() | st.integers(0, 4))
-    return TagTree(nodes=nodes), depth_limit
+    return TagTree(nodes=nodes)
 
 
 class TestLinearValidation:
     @given(st.data())
     @settings(max_examples=600, derandomize=True, database=None, deadline=None)
     def test_matches_list_scan(self, data):
-        tree, depth_limit = _broken_tree(data)
-        expected = validate_by_list_scan(tree, depth_limit).entries
-        assert validate_tree(tree, depth_limit).entries == expected
+        tree = _broken_tree(data)
+        assert validate_tree(tree).entries == validate_by_list_scan(tree).entries
 
     def test_wide_trees_are_fast(self):
         # the list-scanning validator took about 70 s on the 100,000-leaf star

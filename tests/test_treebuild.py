@@ -681,7 +681,8 @@ class TestBuildTree:
             tree = build_tree(
                 tags, None, TreeBuildConfig(depth_limit=limit, branching=3.0, seed=2)
             )
-            assert validate_tree(tree, depth_limit=limit).ok
+            assert validate_tree(tree).ok
+            assert tree.max_depth() <= limit
 
     def test_deterministic(self):
         tags = [f"t{i}" for i in range(50)]
