@@ -33,6 +33,7 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from .io import (
+    FALLBACK_DIMENSION,
     FINITE_RANGE,
     EmbeddingTable,
     Instance,
@@ -172,19 +173,12 @@ class AnchorReport:
 
 def _leaf_vectors(tree: TagTree, embeddings: EmbeddingTable | None) -> np.ndarray:
     """Unit embedding per leaf: node embedding, else table entry, else hash."""
-    dim = None
-    for nid in tree.leaf_ids:
-        emb = tree.node(int(nid)).embedding
-        if emb is not None:
-            dim = len(emb)
-            break
-    if dim is None and embeddings is not None:
-        dim = embeddings.dimension
+    leaves = [tree.node(nid) for nid in tree.leaf_ids.tolist()]
+    dim = next((len(n.embedding) for n in leaves if n.embedding is not None), None)
     if dim is None:
-        dim = 32  # no embedding source at all; hash space is arbitrary but fixed
+        dim = embeddings.dimension if embeddings is not None else FALLBACK_DIMENSION
     rows = []
-    for nid in tree.leaf_ids:
-        node = tree.node(int(nid))
+    for node in leaves:
         vec = node.embedding
         if vec is None and embeddings is not None:
             vec = embeddings.get(node.name)
@@ -501,21 +495,19 @@ _BLOCK_CHARS = 1 << 16
 # One row exactly as write_anchored (and json.dumps with compact separators)
 # writes it, on a line of its own: an id and dropped tags without escapes or
 # control characters, leaf ids of at most 18 digits (so they fit in int64)
-# and scores that are JSON numbers, where a minus sign needs a fraction or
-# an exponent: json reads "-0" as the int 0, but float("-0") is -0.0. A
-# backtrack never leads to a match in this grammar, so _row_shape puts _P
-# after every quantifier: "+" makes them possessive where Python has them
-# (3.11 on), which halves the match time; without them the same rows match.
+# and scores that are JSON numbers with no minus sign: in [0, 1] only -0.0
+# has one, which anchor never writes, and a file that holds one goes to the
+# line reader, which reads each score as json does. A backtrack never leads
+# to a match in this grammar, so _row_shape puts _P after every quantifier:
+# "+" makes them possessive where Python has them (3.11 on), which halves
+# the match time; without them the same rows match.
 _P = "+" if sys.version_info >= (3, 11) else ""
 _CHAR = r'[^"\\\x00-\x1f]'
 
 
 def _row_shape(p: str) -> re.Pattern:
     leaf = rf"-?{p}(?:0|[1-9][0-9]{{0,17}}{p})"
-    score = (
-        rf"(?:-(?=[0-9]+{p}[.eE]))?{p}(?:0|[1-9][0-9]*{p})"
-        rf"(?:\.[0-9]+{p})?{p}(?:[eE][-+]?{p}[0-9]+{p})?{p}"
-    )
+    score = rf"(?:0|[1-9][0-9]*{p})(?:\.[0-9]+{p})?{p}(?:[eE][-+]?{p}[0-9]+{p})?{p}"
     return re.compile(
         rf'^\{{"id":"({_CHAR}+{p})",'
         rf'"leaves":\[((?:{leaf}(?:,{leaf})*{p})?{p})\],'

@@ -135,7 +135,7 @@ def cmd_build_tree(args) -> int:
     _print_report(report)
     save_tree(tree, args.output)
     _write_manifests(args, started, args.output)
-    n_leaves = len(tree.leaf_ids)
+    n_leaves = sum(n.is_leaf() for n in tree.nodes)  # leaf_ids would validate it again
     print(
         f"built tree: {tree.n_nodes} nodes, {n_leaves} leaves, "
         f"max depth {tree.max_depth()} -> {args.output}"

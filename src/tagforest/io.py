@@ -482,6 +482,9 @@ def _row_blocks(n: int, width: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+FALLBACK_DIMENSION = 32  # of hashed vectors where no embedding gives one
+
+
 def fallback_embedding(key: str, dimension: int) -> np.ndarray:
     """Deterministic unit vector for keys missing from an embedding table.
 
@@ -575,10 +578,11 @@ _TREE_NODE = '{"id":%d,"name":%s,"parent":%s,"children":[%s],"depth":%d,"embeddi
 def save_tree(tree: TagTree, path) -> None:
     """Write tree JSON; rejects invalid trees rather than persisting them.
 
-    Each node is formatted directly, in the bytes :func:`dumps_canonical`
-    would write for it, and written as it is formatted; validation, which
-    runs before the file is opened, has already refused non-finite
-    embedding components.
+    Validation runs afresh, not through the views ``TagTree`` keeps, so it
+    sees nodes changed after first use, and before the file is opened it
+    refuses non-finite embedding components. Each node is formatted
+    directly, in the bytes :func:`dumps_canonical` would write for it, and
+    written as it is formatted.
     """
     report = validate_tree(tree)
     if not report.ok:
@@ -689,14 +693,14 @@ def _tree_nodes(payload, decoded: bool) -> list[TreeNode]:
 
 
 def load_tree(path) -> TagTree:
-    """Read tree JSON and validate; never silently repairs a broken file.
+    """Read tree JSON and validate it once, by reading ``TagTree.parents``.
 
-    Each node's embedding becomes its float64 array as soon as ``json``
-    has decoded the node (:func:`_decode_embedding`), so the file's float
-    lists never all exist at once. A file with any node that breaks a rule
-    or has a name that is not a string is read again without the hook, and
-    its nodes are checked and converted as plain JSON values, which words
-    every error as before.
+    Never silently repairs a broken file. Each node's embedding becomes its
+    float64 array as soon as ``json`` has decoded the node
+    (:func:`_decode_embedding`), so the file's float lists never all exist
+    at once. A file with any node that breaks a rule or has a name that is
+    not a string is read again without the hook, and its nodes are checked
+    and converted as plain JSON values, which words every error as before.
     """
     try:
         nodes = _tree_nodes(_load_json_file(path, object_hook=_decode_embedding), True)
@@ -704,9 +708,7 @@ def load_tree(path) -> TagTree:
         nodes = _tree_nodes(_load_json_file(path), False)
     nodes.sort(key=lambda n: n.id)
     tree = TagTree(nodes=nodes)
-    report = validate_tree(tree)
-    if not report.ok:
-        raise InvalidTreeError(report)
+    tree.parents  # the tree's one check: raises InvalidTreeError on a broken file
     return tree
 
 

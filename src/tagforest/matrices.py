@@ -13,7 +13,8 @@ Both are deterministic functions of the tree, built with numpy from its
 parent array (``TagTree.parents``) and held as numpy index arrays, and
 their products are numpy calls that give the bits scipy's sparse kernels
 give: each output entry is its terms added onto 0.0 in the order of the
-matrix's compressed form. The builders reject invalid input.
+matrix's compressed form. The builders read the parent array first, and
+its first read validates the tree: an invalid one raises InvalidTreeError.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tree import InvalidTreeError, TagTree, validate_tree
+from .tree import TagTree
 
 __all__ = [
     "AncestryMatrix",
@@ -151,17 +152,10 @@ class PropagationMatrix:
         return np.bincount(rows, terms, minlength=len(self.weight))
 
 
-def _require_valid(tree: TagTree) -> None:
-    report = validate_tree(tree)
-    if not report.ok:
-        raise InvalidTreeError(report)
-
-
 def build_ancestry_matrix(tree: TagTree) -> AncestryMatrix:
-    """Build the ancestor-or-self indicator matrix for a valid tree."""
-    _require_valid(tree)
-    leaf_ids = tree.leaf_ids
+    """Build the ancestor-or-self indicator matrix; reads ``tree.parents`` first."""
     parents = tree.parents
+    leaf_ids = tree.leaf_ids
     n_nodes, n_leaves = tree.n_nodes, len(leaf_ids)
     # walk every leaf's path up one level per step; a key col * n_nodes + row
     # sorts the entries into CSC order, each column's rows ascending
@@ -190,8 +184,7 @@ def build_ancestry_matrix(tree: TagTree) -> AncestryMatrix:
 
 
 def build_propagation_matrix(tree: TagTree) -> PropagationMatrix:
-    """Build the neighbor-averaging operator for a valid tree."""
-    _require_valid(tree)
+    """Build the neighbor-averaging operator; reads ``tree.parents`` first."""
     parents = tree.parents
     n = tree.n_nodes
     child = np.flatnonzero(parents >= 0)

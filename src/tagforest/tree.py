@@ -99,33 +99,39 @@ class InvalidTreeError(ValueError):
 
 @dataclass(eq=False)
 class TagTree:
-    """A validated-on-demand rooted tree; ``nodes[i].id == i`` when valid."""
+    """A rooted tree, ``nodes[i].id == i``, checked on the first read of a view.
+
+    Every view derives from ``parents``, whose first read runs
+    :func:`validate_tree` and raises :class:`InvalidTreeError` on an invalid
+    tree. The views are kept, so change the nodes only before first use.
+    """
 
     nodes: list[TreeNode]
 
     @cached_property
-    def root_id(self) -> int:
-        roots = [n.id for n in self.nodes if n.parent is None]
-        if len(roots) != 1:
-            raise InvalidTreeError(validate_tree(self))
-        return roots[0]
-
-    @cached_property
-    def leaf_ids(self) -> np.ndarray:
-        """Node ids of all leaves, ascending. Fixes the leaf column order."""
-        return np.array(sorted(n.id for n in self.nodes if n.is_leaf()), dtype=np.int64)
-
-    @cached_property
     def parents(self) -> np.ndarray:
-        """Parent id of each node, in node order, with -1 for the root."""
+        """Parent id of each node, -1 for the root; the tree's one check."""
+        report = validate_tree(self)
+        if not report.ok:
+            raise InvalidTreeError(report)
         return np.array(
             [-1 if n.parent is None else n.parent for n in self.nodes], dtype=np.int64
         )
 
     @cached_property
+    def root_id(self) -> int:
+        return int(np.flatnonzero(self.parents < 0)[0])
+
+    @cached_property
+    def leaf_ids(self) -> np.ndarray:
+        """Leaf ids, ascending (the leaf column order): nodes that are no node's parent."""
+        children = np.bincount(self.parents + 1, minlength=self.n_nodes + 1)[1:]
+        return np.flatnonzero(children == 0)  # np.setdiff1d imports numpy.ma: +1 MB peak RSS
+
+    @cached_property
     def leaf_pos(self) -> dict[int, int]:
         """Map leaf node id -> dense leaf position (column index)."""
-        return {int(nid): j for j, nid in enumerate(self.leaf_ids)}
+        return {nid: j for j, nid in enumerate(self.leaf_ids.tolist())}
 
     @property
     def n_nodes(self) -> int:

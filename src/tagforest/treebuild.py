@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import EmbeddingTable, _row_blocks, _unit_rows, fallback_embedding
+from .io import FALLBACK_DIMENSION, EmbeddingTable, _row_blocks, _unit_rows, fallback_embedding
 from .tree import TagTree, TreeNode, ValidationReport
 
 __all__ = [
@@ -87,6 +87,8 @@ class TreeBuildConfig:
             raise ValueError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
         if not self.kmeans_restarts >= 1:
             raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -315,9 +317,9 @@ def kmeans(
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
     draws = k - 1  # a restart's random() calls when it draws at every step
-    pending = range(restarts)
+    pending = restarts  # a plain int: a range longer than sys.maxsize has no len
     while pending:
-        rngs = _replay(rng, n, draws, min(_SEED_BATCH, len(pending)))
+        rngs = _replay(rng, n, draws, min(_SEED_BATCH, pending))
         chosen, _, made = _plus_plus_init(points, k, rngs)
         # restart b + 1 started where restart b ended only if b drew as replayed
         seeded = next((b + 1 for b in range(len(rngs) - 1) if made[b] != draws), len(rngs))
@@ -327,7 +329,7 @@ def kmeans(
                 best = (labels, centers, sse)
         rng.bit_generator.state = rngs[seeded - 1].bit_generator.state
         draws = int(made[seeded - 1])
-        pending = pending[seeded:]
+        pending -= seeded
     assert best is not None
     return best
 
@@ -452,7 +454,7 @@ def build_tree(
     tags = list(dict.fromkeys(tags))
     if not tags:
         raise ValueError("cannot build a tree from an empty tag list")
-    dim = embeddings.dimension if embeddings is not None else 32
+    dim = embeddings.dimension if embeddings is not None else FALLBACK_DIMENSION
 
     rows = []
     for tag in tags:

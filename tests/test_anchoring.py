@@ -555,9 +555,10 @@ class TestFixedShapeReader:
 
     @pytest.mark.parametrize(
         "token, fast, sign",
-        [("0", True, 1.0), ("1", True, 1.0), ("-0.0", True, -1.0), ("1E+00", True, 1.0),
-         ("5e-324", True, 1.0), ("-0e0", True, -1.0),
-         ("-0", False, 1.0)],  # json reads the integer -0 as +0.0
+        # a minus sign sends a file to the line reader, which keeps json's
+        # sign: -0.0 for a fraction or an exponent, +0.0 for the integer -0
+        [("0", True, 1.0), ("1", True, 1.0), ("-0.0", False, -1.0), ("1E+00", True, 1.0),
+         ("5e-324", True, 1.0), ("-0e0", False, -1.0), ("-0", False, 1.0)],
     )
     def test_score_tokens(self, tmp_path, token, fast, sign):
         path = tmp_path / "a.jsonl"

@@ -775,6 +775,7 @@ class TestNonFiniteOptions:
             ("sample", "--epsilon", "nan", "epsilon must be > 0, got nan"),
             ("build-tree", "--branching", "nan", "branching must be > 1, got nan"),
             ("build-tree", "--branching", "inf", "branching must be finite, got inf"),
+            ("build-tree", "--seed", "-1", "seed must be >= 0, got -1"),
             ("sample", "--epsilon", "inf", "epsilon must be finite, got inf"),
             ("sample", "--lambda", "inf", "kl_weight must be finite, got inf"),
         ],

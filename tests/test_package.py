@@ -1,4 +1,5 @@
-"""Package surface: every name an ``__all__`` lists is defined, and no module imports scipy."""
+"""Package surface: every name an ``__all__`` lists is defined, no module
+imports scipy, and only ``TagTree.parents`` and ``save_tree`` validate a tree."""
 from __future__ import annotations
 
 import ast
@@ -46,3 +47,26 @@ def test_no_module_imports_scipy():
             if any(n == "scipy" or n.startswith("scipy.") for n in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"scipy imported at {found}"
+
+
+def _validate_tree_calls(node, where, found):
+    """Append (file, innermost enclosing function) for each call of validate_tree."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _validate_tree_calls(child, (where[0], child.name), found)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if "validate_tree" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append(where)
+        _validate_tree_calls(child, where, found)
+
+
+def test_only_the_gate_and_save_tree_call_validate_tree():
+    # every other reader of a tree reads TagTree.parents, whose first read
+    # validates it; save_tree validates afresh before it writes
+    found = []
+    for path in sorted(pathlib.Path(tagforest.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _validate_tree_calls(tree, (path.name, "<module>"), found)
+    assert sorted(found) == [("io.py", "save_tree"), ("tree.py", "parents")]

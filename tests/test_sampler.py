@@ -38,7 +38,7 @@ from tagforest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from tagforest.oracle import _leaf_distribution_kl, exact_information, greedy_exact
-from tagforest import matrices, sampler, tree as tree_module
+from tagforest import sampler
 from tagforest.sampler import _BlockMaxima, _candidate_setup
 
 import canonical_writers
@@ -123,28 +123,6 @@ class TestSampleBasics:
             assert aligned.mode == "aligned" and aligned.final_kl is not None
             assert len(aligned.picks) == 3
             assert all(isinstance(p.kl, float) for p in aligned.picks)
-
-    def test_validates_the_tree_in_each_builder(self, tiny_tree, worked_pool, monkeypatch):
-        # sample builds both operators through the public builders, and each
-        # of them checks the tree
-        calls = []
-
-        def counting(tree, *args, **kwargs):
-            calls.append(tree)
-            return validate_tree(tree, *args, **kwargs)
-
-        for module in (tree_module, matrices):
-            monkeypatch.setattr(module, "validate_tree", counting)
-        aligned = SamplerConfig(budget=4, objective=ObjectiveConfig(kl_weight=5.0))
-        target = TargetDistribution(weights={1: 0.5, 2: 0.5})
-        for config, tgt in ((SamplerConfig(budget=4), None), (aligned, target)):
-            calls.clear()
-            sample(worked_pool, tiny_tree, config, tgt)
-            assert calls == [tiny_tree, tiny_tree]
-        calls.clear()
-        build_ancestry_matrix(tiny_tree)
-        build_propagation_matrix(tiny_tree)
-        assert calls == [tiny_tree, tiny_tree]
 
     def test_invalid_tree_rejected_with_its_report(self):
         bad = TagTree(nodes=[

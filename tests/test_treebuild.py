@@ -21,6 +21,7 @@ from tagforest import (
     sha256_file,
     validate_tree,
 )
+from tagforest import treebuild
 from tagforest.io import _row_blocks, _unit_rows
 from tagforest.treebuild import (
     _SEED_BATCH,
@@ -112,6 +113,18 @@ class TestKmeans:
         labels, _, sse = kmeans(np.eye(4), 4, seed=1)
         assert sorted(labels.tolist()) == [0, 1, 2, 3]
         np.testing.assert_allclose(sse, 0.0, atol=1e-20)
+
+    def test_restarts_beyond_sys_maxsize_reach_lloyd(self, monkeypatch):
+        # the restarts left are a plain int: a range of 2**64 has no len
+        class Reached(Exception):
+            pass
+
+        def lloyd(*args):
+            raise Reached
+
+        monkeypatch.setattr(treebuild, "_lloyd", lloyd)
+        with pytest.raises(Reached):
+            kmeans(SQUARE, 2, seed=0, restarts=2**64)
 
     def test_unit_normalization_makes_scale_irrelevant(self):
         rng = np.random.default_rng(93)
