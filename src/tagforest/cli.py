@@ -8,8 +8,10 @@ Subcommands cover the full pipeline:
     tagforest sample        --anchored anchored.jsonl --tree tree.json --budget 100
     tagforest stats         --input subset.jsonl --tree tree.json [--target q.json]
 
-Each subcommand declares its input-file options once; every input file
-given is checked before any work. Every output file gets a
+Each subcommand declares its input- and output-file options once. Before
+any work, every input file given must exist, and no written file (an
+output or its sidecar) may be an input or another written file; the
+options are checked next, before any file is read. Every output file gets a
 ``<name>.manifest.json`` sidecar recording the command, every option
 under its own name (defaults included), the SHA-256 of each input file,
 version, and wall clock; build-tree, the one command that draws random
@@ -47,9 +49,10 @@ from .io import (
     sha256_file,
 )
 from .matrices import build_ancestry_matrix
-from .objective import InfoState, ObjectiveConfig, kl_penalty
+from .objective import ObjectiveConfig, kl_penalty
 from .sampler import (
     SamplerConfig,
+    _leaf_counts,
     derive_target,
     export_subset,
     sample,
@@ -65,14 +68,24 @@ class UserError(ValueError):
 
 # parsed options a manifest keeps out of ``parameters``: the dispatch
 # fields, and build-tree's seed, which it records at the top level
-_NOT_PARAMETERS = ("command", "func", "inputs", "seed")
+_NOT_PARAMETERS = ("command", "func", "inputs", "outputs", "seed")
 
 
-def _check_inputs(args) -> None:
+def _check_paths(args) -> None:
+    """Refuse a missing input, and a written file that is an input or written twice."""
+    claimed = {}  # real path -> what it is
     for name in args.inputs:
         path = getattr(args, name)
         if path and not os.path.isfile(path):
             raise UserError(f"{name} file not found: {path}")
+        if path:
+            claimed[os.path.realpath(path)] = f"{name} file"
+    for name in args.outputs:
+        for path in (getattr(args, name), f"{getattr(args, name)}.manifest.json"):
+            real = os.path.realpath(path)
+            if real in claimed:
+                raise UserError(f"{name} would overwrite the {claimed[real]}: {path}")
+            claimed[real] = f"file written for {name}"
 
 
 def _write_manifests(args, started: float, *paths: str, **extra) -> None:
@@ -121,8 +134,6 @@ def _load_tags(path: str) -> list[str]:
 
 def cmd_build_tree(args) -> int:
     started = time.time()
-    tags = _load_tags(args.tags)
-    table = load_embeddings(args.embeddings) if args.embeddings else None
     config = TreeBuildConfig(
         depth_limit=args.depth,
         branching=args.branching,
@@ -130,6 +141,8 @@ def cmd_build_tree(args) -> int:
         kmeans_iters=args.kmeans_iters,
         kmeans_restarts=args.kmeans_restarts,
     )
+    tags = _load_tags(args.tags)
+    table = load_embeddings(args.embeddings) if args.embeddings else None
     report = ValidationReport()
     tree = build_tree(tags, table, config, report)
     _print_report(report)
@@ -186,23 +199,23 @@ def cmd_derive_target(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.time()
-    tree = load_tree(args.tree)
-    records = load_anchored(args.anchored)
-    target = load_target(args.target, tree) if args.target else None
     objective = ObjectiveConfig(
         alpha=args.alpha,
         gamma=args.gamma,
         kl_weight=getattr(args, "lambda"),
         epsilon=args.epsilon,
     )
-    if objective.kl_weight > 0.0 and target is None:
+    if objective.kl_weight > 0.0 and not args.target:
         raise UserError("--lambda > 0 requires --target")
-
     config = SamplerConfig(
         budget=args.budget,
         objective=objective,
         workers=args.workers,
     )
+    tree = load_tree(args.tree)
+    records = load_anchored(args.anchored)
+    target = load_target(args.target, tree) if args.target else None
+
     if args.budget > len(records):
         print(
             f"warning: budget {args.budget} exceeds pool size {len(records)}; "
@@ -243,17 +256,7 @@ def cmd_stats(args) -> int:
         numbered = list(read_rows(args.input, ("leaves",)))
     except ValueError as exc:
         raise UserError(f"{args.input}: {exc}") from None
-    rows = [row for _, row in numbered]
-    leaf_ids = tree.leaf_ids
-    n_leaves = len(leaf_ids)
-    leaf_pos = tree.leaf_pos
-
-    counts = np.zeros(n_leaves, dtype=np.int64)
-    for row in rows:
-        for leaf in set(row["leaves"]):
-            if leaf not in leaf_pos:
-                raise UserError(f"row '{row.get('id')}': {leaf} is not a leaf id")
-            counts[leaf_pos[leaf]] += 1
+    counts = _leaf_counts(((row.get("id"), row["leaves"]) for _, row in numbered), tree)
 
     scores = {}  # read in full before the first line of output
     try:
@@ -265,7 +268,8 @@ def cmd_stats(args) -> int:
         raise UserError(f"{args.input}: {exc}") from None
     target = load_target(args.target, tree) if args.target else None
 
-    print(f"rows: {len(rows)}")
+    leaf_ids = tree.leaf_ids
+    print(f"rows: {len(numbered)}")
     print("leaf histogram (leaf id, name, count):")
     for j, nid in enumerate(leaf_ids):
         if counts[j] or args.all_leaves:
@@ -290,15 +294,7 @@ def cmd_stats(args) -> int:
             )
 
     if target is not None:
-        state = InfoState.empty(tree.n_nodes, n_leaves)
-        state.leaf_counts = counts
-        state.total_leaf_mass = int(counts.sum())
-        kl = kl_penalty(
-            target.dense(leaf_ids),
-            state,
-            np.zeros(0, dtype=np.int64),
-            epsilon,
-        )
+        kl = kl_penalty(target.dense(leaf_ids), counts, epsilon)
         print(f"KL(target || selection): {kl:.6g}")
     print(f"done in {time.time() - started:.2f}s")
     return 0
@@ -327,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmeans-restarts", type=int, default=build.kmeans_restarts)
     p.add_argument("--seed", type=int, default=build.seed)
     p.add_argument("-o", "--output", default="tree.json")
-    p.set_defaults(func=cmd_build_tree, inputs=("tags", "embeddings"))
+    p.set_defaults(func=cmd_build_tree, inputs=("tags", "embeddings"), outputs=("output",))
 
     p = sub.add_parser("anchor", help="map pool instances onto tree leaves")
     p.add_argument("--tree", required=True)
@@ -335,13 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", default=None, help="TSV embedding table for tags")
     p.add_argument("--min-sim", type=float, default=DEFAULT_MIN_SIMILARITY)
     p.add_argument("-o", "--output", default="anchored.jsonl")
-    p.set_defaults(func=cmd_anchor, inputs=("tree", "pool", "embeddings"))
+    p.set_defaults(
+        func=cmd_anchor, inputs=("tree", "pool", "embeddings"), outputs=("output",)
+    )
 
     p = sub.add_parser("derive-target", help="empirical leaf target from a reference")
     p.add_argument("--anchored", required=True)
     p.add_argument("--tree", required=True)
     p.add_argument("-o", "--output", default="target.json")
-    p.set_defaults(func=cmd_derive_target, inputs=("anchored", "tree"))
+    p.set_defaults(func=cmd_derive_target, inputs=("anchored", "tree"), outputs=("output",))
 
     p = sub.add_parser("sample", help="greedy subset selection")
     p.add_argument("--anchored", required=True)
@@ -361,7 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--output", default="subset.jsonl")
     p.add_argument("--trace", default="trace.json")
-    p.set_defaults(func=cmd_sample, inputs=("anchored", "tree", "target", "pool"))
+    p.set_defaults(
+        func=cmd_sample,
+        inputs=("anchored", "tree", "target", "pool"),
+        outputs=("output", "trace"),
+    )
 
     p = sub.add_parser("stats", help="histogram/coverage/KL of a selection")
     p.add_argument("--input", required=True, help="anchored or exported subset JSONL")
@@ -369,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default=None)
     p.add_argument("--epsilon", type=float, default=objective.epsilon)
     p.add_argument("--all-leaves", action="store_true", help="include zero-count leaves")
-    p.set_defaults(func=cmd_stats, inputs=("input", "tree", "target"))
+    p.set_defaults(func=cmd_stats, inputs=("input", "tree", "target"), outputs=())
 
     return parser
 
@@ -378,7 +380,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_inputs(args)
+        _check_paths(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -166,31 +166,23 @@ def gradient_vector(state: InfoState, prop: PropagationMatrix, gamma: float) -> 
 
 def kl_penalty(
     target: np.ndarray,
-    state: InfoState,
-    candidate_leaf_positions,
+    leaf_counts: np.ndarray,
     epsilon: float = ObjectiveConfig.epsilon,
 ) -> float:
-    """KL(Q || P) with the candidate folded into the selection counts.
+    """KL(Q || P) between a target and a selection's leaf counts.
 
-    ``target`` is the dense Q over leaf positions. P puts
-    (count_j + candidate_j + epsilon) / (total + t_d + epsilon * L) on
-    leaf j, where t_d is the candidate's number of active leaves. Only
-    coordinates with Q_j > 0 contribute; pass an empty candidate to score
-    the bare selection. Always finite thanks to the smoothing.
+    ``target`` is the dense Q over leaf positions and ``leaf_counts`` the
+    selection's integer count per leaf position. P puts
+    (count_j + epsilon) / (total + epsilon * L) on leaf j. Only
+    coordinates with Q_j > 0 contribute. Always finite thanks to the
+    smoothing.
     """
     target = np.asarray(target, dtype=np.float64)
-    n_leaves = len(state.leaf_counts)
+    n_leaves = len(leaf_counts)
     if len(target) != n_leaves:
         raise ValueError("target length does not match leaf count")
-    candidate = np.asarray(candidate_leaf_positions, dtype=np.int64)
-    t_d = int(len(candidate))
-    denom = float(state.total_leaf_mass + t_d) + epsilon * n_leaves
+    denom = float(int(leaf_counts.sum())) + epsilon * n_leaves
     support = np.nonzero(target > 0.0)[0]
-    counts = state.leaf_counts[support].astype(np.float64)
-    if t_d:
-        bump = np.zeros(n_leaves, dtype=np.float64)
-        bump[candidate] = 1.0
-        counts = counts + bump[support]
-    p = (counts + epsilon) / denom
+    p = (leaf_counts[support].astype(np.float64) + epsilon) / denom
     q = target[support]
     return float(np.sum(q * np.log(q / p)))

@@ -122,13 +122,22 @@ class SelectionTrace:
     blocks_visited: int = 0
 
 
-def _distinct_leaves(record: AnchoredRecord, leaf_pos: dict[int, int]) -> set[int]:
-    """A record's leaf ids without duplicates; each must be a tree leaf."""
-    leaves = set(record.leaves)
-    for leaf in leaves:
-        if leaf not in leaf_pos:
-            raise ValueError(f"record '{record.id}' references non-leaf node {leaf}")
-    return leaves
+def _leaf_counts(rows, tree: TagTree) -> np.ndarray:
+    """Per leaf column, the number of rows holding that leaf (int64).
+
+    ``rows`` are ``(id, leaf ids)`` pairs; a leaf repeated within a row
+    counts once. The first row holding a non-leaf raises ``ValueError``
+    naming it (the first in ``set`` order within the row).
+    """
+    leaf_pos = tree.leaf_pos
+    counts = [0] * len(leaf_pos)
+    for rid, leaves in rows:
+        for leaf in set(leaves):
+            j = leaf_pos.get(leaf)
+            if j is None:
+                raise ValueError(f"record '{rid}' references non-leaf node {leaf}")
+            counts[j] += 1
+    return np.array(counts, dtype=np.int64)
 
 
 def _candidate_setup(
@@ -160,9 +169,8 @@ def _candidate_setup(
     known = (pool.leaf_ids >= 0) & (pool.leaf_ids < len(lookup))
     pos = np.full(len(pool.leaf_ids), -1, dtype=np.int64)
     pos[known] = lookup[pool.leaf_ids[known]]
-    if np.any(pos < 0):
-        for row in rows.tolist():  # names the first offender in candidate order
-            _distinct_leaves(pool[row], tree.leaf_pos)
+    if np.any(pos < 0):  # names the first offender in candidate order
+        _leaf_counts(((pool.ids[row], pool[row].leaves) for row in rows.tolist()), tree)
     rank = np.empty(len(pool), dtype=np.int64)
     rank[rows] = np.arange(n)
     # every leaf belongs to a usable row; sorted keys ascend by rank, then
@@ -470,11 +478,7 @@ def sample(
             kl_terms.refresh(state.leaf_counts, positions)
 
     final_info = state_information(state, obj.gamma)
-    final_kl = (
-        kl_penalty(q_dense, state, np.zeros(0, dtype=np.int64), obj.epsilon)
-        if aligned
-        else None
-    )
+    final_kl = kl_penalty(q_dense, state.leaf_counts, obj.epsilon) if aligned else None
     trace = SelectionTrace(
         picks=picks,
         final_information=final_info,
@@ -492,16 +496,12 @@ def sample(
 
 def derive_target(records: Sequence[AnchoredRecord], tree: TagTree) -> TargetDistribution:
     """Empirical leaf distribution of a reference set: counts, normalized."""
-    counts: dict[int, int] = {}
-    total = 0
-    for record in records:
-        for leaf in _distinct_leaves(record, tree.leaf_pos):
-            counts[leaf] = counts.get(leaf, 0) + 1
-            total += 1
+    counts = _leaf_counts(((r.id, r.leaves) for r in records), tree).tolist()
+    total = sum(counts)
     if total == 0:
         raise ValueError("reference set has no anchored leaves")
     return TargetDistribution(
-        weights={leaf: c / total for leaf, c in sorted(counts.items())}
+        weights={leaf: c / total for leaf, c in zip(tree.leaf_ids.tolist(), counts) if c}
     )
 
 

@@ -101,11 +101,7 @@ def sample_full_rescoring(records, tree, config, target=None):
         info_vec = s[idx] * np.asarray(paths @ leaf_vec)
         state.add_contribution(prop, info_vec, positions)
 
-    final_kl = (
-        kl_penalty(q_dense, state, np.zeros(0, dtype=np.int64), obj.epsilon)
-        if aligned
-        else None
-    )
+    final_kl = kl_penalty(q_dense, state.leaf_counts, obj.epsilon) if aligned else None
     trace = SelectionTrace(
         picks=picks,
         final_information=state_information(state, obj.gamma),

@@ -2,8 +2,8 @@
 
 ``load_anchored`` is the anchored-file reader from before the pool was held
 as columns: one ``AnchoredRecord`` per row, read line by line through
-``read_rows`` and ``read_score``. ``_rank_candidates`` and ``_leaf_matrix``
-are the sampler set-up that walked those records. The columnar loader and
+``read_rows`` and ``read_score``. ``_rank_candidates``, ``_distinct_leaves``
+and ``_leaf_matrix`` are the sampler set-up that walked those records. The columnar loader and
 set-up in ``tagforest`` are compared against them.
 """
 from __future__ import annotations
@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 from tagforest import AnchoredRecord, composite_score
 from tagforest.anchoring import read_rows, read_score
-from tagforest.sampler import _distinct_leaves
 
 
 def load_anchored(path) -> list[AnchoredRecord]:
@@ -62,6 +61,15 @@ def _rank_candidates(
     by_rec = scores.tolist()
     order = sorted(range(len(usable)), key=lambda i: (-by_rec[i], usable[i].id))
     return [usable[i] for i in order], scores[order]
+
+
+def _distinct_leaves(record: AnchoredRecord, leaf_pos: dict[int, int]) -> set[int]:
+    """A record's leaf ids without duplicates; each must be a tree leaf."""
+    leaves = set(record.leaves)
+    for leaf in leaves:
+        if leaf not in leaf_pos:
+            raise ValueError(f"record '{record.id}' references non-leaf node {leaf}")
+    return leaves
 
 
 def _leaf_matrix(

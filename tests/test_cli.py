@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -884,6 +885,103 @@ def test_missing_input_refused_before_any_work(ws, tmp_path, capsys, command, na
     assert os.listdir(tmp_path) == []
 
 
+def _snapshot(root) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "command, argv, message",
+    [
+        (
+            "build-tree",
+            ["--tags", "{tags}", "--embeddings", "{emb}", "-o", "{tags}"],
+            "output would overwrite the tags file: {tags}",
+        ),
+        (
+            "anchor",
+            ["--tree", "{tree}", "--pool", "{d}/a.manifest.json", "-o", "{d}/a"],
+            "output would overwrite the pool file: {d}/a.manifest.json",
+        ),
+        (
+            "derive-target",
+            ["--anchored", "{anchored}", "--tree", "{tree}", "-o", "{anchored}"],
+            "output would overwrite the anchored file: {anchored}",
+        ),
+        (
+            "sample",
+            ["--anchored", "{anchored}", "--tree", "{tree}", "--budget", "3",
+             "-o", "{anchored}", "--trace", "{d}/t.json"],
+            "output would overwrite the anchored file: {anchored}",
+        ),
+        (
+            "sample",
+            ["--anchored", "{anchored}", "--tree", "{tree}", "--budget", "3",
+             "-o", "{d}/x", "--trace", "{d}/x"],
+            "trace would overwrite the file written for output: {d}/x",
+        ),
+        (
+            "sample",
+            ["--anchored", "{anchored}", "--tree", "{tree}", "--budget", "3",
+             "-o", "{d}/x", "--trace", "{d}/x.manifest.json"],
+            "trace would overwrite the file written for output: {d}/x.manifest.json",
+        ),
+    ],
+    ids=["build-tree-over-tags", "anchor-manifest-over-pool", "derive-target-over-anchored",
+         "sample-over-anchored", "sample-trace-over-output", "sample-trace-over-manifest"],
+)
+def test_written_file_over_input_or_output_refused(ws, tmp_path, capsys, command, argv, message):
+    # on copies of the inputs: nothing is read or written, and no file changes
+    paths = {"d": str(tmp_path)}
+    for key in ("tags", "emb", "tree", "anchored"):
+        paths[key] = shutil.copy(ws[key], tmp_path)
+    shutil.copy(ws["pool"], tmp_path / "a.manifest.json")
+    before = _snapshot(tmp_path)
+    rc = main([command, *(a.format(**paths) for a in argv)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message.format(**paths)}\n"
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "command, argv, message",
+    [
+        (
+            "sample",
+            ["--anchored", "{bad}", "--tree", "{tree}", "--budget", "3", "--alpha", "2"],
+            "alpha must be in [0, 1], got 2.0",
+        ),
+        (
+            "sample",
+            ["--anchored", "{bad}", "--tree", "{tree}", "--budget", "3", "--lambda", "1"],
+            "--lambda > 0 requires --target",
+        ),
+        (
+            "sample",
+            ["--anchored", "{bad}", "--tree", "{bad}", "--budget", "-1"],
+            "budget must be >= 0, got -1",
+        ),
+        (
+            "build-tree",
+            ["--tags", "{tags}", "--embeddings", "{bad}", "--branching", "1"],
+            "branching must be > 1, got 1.0",
+        ),
+    ],
+    ids=["sample-alpha", "sample-lambda", "sample-budget", "build-tree-branching"],
+)
+def test_options_checked_before_files_are_read(ws, tmp_path, capsys, command, argv, message):
+    # the file is malformed too: the option's error comes first
+    bad = tmp_path / "bad"
+    bad.write_text("not a row\n", encoding="utf-8")
+    paths = {"bad": str(bad), "tree": ws["tree"], "tags": ws["tags"]}
+    out = str(tmp_path / "out")
+    rc = main([command, *(a.format(**paths) for a in argv), "-o", out])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["bad"]
+
+
 class TestManifestParameters:
     """``parameters`` are the parsed options under their own names, defaults included."""
 
@@ -1048,6 +1146,34 @@ class TestStats:
         assert rc == 0
         out = capsys.readouterr().out
         assert "max 7.5" in out and "min -3" in out
+
+    def test_counts_match_derive_target(self, ws, capsys):
+        # one histogram: each printed count is derive-target's weight x total
+        rc = main(["stats", "--input", ws["anchored"], "--tree", ws["tree"], "--all-leaves"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("leaf histogram (leaf id, name, count):") + 1
+        end = lines.index("coverage per depth (activated/total):")
+        counts = {int(l.split("\t")[0]): int(l.split("\t")[2]) for l in lines[start:end]}
+        tree = load_tree(ws["tree"])
+        assert list(counts) == tree.leaf_ids.tolist()
+        weights = load_target(ws["target"], tree).weights
+        total = sum(counts.values())
+        for leaf, count in counts.items():
+            assert count == pytest.approx(weights.get(leaf, 0.0) * total, rel=1e-12)
+
+    def test_non_leaf_message(self, ws, tmp_path, capsys):
+        # the same message as sample and derive-target give
+        tree = load_tree(ws["tree"])
+        root = tree.root_id
+        rows = [{"id": "a", "leaves": [int(tree.leaf_ids[0])]}, {"id": "b", "leaves": [root]}]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rc = main(["stats", "--input", str(bad), "--tree", ws["tree"]])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: record 'b' references non-leaf node {root}\n"
 
     @pytest.mark.parametrize("all_leaves", [False, True])
     def test_counts_match_node_walk(self, tmp_path, capsys, all_leaves):

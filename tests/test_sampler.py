@@ -12,7 +12,6 @@ import scipy.sparse as sp
 from tagforest import (
     AnchoredPool,
     AnchoredRecord,
-    InfoState,
     Instance,
     InstancePool,
     InvalidTreeError,
@@ -39,13 +38,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from tagforest.oracle import _leaf_distribution_kl, exact_information, greedy_exact
 from tagforest import sampler
-from tagforest.sampler import _BlockMaxima, _candidate_setup
+from tagforest.sampler import _BlockMaxima, _candidate_setup, _leaf_counts
 
 import canonical_writers
 from conftest import make_tree, random_pool, random_tree, star_tree
 from full_rescoring import sample_full_rescoring
 from path_lifting import from_contributions, marginal_gain_approx, raw_info_vector
-from record_setup import _leaf_matrix, _rank_candidates
+from record_setup import _distinct_leaves, _leaf_matrix, _rank_candidates
 
 
 class TestSampleBasics:
@@ -343,17 +342,12 @@ class TestAlignedMode:
         assert all(p.kl is not None for p in trace.picks)
         assert trace.final_kl is not None
         # final KL must equal a direct evaluation on the final counts
-        state = InfoState.empty(3, 2)
+        counts = np.zeros(2, dtype=np.int64)
         for rec_id in (p.instance_id for p in trace.picks):
             rec = next(r for r in worked_pool if r.id == rec_id)
-            positions = np.array(
-                sorted(tiny_tree.leaf_pos[l] for l in rec.leaves), dtype=np.int64
-            )
-            state.leaf_counts[positions] += 1
-            state.total_leaf_mass += len(positions)
-            state.size += 1
+            counts[[tiny_tree.leaf_pos[l] for l in set(rec.leaves)]] += 1
         q = target.dense(tiny_tree.leaf_ids)
-        ref = kl_penalty(q, state, np.zeros(0, dtype=np.int64))
+        ref = kl_penalty(q, counts)
         np.testing.assert_allclose(trace.final_kl, ref, rtol=1e-12)
 
     def test_higher_lambda_lowers_final_kl(self):
@@ -558,8 +552,7 @@ class TestLazyGreedy:
         first = repeated.picks[0]
         assert first.instance_id == "dup"
         q = target.dense(tiny_tree.leaf_ids)
-        empty = InfoState.empty(3, 2)
-        expected = kl_penalty(q, empty, np.array([0, 1], dtype=np.int64))
+        expected = kl_penalty(q, np.array([1, 1], dtype=np.int64))
         np.testing.assert_allclose(first.kl, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("block", [1, 2, 5])
@@ -903,6 +896,32 @@ class TestDeriveTarget:
         ]
         with pytest.raises(ValueError, match="non-leaf"):
             derive_target(records, tiny_tree)
+
+    def test_leaf_counts_match_distinct_leaves(self):
+        # the one histogram against the per-record walk it replaced: the
+        # same counts, and the same message for the same first offender
+        rng = np.random.default_rng(29)
+        for case in range(30):
+            tree = random_tree(rng, max_nodes=30)
+            records = random_pool(rng, tree, size=8)
+            i = int(rng.integers(len(records)))
+            if case % 3 == 1:  # a leaf repeated within a row
+                records[i] = replace(records[i], leaves=records[i].leaves * 2)
+            elif case % 3 == 2:  # the root (a non-leaf unless alone) and an unknown id
+                records[i] = replace(records[i], leaves=(*records[i].leaves, tree.root_id, 99))
+                records[-1] = replace(records[-1], leaves=(99, *records[-1].leaves))
+            rows = [(r.id, r.leaves) for r in records]
+            try:
+                want = np.zeros(tree.n_leaves, dtype=np.int64)
+                for record in records:
+                    want[[tree.leaf_pos[l] for l in _distinct_leaves(record, tree.leaf_pos)]] += 1
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    _leaf_counts(rows, tree)
+            else:
+                got = _leaf_counts(rows, tree)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
 
 
 class TestExport:
