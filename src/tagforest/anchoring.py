@@ -224,19 +224,17 @@ def _resolve_tags(
             f"embedding table has dimension {embeddings.dimension} but the "
             f"tree's leaf embeddings have dimension {leaf_matrix.shape[1]}"
         )
-    name_to_leaf: dict[str, int] = {}
-    for nid in leaf_ids:  # ascending ids: first writer wins on name collision
-        name_to_leaf.setdefault(tree.node(int(nid)).name, int(nid))
+    by_name = tree.leaves_by_name
 
     leaf = np.full(len(distinct), -1, dtype=np.int64)
     kind = np.full(len(distinct), _EXACT, dtype=np.int64)
     unnamed: list[int] = []
     for k, tag in enumerate(distinct):
-        hit = name_to_leaf.get(tag)
+        hit = by_name.get(tag)
         if hit is None:
             unnamed.append(k)
         else:
-            leaf[k] = hit
+            leaf[k] = hit[0]  # ids ascend: the lowest on a name collision
     dim = leaf_matrix.shape[1]
     for rows in _row_blocks(len(unnamed), len(leaf_ids)):
         batch = unnamed[rows]

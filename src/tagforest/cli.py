@@ -9,13 +9,13 @@ Subcommands cover the full pipeline:
     tagforest stats         --input subset.jsonl --tree tree.json [--target q.json]
 
 Each subcommand declares its input- and output-file options once. Before
-any work, every input file given must exist, and no written file (an
-output or its sidecar) may be an input or another written file; the
-options are checked next, before any file is read. Every output file gets a
-``<name>.manifest.json`` sidecar recording the command, every option
-under its own name (defaults included), the SHA-256 of each input file,
-version, and wall clock; build-tree, the one command that draws random
-numbers, adds its seed.
+any work, every input file given must exist, every output's directory
+must exist, and no written file (an output or its sidecar) may be an
+input or another written file; the options are checked next, before any
+file is read. Every output file gets a ``<name>.manifest.json`` sidecar
+recording the command, every option under its own name (defaults
+included), the SHA-256 of each input file, version, and wall clock;
+build-tree, the one command that draws random numbers, adds its seed.
 Exit codes: 0 success, 2 usage/input error, 1 unexpected failure.
 """
 from __future__ import annotations
@@ -72,7 +72,7 @@ _NOT_PARAMETERS = ("command", "func", "inputs", "outputs", "seed")
 
 
 def _check_paths(args) -> None:
-    """Refuse a missing input, and a written file that is an input or written twice."""
+    """Refuse a missing input or output directory, and a file written over an input or twice."""
     claimed = {}  # real path -> what it is
     for name in args.inputs:
         path = getattr(args, name)
@@ -81,7 +81,10 @@ def _check_paths(args) -> None:
         if path:
             claimed[os.path.realpath(path)] = f"{name} file"
     for name in args.outputs:
-        for path in (getattr(args, name), f"{getattr(args, name)}.manifest.json"):
+        output = getattr(args, name)
+        if not os.path.isdir(os.path.dirname(output) or "."):  # the sidecar's too
+            raise UserError(f"{name} directory not found: {os.path.dirname(output)}")
+        for path in (output, f"{output}.manifest.json"):
             real = os.path.realpath(path)
             if real in claimed:
                 raise UserError(f"{name} would overwrite the {claimed[real]}: {path}")
@@ -256,7 +259,7 @@ def cmd_stats(args) -> int:
         numbered = list(read_rows(args.input, ("leaves",)))
     except ValueError as exc:
         raise UserError(f"{args.input}: {exc}") from None
-    counts = _leaf_counts(((row.get("id"), row["leaves"]) for _, row in numbered), tree)
+    counts = _leaf_counts(((row.get("id", n), row["leaves"]) for n, row in numbered), tree)
 
     scores = {}  # read in full before the first line of output
     try:

@@ -573,6 +573,8 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
 
 # One tree node; "%.17g" formats a float as format(x, ".17g") does.
 _TREE_NODE = '{"id":%d,"name":%s,"parent":%s,"children":[%s],"depth":%d,"embedding":%s}'
+_NODE_KEYS = ("id", "name", "parent", "children", "depth")  # every node holds these
+_NODE_KEY_SET = frozenset(_NODE_KEYS)  # a C-level subset test for the decoding hook
 
 
 def save_tree(tree: TagTree, path) -> None:
@@ -580,9 +582,9 @@ def save_tree(tree: TagTree, path) -> None:
 
     Validation runs afresh, not through the views ``TagTree`` keeps, so it
     sees nodes changed after first use, and before the file is opened it
-    refuses non-finite embedding components. Each node is formatted
-    directly, in the bytes :func:`dumps_canonical` would write for it, and
-    written as it is formatted.
+    refuses non-finite embedding components and names that are not
+    strings. Each node is formatted directly, in the bytes
+    :func:`dumps_canonical` would write for it, and written as formatted.
     """
     report = validate_tree(tree)
     if not report.ok:
@@ -611,37 +613,30 @@ def _node_texts(nodes):
         )
 
 
-def _embedding_array(value) -> np.ndarray | None:
-    """A flat, non-empty list of JSON numbers as float64, else None."""
-    if type(value) is list and value and _NUMBER.issuperset(map(type, value)):
-        try:
-            return np.array(value, dtype=np.float64)
-        except OverflowError:  # an int too large for a float
-            pass
-    return None
-
-
 def _decode_embedding(obj: dict) -> dict:
-    """``object_hook`` for tree files: an ``embedding`` list of numbers becomes its array.
+    """``object_hook`` for tree files: a node's ``embedding`` list of numbers becomes its array.
 
     ``json`` calls it on every object as soon as the object is decoded, so
-    each node's float list is freed before the next node is read. It sees
-    objects nested in a ``name`` or ``children`` too; :func:`load_tree`
-    reads the file again without it whenever such an object could show.
+    each node's float list is freed before the next node is read. An object
+    without the five node keys, such as one nested in a node's values, and
+    an embedding that is not such a list are left as written.
     """
-    emb = _embedding_array(obj.get("embedding"))
-    if emb is not None:
-        obj["embedding"] = emb
+    value = obj.get("embedding")
+    if type(value) is list and value and obj.keys() >= _NODE_KEY_SET:
+        if _NUMBER.issuperset(map(type, value)):
+            try:
+                obj["embedding"] = np.array(value, dtype=np.float64)
+            except OverflowError:  # an int too large for a float
+                pass
     return obj
 
 
-def _tree_nodes(payload, decoded: bool) -> list[TreeNode]:
+def _tree_nodes(payload) -> list[TreeNode]:
     """The nodes of a tree file's JSON value, in file order, under the node rules.
 
-    A broken rule raises ``ValueError`` naming the node entry. With
-    ``decoded``, ``payload`` came through :func:`_decode_embedding`, and a
-    ``name`` that is not a string raises too: ``str()`` of it could show an
-    array the hook made.
+    ``payload`` came through :func:`_decode_embedding`. A broken rule
+    raises ``ValueError`` naming the node entry; names are taken as written,
+    for :func:`validate_tree` to check.
     """
     if not isinstance(payload, dict) or "nodes" not in payload:
         raise ValueError("tree file must be a JSON object with a 'nodes' array")
@@ -652,7 +647,7 @@ def _tree_nodes(payload, decoded: bool) -> list[TreeNode]:
     for i, obj in enumerate(raw_nodes):
         if not isinstance(obj, dict):
             raise ValueError(f"node entry {i} is not an object")
-        for key in ("id", "name", "parent", "children", "depth"):
+        for key in _NODE_KEYS:
             if key not in obj:
                 raise ValueError(f"node entry {i}: missing key '{key}'")
         if not isinstance(obj["children"], list):
@@ -669,20 +664,13 @@ def _tree_nodes(payload, decoded: bool) -> list[TreeNode]:
                     raise ValueError(
                         f"node entry {i}: '{key}' must hold integers, got {value!r}"
                     )
-        name = obj["name"]
-        if type(name) is not str:
-            if decoded:
-                raise ValueError(f"node entry {i}: 'name' is not a string")
-            name = str(name)
         emb = obj.get("embedding")
-        if emb is not None and type(emb) is not np.ndarray:  # an array is the hook's
-            emb = _embedding_array(emb)
-            if emb is None:
-                raise ValueError(f"node entry {i}: 'embedding' must be an array of numbers")
+        if emb is not None and type(emb) is not np.ndarray:  # the hook made every good one
+            raise ValueError(f"node entry {i}: 'embedding' must be an array of numbers")
         nodes.append(
             TreeNode(
                 id=obj["id"],
-                name=name,
+                name=obj["name"],
                 parent=obj["parent"],
                 children=list(obj["children"]),
                 depth=obj["depth"],
@@ -695,17 +683,13 @@ def _tree_nodes(payload, decoded: bool) -> list[TreeNode]:
 def load_tree(path) -> TagTree:
     """Read tree JSON and validate it once, by reading ``TagTree.parents``.
 
-    Never silently repairs a broken file. Each node's embedding becomes its
-    float64 array as soon as ``json`` has decoded the node
-    (:func:`_decode_embedding`), so the file's float lists never all exist
-    at once. A file with any node that breaks a rule or has a name that is
-    not a string is read again without the hook, and its nodes are checked
-    and converted as plain JSON values, which words every error as before.
+    Never silently repairs a broken file, and opens and decodes it once.
+    Each node's embedding becomes its float64 array as soon as ``json`` has
+    decoded the node (:func:`_decode_embedding`), so the file's float lists
+    never all exist at once. A name that is not a string is refused by
+    :func:`validate_tree`, never converted.
     """
-    try:
-        nodes = _tree_nodes(_load_json_file(path, object_hook=_decode_embedding), True)
-    except ValueError:
-        nodes = _tree_nodes(_load_json_file(path), False)
+    nodes = _tree_nodes(_load_json_file(path, object_hook=_decode_embedding))
     nodes.sort(key=lambda n: n.id)
     tree = TagTree(nodes=nodes)
     tree.parents  # the tree's one check: raises InvalidTreeError on a broken file
@@ -746,29 +730,23 @@ def load_target(path, tree: TagTree) -> TargetDistribution:
 
     Weights must be non-negative, keys must name leaves unambiguously, and
     the sum must land in [0.999, 1.001]; the distribution is renormalized
-    to sum exactly 1. A leaf name may appear only once.
+    to sum exactly 1. A leaf name may appear only once, and not be one
+    that more than one leaf holds (``TagTree.leaves_by_name``).
     """
     # objects load as tuples of (key, value) pairs, so no repeated key is lost
     payload = _load_json_file(path, object_pairs_hook=tuple)
     if not isinstance(payload, tuple):
         raise ValueError("target file must be a JSON object of leaf name -> weight")
-    name_to_leaf: dict[str, int] = {}
-    ambiguous: set[str] = set()
-    for nid in tree.leaf_ids:
-        name = tree.node(int(nid)).name
-        if name in name_to_leaf:
-            ambiguous.add(name)
-        else:
-            name_to_leaf[name] = int(nid)
     weights: dict[int, float] = {}
     named: set[str] = set()
     for name, value in payload:
         if name in named:
             raise ValueError(f"duplicate leaf name '{name}'")
         named.add(name)
-        if name in ambiguous:
+        leaves = tree.leaves_by_name.get(name, ())
+        if len(leaves) > 1:
             raise ValueError(f"leaf name '{name}' is ambiguous in this tree")
-        if name not in name_to_leaf:
+        if not leaves:
             raise ValueError(f"'{name}' is not a leaf of this tree")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValueError(f"weight for '{name}' is not a number")
@@ -776,7 +754,7 @@ def load_target(path, tree: TagTree) -> TargetDistribution:
             raise ValueError(f"weight for '{name}' must be finite and >= 0")
         w = float(value)
         if w > 0:
-            weights[name_to_leaf[name]] = w
+            weights[leaves[0]] = w
     total = sum(weights.values())
     if not (0.999 <= total <= 1.001):
         raise ValueError(f"target weights sum to {total:.6f}, outside [0.999, 1.001]")
@@ -784,12 +762,19 @@ def load_target(path, tree: TagTree) -> TargetDistribution:
 
 
 def save_target(target: TargetDistribution, tree: TagTree, path) -> None:
-    """Write a target keyed by leaf name (ascending leaf id order)."""
-    payload: dict[str, float] = {}
+    """Write a target keyed by leaf name (ascending leaf id order).
+
+    Before the file is opened it refuses a weighted key that is not a leaf,
+    and a weighted leaf whose name other leaves hold too, which
+    :func:`load_target` would refuse.
+    """
+    by_name, payload = tree.leaves_by_name, {}
     for nid in sorted(target.weights):
-        name = tree.node(nid).name
-        if name in payload:
-            raise ValueError(f"leaf name '{name}' is ambiguous; cannot write by name")
+        if nid not in tree.leaf_pos:
+            raise ValueError(f"target node {nid} is not a leaf")
+        name = tree.nodes[nid].name
+        if len(by_name[name]) > 1:
+            raise ValueError(f"leaf name '{name}' is ambiguous in this tree; cannot write by name")
         payload[name] = target.weights[nid]
     with open(path, "w", encoding="utf-8") as f:
         f.write(dumps_canonical(payload))

@@ -125,9 +125,10 @@ class SelectionTrace:
 def _leaf_counts(rows, tree: TagTree) -> np.ndarray:
     """Per leaf column, the number of rows holding that leaf (int64).
 
-    ``rows`` are ``(id, leaf ids)`` pairs; a leaf repeated within a row
-    counts once. The first row holding a non-leaf raises ``ValueError``
-    naming it (the first in ``set`` order within the row).
+    ``rows`` are ``(id, leaf ids)`` pairs, or ``(line number, leaf ids)`` for
+    a row without an id; a leaf repeated within a row counts once. The
+    first row holding a non-leaf raises ``ValueError`` naming it (the first
+    in ``set`` order within the row).
     """
     leaf_pos = tree.leaf_pos
     counts = [0] * len(leaf_pos)
@@ -135,7 +136,8 @@ def _leaf_counts(rows, tree: TagTree) -> np.ndarray:
         for leaf in set(leaves):
             j = leaf_pos.get(leaf)
             if j is None:
-                raise ValueError(f"record '{rid}' references non-leaf node {leaf}")
+                row = f"record on line {rid}" if type(rid) is int else f"record '{rid}'"
+                raise ValueError(f"{row} references non-leaf node {leaf}")
             counts[j] += 1
     return np.array(counts, dtype=np.int64)
 
@@ -375,8 +377,8 @@ def sample(
     loop keeps each pick as its pool row, and the picked records are
     built once, after the loop, from those rows only.
 
-    Both operators are built from the tree by the public builders, each of
-    which validates it, as numpy index arrays (:mod:`tagforest.matrices`).
+    Both operators are built from the tree by the public builders, as numpy
+    index arrays (:mod:`tagforest.matrices`).
     Per pick, the leaf gradient sums the node gradient along each leaf's
     path, and the pick's information vector is its exact path counts times
     its score; :meth:`InfoState.add_contribution` runs over the pick's

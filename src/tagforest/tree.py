@@ -133,6 +133,15 @@ class TagTree:
         """Map leaf node id -> dense leaf position (column index)."""
         return {nid: j for j, nid in enumerate(self.leaf_ids.tolist())}
 
+    @cached_property
+    def leaves_by_name(self) -> dict[str, tuple[int, ...]]:
+        """Map each leaf name -> the ids of the leaves holding it, ascending."""
+        by_name: dict[str, tuple[int, ...]] = {}
+        for nid in self.leaf_ids.tolist():  # tuples take a third less memory than lists
+            name = self.nodes[nid].name
+            by_name[name] = by_name.get(name, ()) + (nid,)
+        return by_name
+
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
@@ -159,7 +168,7 @@ def validate_tree(tree: TagTree) -> ValidationReport:
     Checks: non-empty node list, dense unique 0-based ids, exactly one
     root, parent/children consistency in both directions, reachability
     (which also rules out cycles), correct depth labels, at least one
-    leaf, and flat finite embeddings of one dimension.
+    leaf, string names, and flat finite embeddings of one dimension.
     """
     report = ValidationReport()
     nodes = tree.nodes
@@ -189,6 +198,8 @@ def validate_tree(tree: TagTree) -> ValidationReport:
 
     dimension = None  # of the first embedding, in id order
     for n in nodes:
+        if not isinstance(n.name, str):
+            report.error(f"node {n.id}", f"name must be a string, got {n.name!r}")
         if n.parent is not None:
             if n.parent not in by_id:
                 report.error(f"node {n.id}", f"parent {n.parent} does not exist")

@@ -59,7 +59,7 @@ def load_tree(path) -> TagTree:
         nodes.append(
             TreeNode(
                 id=obj["id"],
-                name=str(obj["name"]),
+                name=obj["name"],
                 parent=obj["parent"],
                 children=list(obj["children"]),
                 depth=obj["depth"],

@@ -885,6 +885,35 @@ def test_missing_input_refused_before_any_work(ws, tmp_path, capsys, command, na
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("build-tree", "output"),
+        ("anchor", "output"),
+        ("derive-target", "output"),
+        ("sample", "output"),
+        ("sample", "trace"),
+    ],
+)
+def test_missing_output_directory_refused_before_any_work(
+    ws, tmp_path, capsys, monkeypatch, command, name
+):
+    def ran(args):
+        pytest.fail(f"{command} ran with a missing output directory")
+
+    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", ran)
+    missing = str(tmp_path / "missing")
+    argv = _input_argv(ws, str(tmp_path / "out"))[command]
+    option = "-o" if name == "output" else f"--{name}"
+    argv[argv.index(option) + 1] = os.path.join(missing, "file")
+    rc = main([command, *argv])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {name} directory not found: {missing}\n"
+    assert os.listdir(tmp_path) == []
+
+
 def _snapshot(root) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in root.iterdir()}
 
@@ -1175,6 +1204,17 @@ class TestStats:
         assert out == ""
         assert err == f"error: record 'b' references non-leaf node {root}\n"
 
+    def test_non_leaf_row_without_id_named_by_line(self, ws, tmp_path, capsys):
+        tree = load_tree(ws["tree"])
+        rows = [{"id": "a", "leaves": [int(tree.leaf_ids[0])]}, {"leaves": [tree.root_id]}]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rc = main(["stats", "--input", str(bad), "--tree", ws["tree"]])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: record on line 2 references non-leaf node {tree.root_id}\n"
+
     @pytest.mark.parametrize("all_leaves", [False, True])
     def test_counts_match_node_walk(self, tmp_path, capsys, all_leaves):
         # the histogram and per-depth coverage on random trees and subsets,
@@ -1275,6 +1315,66 @@ class TestBadTreeFile:
         assert "error: invalid JSON: maximum recursion depth exceeded" in err
         assert "Traceback" not in err
         assert not (tmp_path / "s.jsonl").exists()
+
+
+    @pytest.mark.parametrize("command", ["anchor", "sample", "derive-target", "stats"])
+    @pytest.mark.parametrize(
+        "name", [None, 5, True, ["a"], {"embedding": [1.0]}],
+        ids=["null", "int", "bool", "list", "object"],
+    )
+    def test_non_string_name(self, ws, tmp_path, capsys, command, name):
+        with open(ws["tree"], encoding="utf-8") as f:
+            payload = json.load(f)
+        payload["nodes"][1]["name"] = name
+        bad = tmp_path / "tree.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = str(tmp_path / "out")
+        argv = _input_argv(ws, out)[command]
+        argv[argv.index("--tree") + 1] = str(bad)
+        rc = main([command, *argv])
+        assert rc == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"error: error: node 1: name must be a string, got {name!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["tree.json"]
+
+
+def _tree_with_shared_leaf_name(ws, root, weighted: bool):
+    """The workspace tree with one leaf renamed to a weighted leaf's name.
+
+    The renamed leaf is one the reference does not weight, unless
+    ``weighted``; both leaves then hold the name, so no target can key it.
+    """
+    tree = load_tree(ws["tree"])
+    target = load_target(ws["target"], tree)
+    leaves = tree.leaf_ids.tolist()
+    keep = next(nid for nid in leaves if nid in target.weights)
+    renamed = next(
+        nid for nid in leaves if nid != keep and (nid in target.weights) == weighted
+    )
+    with open(ws["tree"], encoding="utf-8") as f:
+        payload = json.load(f)
+    name = tree.nodes[keep].name
+    for node in payload["nodes"]:
+        if node["id"] == renamed:
+            node["name"] = name
+    path = root / "tree.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path), name
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["one-weighted", "both-weighted"])
+def test_derive_target_refuses_shared_leaf_name(ws, tmp_path, capsys, weighted):
+    # sample would refuse the target's key, so none is written
+    tree_path, name = _tree_with_shared_leaf_name(ws, tmp_path, weighted)
+    out = tmp_path / "target.json"
+    rc = main(["derive-target", "--anchored", ws["anchored"], "--tree", tree_path,
+               "-o", str(out)])
+    assert rc == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: leaf name '{name}' is ambiguous in this tree; cannot write by name\n"
+    assert sorted(os.listdir(tmp_path)) == ["tree.json"]
 
 
 class TestBadTargetFile:

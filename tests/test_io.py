@@ -463,6 +463,55 @@ class TestTreeSerialization:
         with pytest.raises(ValueError, match="depth"):
             load_tree(p)
 
+    @pytest.mark.parametrize(
+        "name", [None, 5, True, ["a"], {"embedding": [1.0]}],
+        ids=["null", "int", "bool", "list", "object"],
+    )
+    def test_load_refuses_non_string_name(self, tmp_path, name):
+        # refused, never renamed to str() of the value
+        p = tmp_path / "t.json"
+        nodes = [
+            {"id": 0, "name": "r", "parent": None, "children": [1], "depth": 0},
+            {"id": 1, "name": name, "parent": 0, "children": [], "depth": 1},
+        ]
+        p.write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
+        with pytest.raises(InvalidTreeError) as got:
+            load_tree(p)
+        assert str(got.value) == f"error: node 1: name must be a string, got {name!r}"
+
+    def test_save_refuses_non_string_name(self, tmp_path):
+        tree = make_tree([None, 0, 0])
+        tree.nodes[2].name = 7
+        with pytest.raises(InvalidTreeError, match="node 2: name must be a string, got 7"):
+            save_tree(tree, tmp_path / "bad.json")
+        assert not (tmp_path / "bad.json").exists()  # refused before the file is opened
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            '{"id":1,"name":"x","parent":0,"children":[true],"depth":1}',
+            '{"id":1,"name":"x","parent":0,"children":[],"depth":1,"embedding":[]}',
+            '{"id":1,"name":null,"parent":0,"children":[],"depth":1}',
+            '{"id":1,"name":"x","parent":0,"children":[],"depth":5}',
+        ],
+        ids=["node-rule", "embedding", "name", "tree-rule"],
+    )
+    def test_refused_file_opened_once(self, tmp_path, monkeypatch, node):
+        p = tmp_path / "t.json"
+        p.write_text(
+            '{"nodes":[{"id":0,"name":"r","parent":null,"children":[1],"depth":0},%s]}' % node
+        )
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr("tagforest.io.open", counting_open, raising=False)
+        with pytest.raises(ValueError):
+            load_tree(p)
+        assert opened == [p]
+
 
 # values that break a node rule, among them objects whose own "embedding"
 # list the loader's decoding hook turns into an array
@@ -544,8 +593,8 @@ class TestLoadTreeDecoding:
         path.write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
         got = _loaded(load_tree, path)
         assert got == _loaded(list_decoded_tree.load_tree, path)
-        if where == "name":
-            assert got[1][1][1] == "{'embedding': [1.0, 2.0]}"
+        if where == "name":  # refused, and printed as written
+            assert got[2] == "error: node 1: name must be a string, got {'embedding': [1.0, 2.0]}"
         elif where == "children":
             assert got[2].endswith("got {'embedding': [1.0, 2.0]}")
 
@@ -615,6 +664,21 @@ class TestTargetDistribution:
         p.write_text('{"same": 1.0}')
         with pytest.raises(ValueError, match="ambiguous"):
             load_target(p, tree)
+
+    @pytest.mark.parametrize("weights", [{1: 1.0}, {1: 0.5, 2: 0.5}], ids=["one", "both"])
+    def test_save_refuses_shared_leaf_name(self, tmp_path, weights):
+        # load_target would refuse the name, so no file is written
+        tree = make_tree([None, 0, 0, 0], names=["root", "same", "same", "other"])
+        p = tmp_path / "q.json"
+        with pytest.raises(ValueError, match="leaf name 'same' is ambiguous in this tree"):
+            save_target(TargetDistribution(weights=weights), tree, p)
+        assert not p.exists()
+
+    def test_save_refuses_non_leaf_key(self, tmp_path, tiny_tree):
+        p = tmp_path / "q.json"
+        with pytest.raises(ValueError, match="target node 0 is not a leaf"):
+            save_target(TargetDistribution(weights={0: 1.0}), tiny_tree, p)
+        assert not p.exists()
 
     def test_save_round_trip(self, tmp_path, tiny_tree):
         target = TargetDistribution(weights={1: 0.3, 2: 0.7})

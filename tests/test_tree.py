@@ -33,6 +33,11 @@ class TestTagTree:
             for nid in leaf_ids:
                 assert tree.node(int(nid)).is_leaf()
 
+    def test_leaves_by_name(self):
+        # leaf names only, each to its leaf ids ascending, shared names included
+        tree = make_tree([None, 0, 0, 1, 1, 0], names=["x", "a", "x", "x", "b", "x"])
+        assert tree.leaves_by_name == {"x": (2, 3, 5), "b": (4,)}
+
     def test_equality_covers_embeddings(self, tiny_tree):
         other = make_tree([None, 0, 0], names=["root", "l1", "l2"])
         assert tiny_tree == other
