@@ -27,7 +27,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -48,6 +48,7 @@ from .tree import TagTree
 __all__ = [
     "AnchoredPool",
     "AnchoredRecord",
+    "IdColumn",
     "AnchorReport",
     "anchor_pool",
     "write_anchored",
@@ -69,6 +70,50 @@ class AnchoredRecord:
     complexity: float
 
 
+# Strings an IdColumn yields per conversion of its offsets to Python ints,
+# so iterating a large column holds one chunk of them at a time.
+_ITER_ROWS = 4096
+
+
+class IdColumn(Sequence):
+    """Strings held as one joined ``str`` and an int64 array of end offsets.
+
+    String ``i`` is ``text[ends[i - 1]:ends[i]]``, from 0 for the first. Any
+    ``str`` is held as given: NUL, lone surrogates, newlines and non-BMP
+    characters included. A read-only sequence: an index gives a ``str``, a
+    slice an :class:`IdColumn`, and iteration each string in order. It
+    holds one object for the whole column rather than one ``str`` per row.
+    """
+
+    __slots__ = ("text", "ends")
+
+    def __init__(self, text: str, ends: np.ndarray):
+        self.text = text
+        self.ends = ends
+
+    @classmethod
+    def from_strings(cls, strings: Sequence[str]) -> IdColumn:
+        """The column of ``strings``, in their order."""
+        ends = np.fromiter(map(len, strings), np.int64, len(strings))
+        return cls("".join(strings), np.cumsum(ends, out=ends))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return IdColumn.from_strings([self[i] for i in range(len(self.ends))[index]])
+        i = range(len(self.ends))[index]  # negative indices; IndexError past the end
+        return self.text[self.ends.item(i - 1) if i else 0 : self.ends.item(i)]
+
+    def __iter__(self):
+        text, start = self.text, 0
+        for lo in range(0, len(self.ends), _ITER_ROWS):
+            for end in self.ends[lo : lo + _ITER_ROWS].tolist():
+                yield text[start:end]
+                start = end
+
+
 @dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
 class AnchoredPool(Sequence):
     """An anchored pool held as columns: a read-only sequence of :class:`AnchoredRecord`.
@@ -76,17 +121,22 @@ class AnchoredPool(Sequence):
     Row ``i`` has id ``ids[i]``, the leaves
     ``leaf_ids[leaf_ptr[i]:leaf_ptr[i + 1]]`` as written (duplicates and
     order kept), the tags ``dropped[i]`` and the scores ``quality[i]`` and
-    ``complexity[i]``. ``leaf_ptr`` and ``leaf_ids`` are int64 arrays,
-    ``quality`` and ``complexity`` float64 arrays. Indexing and iteration
-    rebuild each row's record.
+    ``complexity[i]``. ``ids`` is an :class:`IdColumn` (a sequence of
+    ``str`` given for it is converted to one), ``leaf_ptr`` and
+    ``leaf_ids`` are int64 arrays, ``quality`` and ``complexity`` float64
+    arrays. Indexing and iteration rebuild each row's record.
     """
 
-    ids: list[str]
+    ids: IdColumn
     leaf_ptr: np.ndarray
     leaf_ids: np.ndarray
     dropped: list[tuple[str, ...]]
     quality: np.ndarray
     complexity: np.ndarray
+
+    def __post_init__(self):
+        if not isinstance(self.ids, IdColumn):
+            object.__setattr__(self, "ids", IdColumn.from_strings(self.ids))
 
     @classmethod
     def from_records(cls, records) -> AnchoredPool:
@@ -351,6 +401,7 @@ def write_anchored(records: Sequence[AnchoredRecord], path) -> None:
     if len(bad):
         raise ValueError(f"cannot serialize non-finite number: {scores[bad[0]].item()!r}")
     del scores
+    ids = iter(pool.ids)
     with open(path, "w", encoding="utf-8") as f:
         for lo in range(0, len(pool), _WRITE_ROWS):
             hi = lo + _WRITE_ROWS
@@ -358,7 +409,7 @@ def write_anchored(records: Sequence[AnchoredRecord], path) -> None:
             leaves = pool.leaf_ids[ptr[0] : ptr[-1]].tolist()
             ptr = (ptr - ptr[0]).tolist()
             rows = zip(
-                pool.ids[lo:hi],
+                islice(ids, _WRITE_ROWS),
                 pool.dropped[lo:hi],
                 pool.quality[lo:hi].tolist(),
                 pool.complexity[lo:hi].tolist(),
@@ -534,56 +585,83 @@ def _blocks(f):
         yield tail + "\n"
 
 
+def _repeats(ids: IdColumn, hashes: np.ndarray) -> bool:
+    """Whether an id repeats, where ``hashes[i]`` is ``hash(ids[i])``.
+
+    Equal ids have equal hashes, so only the ids whose hash is shared are
+    compared, and no set of every id is built.
+    """
+    ordered = np.sort(hashes)
+    shared = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not len(shared):
+        return False
+    tied = [ids[i] for i in np.flatnonzero(np.isin(hashes, shared)).tolist()]
+    return len(set(tied)) < len(tied)
+
+
 def _read_fixed_shape(f) -> AnchoredPool | None:
     """Read an open anchored file whose every line is one row of ``_ROW_SHAPE``.
 
-    Each block is parsed with one ``findall``, and its captures become
-    columns: leaf ids through ``int``, scores through ``float``, as
-    ``json`` parses the same tokens. Returns None, having read no further,
-    at the first block with a line of any other shape (a blank line
-    included), and at the end when an id repeats or a score lies outside
-    [0, 1].
+    Each block is parsed with one ``findall``, and its captures are
+    appended to the columns: ids joined onto the :class:`IdColumn`'s text,
+    leaf ids through ``int`` and scores through ``float``, as ``json``
+    parses the same tokens. So no per-row ``str`` outlives its block; each
+    number column grows in one buffer rather than in parts to concatenate,
+    and the blocks' id texts are joined once, at the end.
+    Returns None, having read no further, at the first block with a line
+    of any other shape (a blank line included) or a score outside [0, 1],
+    and at the end when an id repeats (:func:`_repeats`).
     """
-    ids: list[str] = []
+    id_text: list[str] = []
     dropped: list[tuple[str, ...]] = []
-    counts, leaves, quality, complexity = [], [], [], []
+    lengths, hashes, counts, leaf_ids = array("q"), array("q"), array("q"), array("q")
+    quality, complexity = array("d"), array("d")
     for block in _blocks(f):
         rows = _ROW_SHAPE.findall(block)
         if len(rows) != block.count("\n"):  # every block holds a newline
             return None
         block_ids, leaf_text, tag_text, q, c = zip(*rows)
-        n = len(rows)
-        offset = len(ids)
-        ids.extend(block_ids)
+        del rows
+        n = len(block_ids)
+        q = np.fromiter(map(float, q), np.float64, n)
+        c = np.fromiter(map(float, c), np.float64, n)
+        if not ((q >= 0.0) & (q <= 1.0) & (c >= 0.0) & (c <= 1.0)).all():
+            return None
+        tokens = ",".join(filter(None, leaf_text)).split(",") if any(leaf_text) else []
+        for column, values in (
+            (quality, q),
+            (complexity, c),
+            (lengths, np.fromiter(map(len, block_ids), np.int64, n)),
+            (hashes, np.fromiter(map(hash, block_ids), np.int64, n)),
+            # a row's leaf count: its commas, plus one unless it has no leaves
+            (counts, np.fromiter(map(str.count, leaf_text, repeat(",")), np.int64, n)
+             + np.fromiter(map(bool, leaf_text), np.int64, n)),
+            (leaf_ids, np.fromiter(map(int, tokens), np.int64, len(tokens))),
+        ):
+            column.frombytes(values.tobytes())
+        id_text.append("".join(block_ids))
+        offset = len(dropped)
         dropped.extend([()] * n)
         for i in compress(range(n), tag_text):
             dropped[offset + i] = tuple(tag_text[i][1:-1].split('","'))
-        counts.append(
-            np.fromiter(map(str.count, leaf_text, repeat(",")), np.int64, n)
-            + np.fromiter(map(bool, leaf_text), np.int64, n)
-        )
-        tokens = ",".join(filter(None, leaf_text)).split(",") if any(leaf_text) else []
-        leaves.append(np.fromiter(map(int, tokens), np.int64, len(tokens)))
-        quality.append(np.fromiter(map(float, q), np.float64, n))
-        complexity.append(np.fromiter(map(float, c), np.float64, n))
 
-    def column(parts, dtype):
-        return np.concatenate([np.zeros(0, dtype=dtype), *parts])
-
+    ends = np.frombuffer(lengths, dtype=np.int64)
+    ids = IdColumn("".join(id_text), np.cumsum(ends, out=ends))
+    del id_text
+    if _repeats(ids, np.frombuffer(hashes, dtype=np.int64)):
+        return None
+    del hashes
     leaf_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum(column(counts, np.int64), out=leaf_ptr[1:])
-    pool = AnchoredPool(
+    np.cumsum(np.frombuffer(counts, dtype=np.int64), out=leaf_ptr[1:])
+    del counts
+    return AnchoredPool(
         ids=ids,
         leaf_ptr=leaf_ptr,
-        leaf_ids=column(leaves, np.int64),
+        leaf_ids=np.frombuffer(leaf_ids, dtype=np.int64),
         dropped=dropped,
-        quality=column(quality, np.float64),
-        complexity=column(complexity, np.float64),
+        quality=np.frombuffer(quality, dtype=np.float64),
+        complexity=np.frombuffer(complexity, dtype=np.float64),
     )
-    scores = np.concatenate((pool.quality, pool.complexity))
-    if not ((scores >= 0.0) & (scores <= 1.0)).all() or len(set(ids)) != len(ids):
-        return None
-    return pool
 
 
 def load_anchored(path) -> AnchoredPool:

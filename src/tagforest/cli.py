@@ -10,12 +10,14 @@ Subcommands cover the full pipeline:
 
 Each subcommand declares its input- and output-file options once. Before
 any work, every input file given must exist, every output's directory
-must exist, and no written file (an output or its sidecar) may be an
-input or another written file; the options are checked next, before any
-file is read. Every output file gets a ``<name>.manifest.json`` sidecar
-recording the command, every option under its own name (defaults
-included), the SHA-256 of each input file, version, and wall clock;
-build-tree, the one command that draws random numbers, adds its seed.
+must exist, no output may be a directory, and no written file (an output
+or its sidecar) may be an input or another written file; the options are
+checked next, before any file is read. Every output file gets a
+``<name>.manifest.json`` sidecar recording the command, every option under
+its own name (defaults included), the SHA-256 of each input file, version,
+and wall clock; build-tree, the one command that draws random numbers,
+adds its seed. A tree that breaks a tree rule prints each entry of its
+report once.
 Exit codes: 0 success, 2 usage/input error, 1 unexpected failure.
 """
 from __future__ import annotations
@@ -58,7 +60,7 @@ from .sampler import (
     sample,
     write_trace,
 )
-from .tree import ValidationReport
+from .tree import InvalidTreeError, ValidationReport
 from .treebuild import TreeBuildConfig, build_tree
 
 
@@ -72,7 +74,8 @@ _NOT_PARAMETERS = ("command", "func", "inputs", "outputs", "seed")
 
 
 def _check_paths(args) -> None:
-    """Refuse a missing input or output directory, and a file written over an input or twice."""
+    """Refuse a missing input or output directory, an output that is a directory,
+    and a file written over an input or twice."""
     claimed = {}  # real path -> what it is
     for name in args.inputs:
         path = getattr(args, name)
@@ -84,6 +87,8 @@ def _check_paths(args) -> None:
         output = getattr(args, name)
         if not os.path.isdir(os.path.dirname(output) or "."):  # the sidecar's too
             raise UserError(f"{name} directory not found: {os.path.dirname(output)}")
+        if os.path.isdir(output):
+            raise UserError(f"{name} is a directory: {output}")
         for path in (output, f"{output}.manifest.json"):
             real = os.path.realpath(path)
             if real in claimed:
@@ -385,6 +390,9 @@ def main(argv=None) -> int:
     try:
         _check_paths(args)
         return args.func(args)
+    except InvalidTreeError as exc:  # its report's entries carry their own severity
+        _print_report(exc.report)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

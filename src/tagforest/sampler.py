@@ -9,9 +9,10 @@ leaf distribution is given, and general otherwise.
 
 Set-up reads the anchored pool's columns (see
 :class:`tagforest.anchoring.AnchoredPool`): one composite-score call over
-the usable rows, a sort into the tie-break order, and each candidate's
-distinct leaf positions in CSR form, built from a node id -> leaf position
-lookup.
+the usable rows, a stable numpy sort by that score into the tie-break
+order (ids are compared only inside runs of equal score), and each
+candidate's distinct leaf positions in CSR form, built from a node id ->
+leaf position lookup.
 
 Both modes run Minoux's accelerated ("lazy") greedy, which is exact here.
 In aligned mode the joint is
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchoring import AnchoredPool, AnchoredRecord
+from .anchoring import AnchoredPool, AnchoredRecord, _first_in_runs
 from .io import Instance, InstancePool, TargetDistribution, dumps_canonical
 from .matrices import build_ancestry_matrix, build_propagation_matrix
 from .objective import (
@@ -150,41 +151,49 @@ def _candidate_setup(
     Usable rows hold at least one leaf. The order is composite score
     descending, then id ascending, so a first-occurrence argmax (or the
     smallest position among lazy re-scores) picks the documented winner on
-    exact joint ties: a stable sort by score after a sort by id gives it, as
-    -0.0 == 0.0 in both. The leaves are the index arrays ``indptr`` and
+    exact joint ties: a stable numpy sort by score (-0.0 == 0.0) and then,
+    inside each run of equal scores, a sort by id, so ids are compared only
+    where scores tie. The leaves are the index arrays ``indptr`` and
     ``indices`` of the candidate x leaf indicator matrix in CSR form: each
     row's distinct leaf positions, ascending.
     """
     counts = np.diff(pool.leaf_ptr)
-    by_id = np.array(
-        sorted(np.flatnonzero(counts).tolist(), key=pool.ids.__getitem__),
-        dtype=np.int64,
-    )
-    scores = composite_score(pool.quality[by_id], pool.complexity[by_id], alpha)
+    usable = np.flatnonzero(counts)
+    scores = composite_score(pool.quality[usable], pool.complexity[usable], alpha)
     order = np.argsort(-scores, kind="stable")
-    rows, s = by_id[order], scores[order]
+    starts = np.flatnonzero(_first_in_runs(scores[order]))  # runs of equal score
+    stops = np.append(starts[1:], len(order))
+    tied = stops - starts > 1
+    for lo, hi in zip(starts[tied].tolist(), stops[tied].tolist()):
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=lambda k: pool.ids[usable.item(k)])
+    rows, s = usable[order], scores[order]
+    del usable, scores, order  # freed before the larger leaf-length arrays below
 
     leaf_ids = tree.leaf_ids
     n, n_leaves = len(rows), len(leaf_ids)
-    lookup = np.full(int(leaf_ids[-1]) + 1, -1, dtype=np.int64)
+    # node id -> leaf position; the last entry, -1, is every other id's
+    lookup = np.full(int(leaf_ids[-1]) + 2, -1, dtype=np.int64)
     lookup[leaf_ids] = np.arange(n_leaves)
-    known = (pool.leaf_ids >= 0) & (pool.leaf_ids < len(lookup))
-    pos = np.full(len(pool.leaf_ids), -1, dtype=np.int64)
-    pos[known] = lookup[pool.leaf_ids[known]]
+    pos = lookup[np.clip(pool.leaf_ids, -1, len(lookup) - 1)]
     if np.any(pos < 0):  # names the first offender in candidate order
         _leaf_counts(((pool.ids[row], pool[row].leaves) for row in rows.tolist()), tree)
     rank = np.empty(len(pool), dtype=np.int64)
     rank[rows] = np.arange(n)
     # every leaf belongs to a usable row; sorted keys ascend by rank, then
-    # position, and as keys are >= 0 the -1 keeps the first of each run.
-    # (np.unique gives the same, but hashes first and is far slower here.)
-    keys = np.sort(np.repeat(rank, counts) * n_leaves + pos)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    rank_of_key = keys // n_leaves
+    # position, and the first of each run is kept. (np.unique gives the
+    # same, but hashes first and is far slower here.) The keys are built
+    # and sorted in place, so one array of them is alive at a time.
+    keys = np.repeat(rank, counts)
+    del rank, counts
+    keys *= n_leaves
+    keys += pos
+    del pos
+    keys.sort()
+    keys = keys[_first_in_runs(keys)]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rank_of_key, minlength=n), out=indptr[1:])
-    indices = keys - rank_of_key * n_leaves
-    return rows, s, indptr, indices
+    np.cumsum(np.bincount(keys // n_leaves, minlength=n), out=indptr[1:])
+    keys %= n_leaves  # each key's leaf position
+    return rows, s, indptr, keys
 
 
 # Rounding slack of a lazy bound, relative to the magnitudes it is built

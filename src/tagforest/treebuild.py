@@ -60,6 +60,11 @@ __all__ = [
 ROOT_NAME = "root"
 
 
+# Far above any useful restart count: a mistyped one fails at once rather
+# than running until it is killed.
+MAX_KMEANS_RESTARTS = 10_000
+
+
 @dataclass
 class TreeBuildConfig:
     """Knobs for taxonomy construction.
@@ -85,8 +90,11 @@ class TreeBuildConfig:
             raise ValueError(f"branching must be finite, got {self.branching}")
         if not self.kmeans_iters >= 1:
             raise ValueError(f"kmeans_iters must be >= 1, got {self.kmeans_iters}")
-        if not self.kmeans_restarts >= 1:
-            raise ValueError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
+        if not 1 <= self.kmeans_restarts <= MAX_KMEANS_RESTARTS:
+            raise ValueError(
+                f"kmeans_restarts must be in [1, {MAX_KMEANS_RESTARTS}], "
+                f"got {self.kmeans_restarts}"
+            )
         if not self.seed >= 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

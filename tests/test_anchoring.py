@@ -388,7 +388,7 @@ def _read_lines(path) -> AnchoredPool:
 
 def _assert_same_pool(got, want):
     assert isinstance(got, AnchoredPool) and isinstance(want, AnchoredPool)
-    assert got.ids == want.ids
+    assert list(got.ids) == list(want.ids)
     assert got.dropped == want.dropped
     for column in ("leaf_ptr", "leaf_ids", "quality", "complexity"):
         a, b = getattr(got, column), getattr(want, column)

@@ -777,6 +777,12 @@ class TestNonFiniteOptions:
             ("build-tree", "--branching", "nan", "branching must be > 1, got nan"),
             ("build-tree", "--branching", "inf", "branching must be finite, got inf"),
             ("build-tree", "--seed", "-1", "seed must be >= 0, got -1"),
+            ("build-tree", "--kmeans-restarts", "0",
+             "kmeans_restarts must be in [1, 10000], got 0"),
+            ("build-tree", "--kmeans-restarts", "10001",
+             "kmeans_restarts must be in [1, 10000], got 10001"),
+            ("build-tree", "--kmeans-restarts", "100000000000000000000",
+             "kmeans_restarts must be in [1, 10000], got 100000000000000000000"),
             ("sample", "--epsilon", "inf", "epsilon must be finite, got inf"),
             ("sample", "--lambda", "inf", "kl_weight must be finite, got inf"),
         ],
@@ -797,6 +803,25 @@ class TestNonFiniteOptions:
         err = capsys.readouterr().err
         assert f"error: {message}" in err
         assert "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_kmeans_restarts_refused_before_any_file_is_read(
+        self, ws, tmp_path, capsys, monkeypatch
+    ):
+        # a mistyped restart count fails at once instead of running until killed
+        def read(*args):
+            pytest.fail("build-tree read a file")
+
+        monkeypatch.setattr(cli, "_load_tags", read)
+        monkeypatch.setattr(cli, "load_embeddings", read)
+        rc = main([
+            "build-tree", "--tags", ws["tags"], "--embeddings", ws["emb"],
+            "--kmeans-restarts", "100000000000000000000", "-o", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: kmeans_restarts must be in [1, 10000], got 100000000000000000000\n"
+        )
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -912,6 +937,37 @@ def test_missing_output_directory_refused_before_any_work(
     assert out == ""
     assert err == f"error: {name} directory not found: {missing}\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("build-tree", "output"),
+        ("anchor", "output"),
+        ("derive-target", "output"),
+        ("sample", "output"),
+        ("sample", "trace"),
+    ],
+)
+@pytest.mark.parametrize("slash", ["", os.sep], ids=["bare", "slash"])
+def test_directory_output_refused_before_any_work(
+    ws, tmp_path, capsys, monkeypatch, command, name, slash
+):
+    def ran(args):
+        pytest.fail(f"{command} ran with an output that is a directory")
+
+    monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", ran)
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    argv = _input_argv(ws, str(tmp_path / "out"))[command]
+    option = "-o" if name == "output" else f"--{name}"
+    argv[argv.index(option) + 1] = str(outdir) + slash
+    rc = main([command, *argv])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {name} is a directory: {outdir}{slash}\n"
+    assert os.listdir(tmp_path) == ["outdir"] and os.listdir(outdir) == []
 
 
 def _snapshot(root) -> dict[str, bytes]:
@@ -1335,7 +1391,7 @@ class TestBadTreeFile:
         assert rc == 2
         stdout, err = capsys.readouterr()
         assert stdout == ""
-        assert err == f"error: error: node 1: name must be a string, got {name!r}\n"
+        assert err == f"error: node 1: name must be a string, got {name!r}\n"
         assert sorted(os.listdir(tmp_path)) == ["tree.json"]
 
 

@@ -759,6 +759,12 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree([], None)
 
+    def test_kmeans_restarts_bounded(self):
+        assert TreeBuildConfig(kmeans_restarts=10_000).kmeans_restarts == 10_000
+        for bad in (0, 10_001, 10**20, float("nan")):
+            with pytest.raises(ValueError, match=r"kmeans_restarts must be in \[1, 10000\]"):
+                TreeBuildConfig(kmeans_restarts=bad)
+
     def test_node_ids_bfs_ordered(self):
         tags = [f"t{i}" for i in range(60)]
         tree = build_tree(tags, None, TreeBuildConfig(seed=4, branching=4.0))
